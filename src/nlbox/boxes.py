@@ -84,10 +84,10 @@ class BrunBoxConfig:
                 self.phi_basis[0], self.phi_basis[1])
 
 
-def _two_qubit_basis_state(index: int) -> DensityOperator:
-    m = np.zeros((4, 4), dtype=complex)
-    m[index, index] = 1.0
-    return DensityOperator(m)
+# The map's four targets, the two-qubit computational basis states, built
+# once; their arrays are read-only, so every output can share them.
+_TWO_QUBIT_BASIS_STATES = tuple(DensityOperator(np.diag(row).astype(complex))
+                                for row in np.eye(4))
 
 
 def brun_apply_pure(config: BrunBoxConfig, input_ket: KetVector) -> DensityOperator:
@@ -100,7 +100,7 @@ def brun_apply_pure(config: BrunBoxConfig, input_ket: KetVector) -> DensityOpera
         raise ShapeError("box input must be a single qubit")
     for i, state in enumerate(config.domain_states):
         if input_ket.fidelity(state) >= PURITY_MIN:
-            return _two_qubit_basis_state(i)
+            return _TWO_QUBIT_BASIS_STATES[i]
     if callable(config.completion):
         return config.completion(input_ket)
     raise DomainError("input is not one of the four domain states and the "
@@ -222,7 +222,7 @@ def kent_brun_emulation(brun: BrunBoxConfig) -> KentBoxConfig:
             k = readout.principal_ket()
             for i, state in enumerate(brun.domain_states):
                 if k.fidelity(state) >= PURITY_MIN:
-                    return _two_qubit_basis_state(i)
+                    return _TWO_QUBIT_BASIS_STATES[i]
         return tensor(readout, _QUBIT0)
 
     return KentBoxConfig(target=target, brun=brun)

@@ -20,6 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .scenario import parse_scenario, parse_stats, run_scenario, write_report
+from .tolerances import DTOL
 from .witness import fit_linear_map, is_linear_explainable, sampled_tolerance
 
 EXIT_OK = 0
@@ -87,7 +88,7 @@ def _run_witness(args) -> None:
     fit = fit_linear_map(table)
     tol = args.tol
     if tol is None:
-        tol = sampled_tolerance(table) if table.is_sampled() else 1e-8
+        tol = sampled_tolerance(table) if table.is_sampled() else DTOL
     verdict = fit.residual <= tol and fit.choi_min_eig >= -tol
     print(f"residual={fit.residual!r} choi_min_eig={fit.choi_min_eig!r} "
           f"tol={tol!r} linear_explainable={verdict}")

@@ -4,6 +4,7 @@ intercept attack."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,10 @@ from .tolerances import PURITY_MIN
 DEFAULT_ALICE_EVENT = SpacetimeEvent(0.0, 10.0)
 
 _STATE_NAMES = ("psi0", "psi1", "phi0", "phi1")
+
+# Bits the BB84 attack samples per batch. About 35 bytes of temporaries per
+# bit, so memory stays near 2 MiB whatever n_bits a scenario asks for.
+_BB84_BATCH = 1 << 16
 
 
 def singlet() -> DensityOperator:
@@ -277,6 +282,35 @@ def _require_bb84_bases(box: NonlinearBox):
     return psi, phi
 
 
+def _nonnegative_int(value, name: str) -> int:
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{name} must be a non-negative integer, got {value!r}") from None
+    if n < 0:
+        raise ConfigurationError(f"{name} must be a non-negative integer, got {n}")
+    return n
+
+
+def _inverse_cdf(dist: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome of each draw from row `rows[i]` of the distribution table
+    `dist`, given one uniform `u[i]` in [0, 1).
+
+    The outcome is the number of cumulative probabilities at or below u.
+    Each row's cumulative sums are divided by their last entry, so a row
+    summing to slightly less than 1 still ends at exactly 1 and a
+    zero-probability outcome, whose cumulative value equals its
+    predecessor's, is never returned.
+    """
+    cdf = np.cumsum(dist, axis=1, dtype=float)
+    cdf /= cdf[:, -1:]
+    out = np.zeros(u.shape, dtype=np.int8)
+    for column in cdf[:, :-1].T:
+        out += column[rows] <= u
+    return out
+
+
 def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
                     eve_strategy: str = "identify") -> AttackReport:
     """Intercept-resend with a basis-discriminating box in the middle.
@@ -286,9 +320,20 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     re-prepares, and forwards; the receiver measures in a random basis.
     With `eve_strategy="fixed_basis"` the eavesdropper re-prepares in the
     computational basis regardless of what she identified.
+
+    Bits are sampled as arrays from the seeded generator, in batches of
+    up to `_BB84_BATCH` bits: per batch, the sender's bases, the sender's
+    bits and the receiver's bases as one `integers(2, size=(3, n))` draw,
+    then one uniform per bit for the eavesdropper's outcome and one for
+    the receiver's, each mapped to an outcome by inverting the cumulative
+    distribution that the bit's (basis, bit) or (resent state, receiver
+    basis) selects. Raises ConfigurationError for a negative or
+    non-integer `n_bits` or `seed`.
     """
     if eve_strategy not in ("identify", "fixed_basis"):
         raise ConfigurationError(f"unknown eavesdropper strategy {eve_strategy!r}")
+    n_bits = _nonnegative_int(n_bits, "n_bits")
+    seed = _nonnegative_int(seed, "seed")
     if n_bits == 0:
         return AttackReport(0, 0.0, 0.0, 0.0, 0.0, eve_strategy, seed)
     psi, phi = _require_bb84_bases(box)
@@ -297,40 +342,41 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     povm4 = computational_povm(4)
     meas = (basis_povm(psi), basis_povm(phi))
 
-    # Per (basis, bit): the box's outcome distribution on Alice's state.
-    eve_dist = {}
+    # Row 2*basis + bit: the box's outcome distribution on Alice's state.
+    eve_dist = []
     for a_basis in range(2):
         for a_bit in range(2):
             prep = _local_prep(bases[a_basis][a_bit],
                                f"alice_{a_basis}{a_bit}", box.box_event)
-            eve_dist[a_basis, a_bit] = born_probabilities(apply_box(box, prep), povm4)
+            eve_dist.append(born_probabilities(apply_box(box, prep), povm4))
 
-    # Per (resent state index, receiver basis): the receiver's distribution.
+    # Row 2*(resent state index) + receiver basis: the receiver's distribution.
     def resent_state(e_basis, e_bit):
         if eve_strategy == "identify":
             return bases[e_basis][e_bit]
         return COMPUTATIONAL_BASIS[e_bit]
 
-    bob_dist = {}
+    bob_dist = []
     for e_basis in range(2):
         for e_bit in range(2):
             for b_basis in range(2):
                 rho = resent_state(e_basis, e_bit).projector()
-                bob_dist[e_basis, e_bit, b_basis] = born_probabilities(rho, meas[b_basis])
+                bob_dist.append(born_probabilities(rho, meas[b_basis]))
 
+    eve_dist, bob_dist = np.array(eve_dist), np.array(bob_dist)
+    # Python ints, so the report holds plain floats (the CSV form is repr).
     eve_bit_hits = eve_basis_hits = sifted = errors = 0
-    for _ in range(n_bits):
-        a_basis = int(rng.integers(2))
-        a_bit = int(rng.integers(2))
-        idx = int(rng.choice(4, p=eve_dist[a_basis, a_bit]))
-        e_basis, e_bit = idx >> 1, idx & 1
-        eve_basis_hits += e_basis == a_basis
-        eve_bit_hits += e_bit == a_bit
-        b_basis = int(rng.integers(2))
-        b_bit = int(rng.choice(2, p=bob_dist[e_basis, e_bit, b_basis]))
-        if b_basis == a_basis:
-            sifted += 1
-            errors += b_bit != a_bit
+    for start in range(0, n_bits, _BB84_BATCH):
+        n = min(_BB84_BATCH, n_bits - start)
+        a_basis, a_bit, b_basis = rng.integers(2, size=(3, n), dtype=np.int8)
+        u_eve, u_bob = rng.random((2, n))
+        eve_idx = _inverse_cdf(eve_dist, 2 * a_basis + a_bit, u_eve)
+        b_bit = _inverse_cdf(bob_dist, 2 * eve_idx + b_basis, u_bob)
+        sifted_mask = b_basis == a_basis
+        eve_basis_hits += int(np.count_nonzero((eve_idx >> 1) == a_basis))
+        eve_bit_hits += int(np.count_nonzero((eve_idx & 1) == a_bit))
+        sifted += int(np.count_nonzero(sifted_mask))
+        errors += int(np.count_nonzero(sifted_mask & (b_bit != a_bit)))
     return AttackReport(
         n_bits=n_bits,
         eve_bit_accuracy=eve_bit_hits / n_bits,

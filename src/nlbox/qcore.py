@@ -8,6 +8,7 @@ pure functions; values are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -259,7 +260,10 @@ def basis_povm(kets) -> Povm:
     return Povm(tuple(np.outer(k.amplitudes, k.amplitudes.conj()) for k in kets))
 
 
+@cache
 def computational_povm(dim: int) -> Povm:
+    """Projective measurement in the computational basis, built once per
+    dimension; a Povm's effects are read-only, so callers share it."""
     effects = []
     for i in range(dim):
         e = np.zeros((dim, dim), dtype=complex)

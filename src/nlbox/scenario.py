@@ -255,6 +255,14 @@ def parse_stats(path) -> "StatsTable":
                       probabilities=probs, sample_counts=counts)
 
 
+def _int_param(params, key, default) -> int:
+    value = params.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"protocol: {key} must be an integer, got {value!r}") from exc
+
+
 def run_scenario(config: ScenarioConfig, seed: int | None = None,
                  tol: float | None = None) -> Report:
     """Dispatch a validated scenario to its protocol."""
@@ -279,8 +287,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None,
     elif config.protocol == "bb84":
         rep = run_bb84_attack(
             box,
-            n_bits=int(params.get("n_bits", 1000)),
-            seed=int(params.get("seed", 0)),
+            n_bits=_int_param(params, "n_bits", 1000),
+            seed=_int_param(params, "seed", 0),
             eve_strategy=params.get("eve_strategy", "identify"),
         )
     else:  # unreachable after parse validation

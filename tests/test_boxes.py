@@ -87,6 +87,12 @@ class TestBrunMap:
         out = brun_apply_pure(brun_config, KET_MINUS)
         assert trace_distance(out, two_qubit_state(3)) < 1e-12
 
+    def test_targets_shared_read_only(self, brun_config):
+        out = brun_apply_pure(brun_config, KET0)
+        assert brun_apply_pure(brun_config, KET0) is out
+        with pytest.raises(ValueError):
+            out.matrix[0, 0] = 0.0
+
     def test_out_of_domain_strict(self, brun_config):
         # (|0> + i|1>)/sqrt(2) has fidelity 1/2 with every domain state.
         for state in brun_config.domain_states:

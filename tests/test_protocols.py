@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import BOX_EVENT, make_box
+from nlbox import protocols
 from nlbox.boxes import (
     DeutschBoxConfig,
     LinearBoxConfig,
@@ -11,6 +12,7 @@ from nlbox.boxes import (
 from nlbox.errors import ConfigurationError
 from nlbox.preparations import MembershipPolicy, PolicyKind, classify_membership
 from nlbox.protocols import (
+    _inverse_cdf,
     run_bb84_attack,
     run_preparation_problem_demo,
     run_signaling_test,
@@ -170,3 +172,80 @@ class TestAttack:
                        semantics=Semantics.STATE)
         with pytest.raises(ConfigurationError):
             run_bb84_attack(box, 100, seed=1)
+
+    @pytest.mark.parametrize("n_bits", [-5, -1, 2.0, 1.5, "10", None])
+    def test_rejects_bad_n_bits(self, brun_config, n_bits):
+        with pytest.raises(ConfigurationError, match="n_bits"):
+            run_bb84_attack(make_box(brun_config), n_bits, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 3.0, "7", None])
+    def test_rejects_bad_seed(self, brun_config, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            run_bb84_attack(make_box(brun_config), 100, seed=seed)
+
+    def test_accepts_numpy_integers(self, brun_config):
+        a = run_bb84_attack(make_box(brun_config), np.int64(300), seed=np.uint32(9))
+        b = run_bb84_attack(make_box(brun_config), 300, seed=9)
+        assert a == b
+        assert type(a.n_bits) is int and type(a.seed) is int
+
+    @pytest.mark.parametrize("n_bits", [1, 2, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_fixed_basis_statistics(self, brun_config, n_bits, seed):
+        report = run_bb84_attack(make_box(brun_config), n_bits, seed=seed,
+                                 eve_strategy="fixed_basis")
+        assert report.eve_bit_accuracy == 1.0
+        assert abs(report.sifted_key_fraction - 0.5) <= 5 * np.sqrt(0.25 / n_bits)
+        sifted = round(report.sifted_key_fraction * n_bits)
+        if sifted:
+            assert abs(report.induced_qber - 0.25) <= 5 * np.sqrt(0.1875 / sifted)
+        else:
+            assert report.induced_qber == 0.0
+
+    @pytest.mark.parametrize("strategy", ["identify", "fixed_basis"])
+    def test_batches_cover_every_bit(self, brun_config, monkeypatch, strategy):
+        # The box identifies every bit, so the accuracies are exactly 1 only
+        # if the batches sample n_bits bits in total, the short last one too.
+        monkeypatch.setattr(protocols, "_BB84_BATCH", 64)
+        report = run_bb84_attack(make_box(brun_config), 1000, seed=4,
+                                 eve_strategy=strategy)
+        assert report.eve_bit_accuracy == 1.0
+        assert report.eve_basis_accuracy == 1.0
+        assert abs(report.sifted_key_fraction - 0.5) <= 5 * np.sqrt(0.25 / 1000)
+
+
+class TestInverseCdf:
+    # A row that sums to 1 - 1e-12 with zero-probability outcomes last: a
+    # draw above its total must not fall through to the final outcome.
+    SHORT_ROW = [0.5, 0.5 - 1e-12, 0.0, 0.0]
+    EDGE_U = np.array([0.0, 1e-300, 0.25, 0.5, 0.5 - 1e-16, 1 - 1e-12,
+                       1 - 1e-13, np.nextafter(1.0, 0.0)])
+
+    @pytest.mark.parametrize("row", [[0, 1, 0, 0], [0.5, 0, 0, 0.5],
+                                     [0, 0, 0, 1], [1, 0, 0, 0], SHORT_ROW])
+    def test_never_returns_zero_probability_outcome(self, row):
+        dist = np.array([row])
+        u = np.concatenate([self.EDGE_U, np.random.default_rng(0).random(10000)])
+        out = _inverse_cdf(dist, np.zeros(u.size, dtype=np.int8), u)
+        assert np.all(dist[0, out] > 0)
+
+    def test_matches_per_draw_reference(self):
+        rng = np.random.default_rng(3)
+        dist = rng.random((6, 4)) * (rng.random((6, 4)) < 0.6)
+        dist[:, 0] += 1e-3
+        dist /= dist.sum(axis=1, keepdims=True)
+        rows = rng.integers(6, size=5000)
+        u = rng.random(5000)
+        out = _inverse_cdf(dist, rows, u)
+        for k, r, x in zip(out, rows, u):
+            cdf = np.cumsum(dist[r])
+            assert k == np.searchsorted(cdf / cdf[-1], x, side="right")
+
+    def test_frequencies_within_five_sigma(self):
+        n = 200_000
+        row = np.array([0.1, 0.2, 0.3, 0.4])
+        u = np.random.default_rng(2024).random(n)
+        out = _inverse_cdf(row[None, :], np.zeros(n, dtype=np.int8), u)
+        freq = np.bincount(out, minlength=4) / n
+        sigma = np.sqrt(row * (1 - row) / n)
+        assert np.all(np.abs(freq - row) <= 5 * sigma)

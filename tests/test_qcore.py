@@ -144,6 +144,12 @@ class TestBorn:
         with pytest.raises(ShapeError):
             born_probabilities(maximally_mixed(4), computational_povm(2))
 
+    def test_computational_povm_shared_read_only(self):
+        povm = computational_povm(4)
+        assert computational_povm(4) is povm
+        with pytest.raises(ValueError):
+            povm.effects[0][0, 0] = 0.0
+
     def test_distribution_property(self, rng):
         for dim in (2, 3, 4):
             for _ in range(10):

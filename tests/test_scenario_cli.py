@@ -135,6 +135,14 @@ class TestEmission:
         assert doc["schema"] == REPORT_SCHEMA
         assert doc["payload"] == report.payload
 
+    def test_bb84_csv_values_are_plain_numbers(self):
+        report = run_scenario(parse_scenario(SCENARIO_DIR / "bb84_ablation.scn"))
+        rows = dict(line.split(",", 2)[::2] for line in
+                    emit_table(report, "csv").splitlines()[1:])
+        for key in ("eve_bit_accuracy", "eve_basis_accuracy", "induced_qber",
+                    "sifted_key_fraction", "n_bits", "seed"):
+            float(rows[key])
+
     def test_csv_deterministic(self):
         config = parse_scenario(SCENARIO_DIR / "signaling_naive.scn")
         a = emit_table(run_scenario(config), "csv")
@@ -200,6 +208,30 @@ class TestCli:
             "psi_basis": [[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
         }
         assert main(["run", str(write_scenario(tmp_path, doc))]) == 3
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_bits", -5), ("n_bits", "abc"), ("n_bits", None), ("n_bits", [10]),
+        ("seed", -1), ("seed", "abc"),
+    ])
+    def test_bad_bb84_params_exit_code(self, tmp_path, key, value):
+        doc = json.loads((SCENARIO_DIR / "bb84_attack.scn").read_text())
+        doc["protocol"][key] = value
+        path = write_scenario(tmp_path, doc)
+        with pytest.raises(ValidationError, match=key):
+            run_scenario(parse_scenario(path))
+        assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 3
+        assert not (tmp_path / "r.json").exists()
+
+    def test_bad_seed_override_exit_code(self, tmp_path):
+        assert main(["bb84", str(SCENARIO_DIR / "bb84_attack.scn"), "--seed", "-3",
+                     "--out", str(tmp_path / "r.json")]) == 3
+
+    def test_zero_bits_scenario(self, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "bb84_attack.scn").read_text())
+        doc["protocol"]["n_bits"] = 0
+        report = run_scenario(parse_scenario(write_scenario(tmp_path, doc)))
+        assert report.payload["n_bits"] == 0
+        assert report.payload["sifted_key_fraction"] == 0.0
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLBOX_OUT_DIR", str(tmp_path))
