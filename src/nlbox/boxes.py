@@ -9,7 +9,7 @@ holds for everything the policy excludes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -34,7 +34,6 @@ from .preparations import (
 from .qcore import (
     DensityOperator,
     KetVector,
-    Povm,
     Unitary,
     _partial_trace_raw,
     born_probabilities,
@@ -287,29 +286,17 @@ def _brun_on_density(config: BrunBoxConfig, rho: DensityOperator) -> DensityOper
     return tensor(rho, _QUBIT0)
 
 
-def kent_readout(p: Preparation, box_event: SpacetimeEvent):
+def kent_readout(p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
     """What a readout box learns about a preparation.
 
     If every provenance record lies in the box's past light cone the
     realized identity is knowable and the readout is the effective
     density (the realized member, for singleton ensembles). Otherwise the
     readout is the unconditioned mixture: heralded states prepared from
-    outside the light cone appear mixed. The preparation passes through
-    unchanged.
+    outside the light cone appear mixed.
     """
     knowable = all(in_past_light_cone(e, box_event) for e in p.provenance.records)
-    readout = effective_density(p) if knowable else unconditioned_density(p)
-    return readout, p
-
-
-def _box_visible_density(p: Preparation, member: bool) -> DensityOperator:
-    """The density a linearly-acting box responds to.
-
-    Excluded heralded preparations present their unconditioned mixture:
-    the heralding record is exactly the information the policy says is
-    not available to the box.
-    """
-    return effective_density(p) if member else unconditioned_density(p)
+    return effective_density(p) if knowable else unconditioned_density(p)
 
 
 def _map_on_density(box: NonlinearBox, rho: DensityOperator) -> DensityOperator:
@@ -338,12 +325,14 @@ def apply_box(box: NonlinearBox, p: Preparation) -> DensityOperator:
     cfg = box.config
 
     if not member:
-        rho = _box_visible_density(p, member=False)
+        if isinstance(cfg, KentBoxConfig):
+            return cfg.target(kent_readout(p, box.box_event))
+        # Excluded heralded preparations present their unconditioned
+        # mixture: the heralding record is exactly the information the
+        # policy says is not available to the box.
+        rho = unconditioned_density(p)
         if isinstance(cfg, BrunBoxConfig):
             return tensor(rho, _QUBIT0)
-        if isinstance(cfg, KentBoxConfig):
-            readout, _ = kent_readout(p, box.box_event)
-            return cfg.target(readout)
         return _map_on_density(box, rho)
 
     if box.semantics is Semantics.DECOMPOSITION:

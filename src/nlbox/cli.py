@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import (
@@ -19,9 +18,8 @@ from .errors import (
     ScenarioParseError,
     ValidationError,
 )
-from .scenario import parse_scenario, parse_stats, run_scenario, write_report
-from .tolerances import DTOL
-from .witness import fit_linear_map, is_linear_explainable, sampled_tolerance
+from .scenario import PROTOCOLS, parse_scenario, parse_stats, run_scenario, write_report
+from .witness import linearity_verdict
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -36,14 +34,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scenario-driven nonlinear-box experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_seed=True):
+    def add_common(p, with_seed=True, with_out=True):
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--out", type=Path, default=None, help="report file path")
+        if with_out:
+            p.add_argument("--out", type=Path, default=None, help="report file path")
         p.add_argument("--tol", type=float, default=None)
         if with_seed:
             p.add_argument("--seed", type=int, default=None)
 
-    for name in ("run", "verify", "signaling", "bb84"):
+    commands = [protocol.command for protocol in PROTOCOLS.values() if protocol.command]
+    for name in ("run", *commands):
         p = sub.add_parser(name)
         p.add_argument("scenario", type=Path)
         add_common(p)
@@ -52,13 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("stats", type=Path)
     add_common(p, with_seed=False)
 
+    # One --out file would be overwritten by every report of the batch.
     p = sub.add_parser("batch")
     p.add_argument("directory", type=Path)
-    add_common(p)
+    add_common(p, with_out=False)
+    p.set_defaults(out=None)
     return parser
-
-
-_FORCED_PROTOCOL = {"verify": "verification", "signaling": "signaling", "bb84": "bb84"}
 
 
 def _out_path(args, default_name: str) -> Path:
@@ -71,11 +70,12 @@ def _out_path(args, default_name: str) -> Path:
     return out
 
 
-def _run_one(path: Path, args, forced_protocol=None) -> None:
+def _run_one(path: Path, args) -> None:
     config = parse_scenario(path)
-    if forced_protocol and config.protocol != forced_protocol:
+    if args.command not in ("run", "batch", PROTOCOLS[config.protocol].command):
         raise ValidationError(
-            f"{path}: scenario protocol is {config.protocol!r}, expected {forced_protocol!r}")
+            f"{path}: scenario protocol is {config.protocol!r}, which "
+            f"'nlbox {args.command}' does not run")
     report = run_scenario(config, seed=args.seed, tol=args.tol)
     ext = "csv" if args.format == "csv" else "json"
     out = _out_path(args, f"{path.stem}.report.{ext}")
@@ -84,12 +84,7 @@ def _run_one(path: Path, args, forced_protocol=None) -> None:
 
 
 def _run_witness(args) -> None:
-    table = parse_stats(args.stats)
-    fit = fit_linear_map(table)
-    tol = args.tol
-    if tol is None:
-        tol = sampled_tolerance(table) if table.is_sampled() else DTOL
-    verdict = fit.residual <= tol and fit.choi_min_eig >= -tol
+    fit, tol, verdict = linearity_verdict(parse_stats(args.stats), args.tol)
     print(f"residual={fit.residual!r} choi_min_eig={fit.choi_min_eig!r} "
           f"tol={tol!r} linear_explainable={verdict}")
 
@@ -98,12 +93,8 @@ def _run_batch(args) -> None:
     files = sorted(args.directory.glob("*.scn"))
     if not files:
         raise ValidationError(f"no *.scn files under {args.directory}")
-
-    def one(path):
+    for path in files:
         _run_one(path, args)
-
-    with ThreadPoolExecutor() as pool:
-        list(pool.map(one, files))
 
 
 def main(argv=None) -> int:
@@ -114,11 +105,8 @@ def main(argv=None) -> int:
         elif args.command == "batch":
             _run_batch(args)
         else:
-            _run_one(args.scenario, args, _FORCED_PROTOCOL.get(args.command))
-    except ScenarioParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+            _run_one(args.scenario, args)
+    except (ScenarioParseError, FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ConvergenceError as exc:

@@ -5,7 +5,7 @@ intercept attack."""
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,11 +13,10 @@ from .boxes import (
     BrunBoxConfig,
     KentBoxConfig,
     NonlinearBox,
-    Semantics,
     apply_box,
     box_output_qubit_distribution,
 )
-from .errors import ConfigurationError, MisuseError
+from .errors import ConfigurationError
 from .preparations import (
     Preparation,
     Provenance,
@@ -34,7 +33,6 @@ from .qcore import (
     basis_povm,
     born_probabilities,
     computational_povm,
-    ket,
     tensor,
     trace_distance,
 )
@@ -46,6 +44,8 @@ from .tolerances import PURITY_MIN
 DEFAULT_ALICE_EVENT = SpacetimeEvent(0.0, 10.0)
 
 _STATE_NAMES = ("psi0", "psi1", "phi0", "phi1")
+
+EVE_STRATEGIES = ("identify", "fixed_basis")
 
 # Bits the BB84 attack samples per batch. About 35 bytes of temporaries per
 # bit, so memory stays near 2 MiB whatever n_bits a scenario asks for.
@@ -61,10 +61,9 @@ def singlet() -> DensityOperator:
 
 def _box_bases(box: NonlinearBox):
     cfg = box.config
-    if isinstance(cfg, BrunBoxConfig):
-        return cfg.psi_basis, cfg.phi_basis
-    if isinstance(cfg, KentBoxConfig) and cfg.brun is not None:
-        return cfg.brun.psi_basis, cfg.brun.phi_basis
+    brun = cfg.brun if isinstance(cfg, KentBoxConfig) else cfg
+    if isinstance(brun, BrunBoxConfig):
+        return brun.psi_basis, brun.phi_basis
     return None
 
 
@@ -86,16 +85,9 @@ def _local_prep(state: KetVector, label: str, record: SpacetimeEvent) -> Prepara
 
 @dataclass(frozen=True)
 class VerificationReport:
-    table: dict  # input label -> tuple of 4 outcome probabilities
+    table: dict  # input label -> list of 4 outcome probabilities
     identified: bool
     tol: float
-
-    def to_payload(self) -> dict:
-        return {
-            "table": {k: list(v) for k, v in self.table.items()},
-            "identified": self.identified,
-            "tol": self.tol,
-        }
 
 
 def run_verification(box: NonlinearBox, tol: float = 1e-6, states=None) -> VerificationReport:
@@ -118,7 +110,7 @@ def run_verification(box: NonlinearBox, tol: float = 1e-6, states=None) -> Verif
         if out.dim == 2:
             out = tensor(out, anc)
         probs = born_probabilities(out, povm)
-        table[name] = tuple(float(x) for x in probs)
+        table[name] = [float(x) for x in probs]
         if probs[i] < 1.0 - tol:
             identified = False
     return VerificationReport(table=table, identified=identified, tol=tol)
@@ -126,18 +118,10 @@ def run_verification(box: NonlinearBox, tol: float = 1e-6, states=None) -> Verif
 
 @dataclass(frozen=True)
 class SignalingReport:
-    distributions: dict  # setting label -> receiver outcome distribution
+    distributions: dict  # setting label -> list, receiver outcome distribution
     signaling_metric: float
     semantics: str
     policy: str
-
-    def to_payload(self) -> dict:
-        return {
-            "distributions": {k: list(v) for k, v in self.distributions.items()},
-            "signaling_metric": self.signaling_metric,
-            "semantics": self.semantics,
-            "policy": self.policy,
-        }
 
 
 def _resolve_setting(box: NonlinearBox, setting):
@@ -181,7 +165,7 @@ def run_signaling_test(box: NonlinearBox, settings,
             )
             out = apply_box(box, prep)
             q += p_i * box_output_qubit_distribution(out)
-        distributions[name] = tuple(float(x) for x in q)
+        distributions[name] = [float(x) for x in q]
 
     labels = list(distributions)
     metric = 0.0
@@ -200,11 +184,8 @@ def run_signaling_test(box: NonlinearBox, settings,
 
 @dataclass(frozen=True)
 class ClassSplitReport:
-    entries: tuple  # one dict per domain state
-    hazard: bool    # True when the policy fails to exclude remote preparations
-
-    def to_payload(self) -> dict:
-        return {"entries": [dict(e) for e in self.entries], "hazard": self.hazard}
+    entries: list  # one dict per domain state
+    hazard: bool   # True when the policy fails to exclude remote preparations
 
 
 def run_preparation_problem_demo(box: NonlinearBox,
@@ -243,7 +224,7 @@ def run_preparation_problem_demo(box: NonlinearBox,
             entry["output_distance"] = trace_distance(
                 apply_box(box, local), apply_box(box, remote))
         entries.append(entry)
-    return ClassSplitReport(entries=tuple(entries), hazard=hazard)
+    return ClassSplitReport(entries=entries, hazard=hazard)
 
 
 @dataclass(frozen=True)
@@ -255,17 +236,6 @@ class AttackReport:
     sifted_key_fraction: float
     strategy: str
     seed: int
-
-    def to_payload(self) -> dict:
-        return {
-            "n_bits": self.n_bits,
-            "eve_bit_accuracy": self.eve_bit_accuracy,
-            "eve_basis_accuracy": self.eve_basis_accuracy,
-            "induced_qber": self.induced_qber,
-            "sifted_key_fraction": self.sifted_key_fraction,
-            "strategy": self.strategy,
-            "seed": self.seed,
-        }
 
 
 def _require_bb84_bases(box: NonlinearBox):
@@ -330,7 +300,7 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     basis) selects. Raises ConfigurationError for a negative or
     non-integer `n_bits` or `seed`.
     """
-    if eve_strategy not in ("identify", "fixed_basis"):
+    if eve_strategy not in EVE_STRATEGIES:
         raise ConfigurationError(f"unknown eavesdropper strategy {eve_strategy!r}")
     n_bits = _nonnegative_int(n_bits, "n_bits")
     seed = _nonnegative_int(seed, "seed")

@@ -10,25 +10,22 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from .boxes import (
     BrunBoxConfig,
     DeutschBoxConfig,
-    KentBoxConfig,
     LinearBoxConfig,
     NonlinearBox,
     Semantics,
     kent_brun_emulation,
 )
-from .errors import (
-    ConfigurationError,
-    NlboxError,
-    ScenarioParseError,
-    ValidationError,
-)
+from .errors import ConfigurationError, NlboxError, ScenarioParseError, ValidationError
 from .preparations import (
     MembershipPolicy,
     PolicyKind,
@@ -39,6 +36,7 @@ from .preparations import (
 )
 from .protocols import (
     DEFAULT_ALICE_EVENT,
+    EVE_STRATEGIES,
     run_bb84_attack,
     run_preparation_problem_demo,
     run_signaling_test,
@@ -48,8 +46,6 @@ from .qcore import COMPUTATIONAL_BASIS, HADAMARD_BASIS, DensityOperator, KetVect
 
 SCENARIO_SCHEMA = "nlbox-scenario/1"
 REPORT_SCHEMA = "nlbox-report/1"
-
-_PROTOCOLS = ("verification", "signaling", "prep_problem", "bb84")
 
 
 @dataclass(frozen=True)
@@ -69,13 +65,7 @@ class Report:
     payload: dict
 
     def to_json(self) -> str:
-        doc = {
-            "schema": self.schema,
-            "protocol": self.protocol,
-            "scenario": self.scenario,
-            "payload": self.payload,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
 
 def _complex_from_pair(pair, where):
@@ -85,13 +75,7 @@ def _complex_from_pair(pair, where):
 
 
 def _ket_from_json(node, where) -> KetVector:
-    try:
-        amps = [_complex_from_pair(a, where) for a in node]
-        return KetVector(np.array(amps))
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: malformed ket ({exc})") from exc
+    return KetVector(np.array([_complex_from_pair(a, where) for a in node]))
 
 
 def _basis_from_json(node, where):
@@ -107,10 +91,7 @@ def _basis_from_json(node, where):
 
 
 def _matrix_from_json(node, where) -> np.ndarray:
-    try:
-        return np.array([[_complex_from_pair(x, where) for x in row] for row in node])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: malformed matrix ({exc})") from exc
+    return np.array([[_complex_from_pair(x, where) for x in row] for row in node])
 
 
 def _event_from_json(node, where) -> SpacetimeEvent:
@@ -119,13 +100,32 @@ def _event_from_json(node, where) -> SpacetimeEvent:
     return SpacetimeEvent(float(node[0]), float(node[1]))
 
 
+def _int_from_json(value, where) -> int:
+    """A non-negative int from an int, an integral float or an integer
+    string; booleans and fractions are rejected, not truncated."""
+    if isinstance(value, str) and value.strip().isdecimal():
+        value = int(value)
+    elif isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValidationError(f"{where} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _float_from_json(value, where) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, bool) or not 0 <= x < math.inf:
+        raise ValidationError(f"{where} must be a non-negative number, got {value!r}")
+    return x
+
+
 def _policy_from_json(node, box_event, where) -> MembershipPolicy:
     if not isinstance(node, dict) or "kind" not in node:
         raise ValidationError(f"{where}: membership policy needs a 'kind'")
-    try:
-        kind = PolicyKind(node["kind"])
-    except ValueError as exc:
-        raise ValidationError(f"{where}: unknown policy kind {node['kind']!r}") from exc
+    kind = PolicyKind(node["kind"])
     event = _event_from_json(node["box_event"], where) if "box_event" in node else box_event
     labels = frozenset(node.get("labels", ()))
     if kind is PolicyKind.KENT_LIGHT_CONE:
@@ -152,7 +152,8 @@ def _box_from_json(node) -> NonlinearBox:
         config = brun if kind == "brun" else kent_brun_emulation(brun)
     elif kind == "deutsch":
         u = Unitary(_matrix_from_json(node["unitary"], where))
-        config = DeutschBoxConfig(unitary=u, ctc_dim=int(node.get("ctc_dim", 2)))
+        ctc_dim = _int_from_json(node.get("ctc_dim", 2), "box: ctc_dim")
+        config = DeutschBoxConfig(unitary=u, ctc_dim=ctc_dim)
     elif kind == "linear":
         kraus = tuple(_matrix_from_json(k, where) for k in node["kraus"])
         config = LinearBoxConfig(kraus=kraus, ancilla=bool(node.get("ancilla", False)))
@@ -170,26 +171,23 @@ def _preparation_from_json(node, where) -> Preparation:
             out.append((float(item["weight"]), rho))
         return tuple(out)
 
-    try:
-        tag = ProvenanceTag(node["provenance"]["tag"])
-        records = tuple(_event_from_json(e, where)
-                        for e in node["provenance"]["records"])
-        return Preparation(
-            ensemble=ensemble(node["ensemble"]),
-            provenance=Provenance(tag, records),
-            label=node["label"],
-            unconditioned=(ensemble(node["unconditioned"])
-                           if "unconditioned" in node else None),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"{where}: missing preparation field {exc}") from exc
+    tag = ProvenanceTag(node["provenance"]["tag"])
+    records = tuple(_event_from_json(e, where) for e in node["provenance"]["records"])
+    return Preparation(
+        ensemble=ensemble(node["ensemble"]),
+        provenance=Provenance(tag, records),
+        label=node["label"],
+        unconditioned=(ensemble(node["unconditioned"])
+                       if "unconditioned" in node else None),
+    )
 
 
 def parse_scenario(path) -> ScenarioConfig:
-    """Load and validate a scenario file.
+    """Load and validate a scenario file, protocol params included.
 
     Raises ScenarioParseError for malformed text and ValidationError with
-    the first violated constraint otherwise.
+    the first violated constraint otherwise, a missing field or one of the
+    wrong type included.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -201,6 +199,16 @@ def parse_scenario(path) -> ScenarioConfig:
     if raw.get("schema", SCENARIO_SCHEMA) != SCENARIO_SCHEMA:
         raise ValidationError(f"{path}: unsupported schema {raw.get('schema')!r}")
 
+    try:
+        return _scenario_from_json(raw)
+    except NlboxError:
+        raise
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{path}: malformed scenario ({type(exc).__name__}: {exc})") from exc
+
+
+def _scenario_from_json(raw) -> ScenarioConfig:
     box = _box_from_json(raw.get("box", {}))
     preparations = {}
     for i, node in enumerate(raw.get("preparations", [])):
@@ -210,12 +218,14 @@ def parse_scenario(path) -> ScenarioConfig:
         preparations[prep.label] = prep
 
     proto = raw.get("protocol", {})
-    if not isinstance(proto, dict) or "name" not in proto:
+    if not isinstance(proto, dict) or not isinstance(proto.get("name"), str):
         raise ValidationError("scenario 'protocol' needs a 'name'")
     name = proto["name"]
-    if name not in _PROTOCOLS:
-        raise ValidationError(f"unknown protocol {name!r}; expected one of {_PROTOCOLS}")
+    if name not in PROTOCOLS:
+        raise ValidationError(
+            f"unknown protocol {name!r}; expected one of {tuple(PROTOCOLS)}")
     params = {k: v for k, v in proto.items() if k != "name"}
+    PROTOCOLS[name].parse(params)
     for label in params.get("use_preparations", ()):
         if label not in preparations:
             raise ValidationError(f"protocol references undefined preparation label {label!r}")
@@ -255,69 +265,107 @@ def parse_stats(path) -> "StatsTable":
                       probabilities=probs, sample_counts=counts)
 
 
-def _int_param(params, key, default) -> int:
-    value = params.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"protocol: {key} must be an integer, got {value!r}") from exc
+def _alice_event(params) -> SpacetimeEvent:
+    if "alice_event" not in params:
+        return DEFAULT_ALICE_EVENT
+    return _event_from_json(params["alice_event"], "protocol: alice_event")
+
+
+def _verification_params(params) -> dict:
+    return {"tol": _float_from_json(params.get("tol", 1e-6), "protocol: tol")}
+
+
+def _signaling_params(params) -> dict:
+    settings = params.get("settings", ["psi", "phi"])
+    if not isinstance(settings, list) or not settings or any(
+            s not in ("psi", "phi") for s in settings):
+        raise ValidationError(
+            f"protocol: settings must be a non-empty list of 'psi'/'phi', got {settings!r}")
+    return {"settings": settings, "alice_event": _alice_event(params)}
+
+
+def _prep_problem_params(params) -> dict:
+    return {"alice_event": _alice_event(params)}
+
+
+def _bb84_params(params) -> dict:
+    strategy = params.get("eve_strategy", "identify")
+    if strategy not in EVE_STRATEGIES:
+        raise ValidationError(f"protocol: unknown eve_strategy {strategy!r}; "
+                              f"expected one of {EVE_STRATEGIES}")
+    return {"n_bits": _int_from_json(params.get("n_bits", 1000), "protocol: n_bits"),
+            "seed": _int_from_json(params.get("seed", 0), "protocol: seed"),
+            "eve_strategy": strategy}
+
+
+def _verification_rows(p):
+    for label, probs in sorted(p["table"].items()):
+        for k, prob in enumerate(probs):
+            yield (label, format(k, "02b"), repr(prob))
+    yield ("identified", "", repr(bool(p["identified"])))
+
+
+def _signaling_rows(p):
+    for setting, probs in sorted(p["distributions"].items()):
+        for k, prob in enumerate(probs):
+            yield (setting, str(k), repr(prob))
+    yield ("signaling_metric", "", repr(p["signaling_metric"]))
+
+
+def _prep_problem_rows(p):
+    for e in p["entries"]:
+        yield (e["state"], "linearly_equivalent", repr(e["linearly_equivalent"]))
+        if "output_distance" in e:
+            yield (e["state"], "output_distance", repr(e["output_distance"]))
+    yield ("hazard", "", repr(bool(p["hazard"])))
+
+
+def _flat_rows(p):
+    for key in sorted(p):
+        yield (key, "", repr(p[key]))
+
+
+@dataclass(frozen=True)
+class Protocol:
+    parse: Callable[[dict], dict]  # raw params -> runner kwargs; raises ValidationError
+    run: Callable                  # (box, **kwargs) -> report dataclass
+    rows: Callable                 # report payload -> CSV (key, outcome, value) rows
+    command: str | None = None     # the CLI subcommand that runs only this protocol
+
+
+# The only list of protocols. Runners are called through their module-global
+# names at call time, not stored, so that rebinding those names (a tracer or
+# a test patching module attributes) reaches every scenario run.
+PROTOCOLS = {
+    "verification": Protocol(_verification_params,
+                             lambda box, **kw: run_verification(box, **kw),
+                             _verification_rows, "verify"),
+    "signaling": Protocol(_signaling_params,
+                          lambda box, **kw: run_signaling_test(box, **kw),
+                          _signaling_rows, "signaling"),
+    "prep_problem": Protocol(_prep_problem_params,
+                             lambda box, **kw: run_preparation_problem_demo(box, **kw),
+                             _prep_problem_rows),
+    "bb84": Protocol(_bb84_params,
+                     lambda box, **kw: run_bb84_attack(box, **kw),
+                     _flat_rows, "bb84"),
+}
 
 
 def run_scenario(config: ScenarioConfig, seed: int | None = None,
                  tol: float | None = None) -> Report:
-    """Dispatch a validated scenario to its protocol."""
-    box = config.box
+    """Run a validated scenario through its protocol. `seed` and `tol`
+    override its params, are validated like them, and are ignored by a
+    protocol that does not take them."""
     params = dict(config.params)
     if seed is not None:
         params["seed"] = seed
     if tol is not None:
         params["tol"] = tol
-
-    if config.protocol == "verification":
-        rep = run_verification(box, tol=float(params.get("tol", 1e-6)))
-    elif config.protocol == "signaling":
-        alice = (_event_from_json(params["alice_event"], "protocol")
-                 if "alice_event" in params else DEFAULT_ALICE_EVENT)
-        rep = run_signaling_test(box, params.get("settings", ["psi", "phi"]),
-                                 alice_event=alice)
-    elif config.protocol == "prep_problem":
-        alice = (_event_from_json(params["alice_event"], "protocol")
-                 if "alice_event" in params else DEFAULT_ALICE_EVENT)
-        rep = run_preparation_problem_demo(box, alice_event=alice)
-    elif config.protocol == "bb84":
-        rep = run_bb84_attack(
-            box,
-            n_bits=_int_param(params, "n_bits", 1000),
-            seed=_int_param(params, "seed", 0),
-            eve_strategy=params.get("eve_strategy", "identify"),
-        )
-    else:  # unreachable after parse validation
-        raise ConfigurationError(f"unknown protocol {config.protocol!r}")
+    protocol = PROTOCOLS[config.protocol]
+    rep = protocol.run(config.box, **protocol.parse(params))
     return Report(schema=REPORT_SCHEMA, protocol=config.protocol,
-                  scenario=config.raw, payload=rep.to_payload())
-
-
-def _csv_rows(report: Report):
-    p = report.payload
-    if report.protocol == "verification":
-        for label, probs in sorted(p["table"].items()):
-            for k, prob in enumerate(probs):
-                yield (label, format(k, "02b"), repr(prob))
-        yield ("identified", "", repr(bool(p["identified"])))
-    elif report.protocol == "signaling":
-        for setting, probs in sorted(p["distributions"].items()):
-            for k, prob in enumerate(probs):
-                yield (setting, str(k), repr(prob))
-        yield ("signaling_metric", "", repr(p["signaling_metric"]))
-    elif report.protocol == "prep_problem":
-        for e in p["entries"]:
-            yield (e["state"], "linearly_equivalent", repr(e["linearly_equivalent"]))
-            if "output_distance" in e:
-                yield (e["state"], "output_distance", repr(e["output_distance"]))
-        yield ("hazard", "", repr(bool(p["hazard"])))
-    else:
-        for key in sorted(p):
-            yield (key, "", repr(p[key]))
+                  scenario=config.raw, payload=asdict(rep))
 
 
 def emit_table(report: Report, fmt: str = "json") -> str:
@@ -328,8 +376,7 @@ def emit_table(report: Report, fmt: str = "json") -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(("key", "outcome", "value"))
-        for row in _csv_rows(report):
-            writer.writerow(row)
+        writer.writerows(PROTOCOLS[report.protocol].rows(report.payload))
         return buf.getvalue()
     raise ConfigurationError(f"unknown output format {fmt!r}")
 

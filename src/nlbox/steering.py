@@ -19,7 +19,6 @@ from .qcore import (
     Povm,
     _partial_trace_raw,
     _phase_fix,
-    trace_distance,
 )
 from .tolerances import ATOL, DTOL, PURITY_MIN, RANK_CUT
 
@@ -200,6 +199,18 @@ def hjw_assemblage(d: EnsembleDecomposition) -> SteeringAssemblage:
     return SteeringAssemblage(state_ab, dim_a, dim_b, povm, d.members)
 
 
+def _condition(state_ab: DensityOperator, dim_a: int, dim_b: int, effect: np.ndarray):
+    """(probability, heralded DensityOperator) for one effect on A, or
+    None when the effect has zero probability and no conditional state."""
+    weighted = np.kron(effect, np.eye(dim_b)) @ state_ab.matrix
+    prob = float(np.trace(weighted).real)
+    if prob < 1e-12:
+        return None
+    cond = _partial_trace_raw(weighted, (dim_a, dim_b), [1]) / prob
+    cond = 0.5 * (cond + cond.conj().T)
+    return prob, DensityOperator(cond)
+
+
 def steer(assemblage: SteeringAssemblage, outcome: int):
     """Condition B on an outcome of the A measurement.
 
@@ -207,32 +218,20 @@ def steer(assemblage: SteeringAssemblage, outcome: int):
     """
     if not 0 <= outcome < assemblage.n_outcomes:
         raise MisuseError(f"outcome {outcome} out of range")
-    e = assemblage.povm_a.effects[outcome]
-    big = np.kron(e, np.eye(assemblage.dim_b))
-    weighted = big @ assemblage.state_ab.matrix
-    prob = float(np.trace(weighted).real)
-    if prob < 1e-12:
+    result = _condition(assemblage.state_ab, assemblage.dim_a, assemblage.dim_b,
+                        assemblage.povm_a.effects[outcome])
+    if result is None:
         raise MisuseError(f"outcome {outcome} has zero probability; conditional undefined")
-    cond = _partial_trace_raw(weighted, (assemblage.dim_a, assemblage.dim_b), [1]) / prob
-    cond = 0.5 * (cond + cond.conj().T)
-    return prob, DensityOperator(cond)
+    return result
 
 
 def assemblage_from(state_ab: DensityOperator, dim_a: int, dim_b: int,
                     povm_a: Povm) -> SteeringAssemblage:
-    """Wrap an explicit state and measurement, computing the heralded set."""
-    probe = SteeringAssemblage.__new__(SteeringAssemblage)
-    object.__setattr__(probe, "state_ab", state_ab)
-    object.__setattr__(probe, "dim_a", dim_a)
-    object.__setattr__(probe, "dim_b", dim_b)
-    object.__setattr__(probe, "povm_a", povm_a)
-    object.__setattr__(probe, "heralded", ())
-    heralded = []
-    for i in range(povm_a.n_outcomes):
-        try:
-            p, rho = steer(probe, i)
-        except MisuseError:
-            # Zero-probability outcomes contribute nothing to the marginal.
-            continue
-        heralded.append((p, rho))
-    return SteeringAssemblage(state_ab, dim_a, dim_b, povm_a, tuple(heralded))
+    """Wrap an explicit state and measurement, computing the heralded set.
+
+    Zero-probability outcomes contribute nothing to the marginal and are
+    left out of the heralded set.
+    """
+    conditioned = (_condition(state_ab, dim_a, dim_b, e) for e in povm_a.effects)
+    heralded = tuple(c for c in conditioned if c is not None)
+    return SteeringAssemblage(state_ab, dim_a, dim_b, povm_a, heralded)

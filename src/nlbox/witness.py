@@ -209,13 +209,19 @@ def sampled_tolerance(table: StatsTable) -> float:
     return worst
 
 
-def is_linear_explainable(table: StatsTable, tol: float | None = None) -> bool:
-    """True iff a trace-preserving linear map fits the table within tol and
-    its Choi matrix is positive within tol."""
+def linearity_verdict(table: StatsTable, tol: float | None = None):
+    """(fit, tol, verdict) for the table. The default tol is the sampled
+    tolerance for an empirical table and DTOL for an exact one."""
     if tol is None:
         tol = sampled_tolerance(table) if table.is_sampled() else DTOL
     fit = fit_linear_map(table)
-    return fit.residual <= tol and fit.choi_min_eig >= -tol
+    return fit, tol, fit.residual <= tol and fit.choi_min_eig >= -tol
+
+
+def is_linear_explainable(table: StatsTable, tol: float | None = None) -> bool:
+    """True iff a trace-preserving linear map fits the table within tol and
+    its Choi matrix is positive within tol."""
+    return linearity_verdict(table, tol)[2]
 
 
 def affinity_violation(box: NonlinearBox, p1: Preparation, p2: Preparation) -> float:

@@ -17,6 +17,9 @@ from nlbox.scenario import (
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "nlbox" / "scenarios"
 BUNDLED = sorted(SCENARIO_DIR.glob("*.scn"))
+# The bundled scenarios' reports, byte for byte, named
+# <stem>.<default|seed7>.<fmt>; rewrite them only when a report is meant to change.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def write_scenario(tmp_path, doc, name="case.scn"):
@@ -82,6 +85,73 @@ class TestParsing:
             parse_scenario(write_scenario(tmp_path, doc))
 
 
+IDENTITY_4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+
+# Malformed scenarios: (id, bundled scenario, path of the replaced field,
+# new value, exit code). Each must fail in parse_scenario, before any run.
+MALFORMED = [
+    ("n_bits_fraction", "bb84_attack", ("protocol", "n_bits"), 2.7, 3),
+    ("n_bits_bool", "bb84_attack", ("protocol", "n_bits"), True, 3),
+    ("seed_fraction", "bb84_attack", ("protocol", "seed"), 3.9, 3),
+    ("eve_strategy_unknown", "bb84_attack", ("protocol", "eve_strategy"), "bribe", 3),
+    ("settings_not_list", "signaling_naive", ("protocol", "settings"), 5, 3),
+    ("setting_unknown", "signaling_naive", ("protocol", "settings"), ["psi", "chi"], 3),
+    ("alice_event_short", "signaling_naive", ("protocol", "alice_event"), [0.0], 3),
+    ("alice_event_not_number", "prep_problem", ("protocol", "alice_event"), ["x", 0], 3),
+    ("tol_not_number", "verification", ("protocol", "tol"), "x", 3),
+    ("tol_negative", "verification", ("protocol", "tol"), -1, 3),
+    ("protocol_name_not_string", "verification", ("protocol", "name"), ["bb84"], 3),
+    ("semantics_unknown", "verification", ("box", "semantics"), "bogus", 3),
+    ("box_event_not_number", "verification", ("box", "box_event"), ["x", 0], 3),
+    ("policy_unknown", "verification", ("box", "membership"), {"kind": "oracle"}, 3),
+    ("basis_unknown", "verification", ("box", "psi_basis"), "diagonal", 3),
+    ("box_not_object", "verification", ("box",), 5, 3),
+    ("deutsch_without_unitary", "verification", ("box",), {"kind": "deutsch"}, 3),
+    ("linear_without_kraus", "verification", ("box",), {"kind": "linear"}, 3),
+    ("ctc_dim_not_number", "verification", ("box",),
+     {"kind": "deutsch", "unitary": IDENTITY_4, "ctc_dim": "x"}, 3),
+    ("preparation_not_object", "verification", ("preparations",), [5], 3),
+]
+
+
+def mutated_scenario(tmp_path, stem, where, value):
+    doc = json.loads((SCENARIO_DIR / f"{stem}.scn").read_text())
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    return write_scenario(tmp_path, doc)
+
+
+class TestMalformedCorpus:
+    @pytest.mark.parametrize("stem,where,value,code", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_exit_code_without_report(self, tmp_path, capsys, stem, where, value, code):
+        path = mutated_scenario(tmp_path, stem, where, value)
+        with pytest.raises(ValidationError):
+            parse_scenario(path)
+        out = tmp_path / "r.json"
+        assert main(["run", str(path), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("validation error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_bits", 500.0), ("n_bits", "500"), ("seed", 7.0), ("seed", " 7 "),
+    ])
+    def test_integral_values_still_accepted(self, tmp_path, key, value):
+        exact = {"n_bits": 500, "seed": 7}
+        a = run_scenario(parse_scenario(
+            mutated_scenario(tmp_path, "bb84_attack", ("protocol", key), exact[key])))
+        b = run_scenario(parse_scenario(
+            mutated_scenario(tmp_path, "bb84_attack", ("protocol", key), value)))
+        assert a.payload == b.payload
+
+    def test_integral_ctc_dim_accepted(self, tmp_path):
+        box = {"kind": "deutsch", "unitary": IDENTITY_4, "ctc_dim": 2.0}
+        config = parse_scenario(mutated_scenario(tmp_path, "verification", ("box",), box))
+        assert config.box.config.ctc_dim == 2
+
+
 class TestRunning:
     def test_verification_report(self):
         config = parse_scenario(SCENARIO_DIR / "verification.scn")
@@ -142,6 +212,15 @@ class TestEmission:
         for key in ("eve_bit_accuracy", "eve_basis_accuracy", "induced_qber",
                     "sifted_key_fraction", "n_bits", "seed"):
             float(rows[key])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("seed", [None, 7], ids=["default", "seed7"])
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+    def test_matches_golden_report(self, path, seed, fmt):
+        tag = "default" if seed is None else f"seed{seed}"
+        golden = (GOLDEN_DIR / f"{path.stem}.{tag}.{fmt}").read_bytes()
+        report = run_scenario(parse_scenario(path), seed=seed)
+        assert emit_table(report, fmt).encode("utf-8") == golden
 
     def test_csv_deterministic(self):
         config = parse_scenario(SCENARIO_DIR / "signaling_naive.scn")
@@ -244,6 +323,19 @@ class TestCli:
         assert main(["batch", str(SCENARIO_DIR)]) == 0
         reports = sorted(p.name for p in tmp_path.glob("*.report.json"))
         assert len(reports) == len(BUNDLED)
+
+    def test_batch_prints_in_sorted_order(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NLBOX_OUT_DIR", str(tmp_path))
+        assert main(["batch", str(SCENARIO_DIR)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines] == [str(p) for p in BUNDLED]
+
+    def test_batch_rejects_out(self, tmp_path):
+        out = tmp_path / "one.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", str(SCENARIO_DIR), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_batch_empty_directory(self, tmp_path):
         assert main(["batch", str(tmp_path)]) == 3
