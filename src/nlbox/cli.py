@@ -34,13 +34,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scenario-driven nonlinear-box experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_seed=True, with_out=True):
+    def add_common(p, with_out=True):
         p.add_argument("--format", choices=("csv", "json"), default="json")
         if with_out:
             p.add_argument("--out", type=Path, default=None, help="report file path")
         p.add_argument("--tol", type=float, default=None)
-        if with_seed:
-            p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None)
 
     commands = [protocol.command for protocol in PROTOCOLS.values() if protocol.command]
     for name in ("run", *commands):
@@ -48,9 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", type=Path)
         add_common(p)
 
+    # The witness prints one verdict line and writes no report.
     p = sub.add_parser("witness")
     p.add_argument("stats", type=Path)
-    add_common(p, with_seed=False)
+    p.add_argument("--tol", type=float, default=None)
 
     # One --out file would be overwritten by every report of the batch.
     p = sub.add_parser("batch")

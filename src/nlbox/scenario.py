@@ -192,7 +192,7 @@ def parse_scenario(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 text
         raise ScenarioParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioParseError(f"{path}: scenario must be a JSON object")
@@ -233,6 +233,15 @@ def _scenario_from_json(raw) -> ScenarioConfig:
                           protocol=name, params=params, raw=raw)
 
 
+def _cells_from_json(node, value) -> dict:
+    """{(prep, measurement): value(v)} from a {"<prep>|<measurement>": v} object."""
+    cells = {}
+    for k, v in node.items():
+        pl, ml = k.split("|", 1)
+        cells[pl, ml] = value(v)
+    return cells
+
+
 def parse_stats(path) -> "StatsTable":
     """Load a stats table from its JSON form.
 
@@ -244,7 +253,7 @@ def parse_stats(path) -> "StatsTable":
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 text
         raise ScenarioParseError(f"{path}: {exc}") from exc
     try:
         preps = tuple(
@@ -254,12 +263,14 @@ def parse_stats(path) -> "StatsTable":
             (node["label"], Povm(tuple(_matrix_from_json(e, "stats")
                                        for e in node["effects"])))
             for node in raw["measurements"])
-        probs = {tuple(k.split("|", 1)): tuple(float(x) for x in v)
-                 for k, v in raw["probabilities"].items()}
+        probs = _cells_from_json(raw["probabilities"], lambda v: tuple(float(x) for x in v))
         counts = raw.get("sample_counts")
         if counts is not None:
-            counts = {tuple(k.split("|", 1)): int(v) for k, v in counts.items()}
-    except (KeyError, TypeError) as exc:
+            counts = _cells_from_json(
+                counts, lambda v: _int_from_json(v, "stats: sample_counts"))
+    except NlboxError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise ScenarioParseError(f"{path}: malformed stats table ({exc})") from exc
     return StatsTable(preparations=preps, measurements=meas,
                       probabilities=probs, sample_counts=counts)

@@ -7,6 +7,7 @@ different outputs, which is exactly what no linear map can reproduce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,25 +68,27 @@ class StatsTable:
         return self.sample_counts is not None
 
 
-def _hermitian_basis(n: int):
-    """Orthonormal (Hilbert-Schmidt) real basis of n x n Hermitian matrices."""
-    basis = []
-    for i in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = s
-            m[j, i] = s
-            basis.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = -1j * s
-            m[j, i] = 1j * s
-            basis.append(m)
-    return basis
+def _coords(stack: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian matrices (..., n, n) in the orthonormal
+    Hilbert-Schmidt basis: the n diagonal entries, then for each i < j in
+    row-major order sqrt(2) Re m[i, j] and -sqrt(2) Im m[i, j]."""
+    n = stack.shape[-1]
+    iu, ju = np.triu_indices(n, 1)
+    upper = np.sqrt(2.0) * stack[..., iu, ju]
+    off = np.stack([upper.real, -upper.imag], axis=-1).reshape(*stack.shape[:-2], -1)
+    return np.concatenate([np.diagonal(stack, axis1=-2, axis2=-1).real, off], axis=-1)
+
+
+def _from_coords(h: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _coords: the Hermitian n x n matrices with coordinates h."""
+    iu, ju = np.triu_indices(n, 1)
+    off = h[..., n:].reshape(*h.shape[:-1], -1, 2)
+    upper = (off[..., 0] - 1j * off[..., 1]) / np.sqrt(2.0)
+    m = np.zeros((*h.shape[:-1], n, n), dtype=complex)
+    m[..., np.arange(n), np.arange(n)] = h[..., :n]
+    m[..., iu, ju] = upper
+    m[..., ju, iu] = upper.conj()
+    return m
 
 
 @dataclass(frozen=True)
@@ -133,34 +136,25 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
     """
     _check_tomographic_completeness(table)
     din, dout = table.input_dim, table.output_dim
-    basis = _hermitian_basis(din * dout)
-    n_par = len(basis)
+    n = din * dout
     meas = dict(table.measurements)
     preps = dict(table.preparations)
 
-    rows, y = [], []
-    for (pl, ml), probs in sorted(table.probabilities.items()):
-        rho_t = preps[pl].matrix.T
-        for e, p in zip(meas[ml].effects, probs):
-            op = np.kron(e, rho_t)
-            rows.append([float(np.trace(b @ op).real) for b in basis])
-            y.append(float(p))
-    a = np.array(rows)
-    y = np.array(y)
+    # One design row per (cell, outcome): the coordinates of kron(E, rho^T).
+    cells = sorted(table.probabilities.items())
+    effects = np.array([e for (_, ml), _ in cells for e in meas[ml].effects])
+    rhos = np.array([preps[pl].matrix for (pl, ml), _ in cells for _ in meas[ml].effects])
+    y = np.array([p for _, probs in cells for p in probs], dtype=float)
+    a = _coords(np.einsum("rab,rji->raibj", effects, rhos).reshape(-1, n, n))
 
-    in_basis = _hermitian_basis(din)
-    c_rows, b_vec = [], []
-    for g in in_basis:
-        op = np.kron(np.eye(dout), g)
-        c_rows.append([float(np.trace(b @ op).real) for b in basis])
-        b_vec.append(float(np.trace(g).real))
-    c = np.array(c_rows)
-    b_vec = np.array(b_vec)
+    in_basis = _from_coords(np.eye(din * din), din)
+    c = _coords(np.kron(np.eye(dout), in_basis))
+    b_vec = np.trace(in_basis, axis1=-2, axis2=-1).real
 
     h0, *_ = np.linalg.lstsq(c, b_vec, rcond=None)
     # Nullspace of the trace-preservation constraints via SVD.
     _, svals, vt = np.linalg.svd(c, full_matrices=True)
-    null_mask = np.ones(n_par, dtype=bool)
+    null_mask = np.ones(n * n, dtype=bool)
     null_mask[: len(svals)] = svals <= 1e-10
     nullspace = vt[null_mask].T
 
@@ -168,15 +162,10 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
     z, *_ = np.linalg.lstsq(an, y - a @ h0, rcond=None)
     h = h0 + nullspace @ z
 
-    choi = sum(h_a * b for h_a, b in zip(h, basis))
-    fit = LinearFit(
-        choi=choi,
-        input_dim=din,
-        output_dim=dout,
-        residual=float(np.max(np.abs(a @ h - y))),
-        choi_min_eig=float(np.linalg.eigvalsh(choi)[0]),
-    )
-    return fit
+    choi = _from_coords(h, n)
+    return LinearFit(choi=choi, input_dim=din, output_dim=dout,
+                     residual=float(np.max(np.abs(a @ h - y))),
+                     choi_min_eig=float(np.linalg.eigvalsh(choi)[0]))
 
 
 def sample_table(table: StatsTable, n: int, rng: np.random.Generator) -> StatsTable:
@@ -205,7 +194,7 @@ def sampled_tolerance(table: StatsTable) -> float:
         if not n:
             continue
         for p in probs:
-            worst = max(worst, 3.0 * np.sqrt(max(p * (1.0 - p), 0.0) / n))
+            worst = max(worst, 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n))
     return worst
 
 

@@ -114,6 +114,19 @@ MALFORMED = [
 ]
 
 
+# Malformed stats tables for `nlbox witness`: (id, path of the replaced
+# field in stats_doc(), new value, exit code).
+MALFORMED_STATS = [
+    ("probability_not_number", ("probabilities", "zero|comp"), [1.0, "x"], 2),
+    ("key_without_bar", ("probabilities",), {"zero": [1.0, 0.0]}, 2),
+    ("probabilities_not_object", ("probabilities",), [[1.0, 0.0]], 2),
+    ("density_entry_not_number", ("preparations", 0, "density", 0, 0), ["x", 0.0], 2),
+    ("sample_count_fraction", ("sample_counts",), {"zero|comp": 100.7}, 3),
+    ("sample_count_bool", ("sample_counts",), {"zero|comp": True}, 3),
+    ("sample_count_negative", ("sample_counts",), {"zero|comp": -1}, 3),
+]
+
+
 def mutated_scenario(tmp_path, stem, where, value):
     doc = json.loads((SCENARIO_DIR / f"{stem}.scn").read_text())
     node = doc
@@ -145,6 +158,32 @@ class TestMalformedCorpus:
         b = run_scenario(parse_scenario(
             mutated_scenario(tmp_path, "bb84_attack", ("protocol", key), value)))
         assert a.payload == b.payload
+
+    @pytest.mark.parametrize("where,value,code", [case[1:] for case in MALFORMED_STATS],
+                             ids=[case[0] for case in MALFORMED_STATS])
+    def test_stats_exit_code(self, tmp_path, capsys, where, value, code):
+        doc = stats_doc()
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(doc))
+        assert main(["witness", str(path)]) == code
+        captured = capsys.readouterr()
+        prefix = {2: "parse error: ", 3: "validation error: "}[code]
+        assert captured.err.startswith(prefix)
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_integral_sample_counts_accepted(self, tmp_path):
+        doc = stats_doc()
+        doc["sample_counts"] = {"zero|comp": 100.0, "one|comp": "100", "plus|comp": 100}
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(doc))
+        counts = parse_stats(path).sample_counts
+        assert counts == {("zero", "comp"): 100, ("one", "comp"): 100, ("plus", "comp"): 100}
+        assert all(type(n) is int for n in counts.values())
 
     def test_integral_ctc_dim_accepted(self, tmp_path):
         box = {"kind": "deutsch", "unitary": IDENTITY_4, "ctc_dim": 2.0}
@@ -280,6 +319,13 @@ class TestCli:
         path.write_text("{ not json")
         assert main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "witness"])
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys, command):
+        path = tmp_path / "broken.scn"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+
     def test_invalid_physics_exit_code(self, tmp_path):
         doc = dict(MINIMAL)
         doc["box"] = {
@@ -346,6 +392,27 @@ class TestCli:
         assert main(["witness", str(path)]) == 0
         out = capsys.readouterr().out
         assert "linear_explainable=True" in out
+
+    def test_witness_prints_plain_float_tol(self, tmp_path, capsys):
+        doc = stats_doc()
+        doc["sample_counts"] = {k: 100 for k in doc["probabilities"]}
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(doc))
+        assert main(["witness", str(path)]) == 0
+        fields = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
+        # Three binomial sigmas at p = 1/2 and 100 shots.
+        assert fields["tol"] == repr(3 * 0.05)
+        assert fields["linear_explainable"] == "True"
+
+    @pytest.mark.parametrize("flag,value", [("--format", "csv"), ("--out", "w.json")])
+    def test_witness_rejects_report_flags(self, tmp_path, monkeypatch, flag, value):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(stats_doc()))
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", str(path), flag, value])
+        assert exc.value.code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.json"]
 
     def test_witness_parse_stats(self, tmp_path):
         path = tmp_path / "stats.json"
