@@ -41,7 +41,7 @@ from .qcore import (
     tensor,
     trace_norm,
 )
-from .tolerances import ATOL, PURITY_MIN
+from .tolerances import ATOL, LOOP_FIXED_CUT, LOOP_RESIDUAL, OVERLAP_CUT, PURITY_MIN
 
 
 class Semantics(str, Enum):
@@ -68,10 +68,10 @@ class BrunBoxConfig:
         for name, (b0, b1) in (("psi", self.psi_basis), ("phi", self.phi_basis)):
             if b0.dim != 2 or b1.dim != 2:
                 raise ShapeError(f"{name} basis must be single-qubit kets")
-            if abs(b0.overlap(b1)) > ATOL:
+            if not abs(b0.overlap(b1)) <= ATOL:
                 raise ValidationError(f"{name} basis is not orthogonal")
         overlaps = [abs(p.overlap(q)) for p in self.psi_basis for q in self.phi_basis]
-        if all(o < 1e-6 or o > 1 - 1e-6 for o in overlaps):
+        if all(o < OVERLAP_CUT or o > 1 - OVERLAP_CUT for o in overlaps):
             raise ValidationError("psi and phi bases must be non-identical "
                                   "(some cross overlap strictly between 0 and 1)")
         if isinstance(self.completion, str) and self.completion != "strict":
@@ -113,8 +113,6 @@ class DeutschBoxConfig:
 
     unitary: Unitary
     ctc_dim: int
-    fp_tol: float = 1e-9
-    max_iterations: int = 5000
 
     def __post_init__(self):
         if self.ctc_dim < 1:
@@ -127,78 +125,45 @@ class DeutschBoxConfig:
         return self.unitary.dim // self.ctc_dim
 
 
-def _induced_loop_map(config: DeutschBoxConfig, rho_in: DensityOperator):
-    u = config.unitary.matrix
-    dims = (rho_in.dim, config.ctc_dim)
-
-    def loop(sigma: np.ndarray) -> np.ndarray:
-        joint = u @ np.kron(rho_in.matrix, sigma) @ u.conj().T
-        return _partial_trace_raw(joint, dims, [1])
-
-    return loop
-
-
-def _cesaro_limit(loop, sigma0: np.ndarray) -> np.ndarray:
-    """Cesaro-mean limit of loop^n(sigma0) via the spectral projector onto
-    the eigenvalue-1 subspace of the superoperator.
-
-    Peripheral eigenvalues other than 1 average to zero, so this equals
-    the long-run mean of the iterates without the O(1/n) averaging tail.
-    """
-    dc = sigma0.shape[0]
-    basis = np.eye(dc * dc, dtype=complex)
-    m = np.column_stack([loop(basis[:, k].reshape(dc, dc)).reshape(-1)
-                         for k in range(dc * dc)])
-    evals, evecs = np.linalg.eig(m)
-    coeffs = np.linalg.solve(evecs, sigma0.reshape(-1))
-    fixed = np.abs(evals - 1.0) < 1e-9
-    return (evecs[:, fixed] @ coeffs[fixed]).reshape(dc, dc)
-
-
 def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> DensityOperator:
-    """The canonical loop state: the Cesaro-mean limit of the induced map's
-    iterates started from the maximally mixed state."""
+    """The canonical loop state: the Cesaro-mean limit of the loop map's
+    iterates started from the maximally mixed state.
+
+    That limit is the projection of I/dc onto ker(M - I) along ran(M - I),
+    R (L^dag R)^-1 L^dag, where M is the loop superoperator
+    sigma -> Tr_S[U (rho_in (x) sigma) U^dag] and the columns of R and L are
+    the right and left singular vectors of M - I for singular values at most
+    LOOP_FIXED_CUT. Raises ConvergenceError when L^dag R is singular or the
+    result misses the consistency condition by more than LOOP_RESIDUAL.
+    """
     if rho_in.dim != config.system_dim:
         raise ShapeError(f"input dim {rho_in.dim} != system dim {config.system_dim}")
-    loop = _induced_loop_map(config, rho_in)
-    sigma0 = np.eye(config.ctc_dim, dtype=complex) / config.ctc_dim
-
-    def finish(candidate: np.ndarray):
-        candidate = 0.5 * (candidate + candidate.conj().T)
-        tr = float(np.trace(candidate).real)
-        if abs(tr) > 1e-12:
-            candidate = candidate / tr
-        residual = trace_norm(loop(candidate) - candidate)
-        if residual <= max(config.fp_tol, 1e-8):
-            return DensityOperator(candidate), residual
-        return None, residual
-
+    dc = config.ctc_dim
+    t = config.unitary.matrix.reshape(rho_in.dim, dc, rho_in.dim, dc)
+    m = np.einsum("scxa,xy,sdyb->cdab", t, rho_in.matrix, t.conj()).reshape(dc * dc, dc * dc)
     try:
-        state, residual = finish(_cesaro_limit(loop, sigma0))
-        if state is not None:
-            return state
-    except np.linalg.LinAlgError:
-        residual = np.inf
-
-    # Fallback: plain iteration with running average.
-    sigma, mean = sigma0, sigma0.copy()
-    for k in range(1, config.max_iterations + 1):
-        sigma = loop(sigma)
-        mean = mean * (k / (k + 1)) + sigma / (k + 1)
-        state, residual = finish(mean)
-        if state is not None:
-            return state
-    raise ConvergenceError(
-        f"fixed-point residual {residual} after {config.max_iterations} iterations",
-        residual=residual)
+        w, svals, vh = np.linalg.svd(m - np.eye(dc * dc))
+        fixed = svals <= LOOP_FIXED_CUT
+        l_dag, r = w[:, fixed].conj().T, vh[fixed].conj().T
+        coeffs = np.linalg.solve(l_dag @ r, l_dag @ (np.eye(dc) / dc).reshape(-1))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"no loop fixed-point projector: {exc}", residual=np.inf) from exc
+    sigma = (r @ coeffs).reshape(dc, dc)
+    sigma = 0.5 * (sigma + sigma.conj().T)
+    sigma = sigma / np.trace(sigma).real
+    residual = trace_norm((m @ sigma.reshape(-1)).reshape(dc, dc) - sigma)
+    if not residual <= LOOP_RESIDUAL:
+        raise ConvergenceError(f"fixed-point residual {residual} exceeds {LOOP_RESIDUAL}",
+                               residual=residual)
+    return DensityOperator(sigma)
 
 
 def deutsch_apply(config: DeutschBoxConfig, rho_in: DensityOperator) -> DensityOperator:
     """System output once the loop state is consistent."""
     star = deutsch_fixed_point(config, rho_in)
-    u = config.unitary.matrix
-    joint = u @ np.kron(rho_in.matrix, star.matrix) @ u.conj().T
-    out = _partial_trace_raw(joint, (rho_in.dim, config.ctc_dim), [0])
+    dc = config.ctc_dim
+    t = config.unitary.matrix.reshape(rho_in.dim, dc, rho_in.dim, dc)
+    out = np.einsum("scxa,xy,ab,tcyb->st", t, rho_in.matrix, star.matrix, t.conj())
     return DensityOperator(0.5 * (out + out.conj().T))
 
 
@@ -244,7 +209,7 @@ class LinearBoxConfig:
             raise ValidationError("channel needs at least one Kraus operator")
         din = mats[0].shape[1]
         total = sum(k.conj().T @ k for k in mats)
-        if float(np.max(np.abs(total - np.eye(din)))) > ATOL:
+        if not float(np.max(np.abs(total - np.eye(din)))) <= ATOL:
             raise ValidationError("Kraus operators are not trace preserving")
         object.__setattr__(self, "kraus", mats)
 

@@ -30,7 +30,7 @@ class DomainError(NlboxError):
 
 
 class ConvergenceError(NlboxError):
-    """Fixed-point iteration failed to converge; carries the last residual."""
+    """The Deutsch loop state misses its consistency condition; carries the residual."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -60,7 +60,7 @@ def _normalize_ensemble(ensemble, what):
     dim = None
     for w, state in ensemble:
         w = float(w)
-        if w <= 0:
+        if not w > 0:
             raise ValidationError(f"{what} weights must be positive, got {w}")
         if not isinstance(state, DensityOperator):
             raise ValidationError(f"{what} members must be DensityOperator values")
@@ -72,7 +72,7 @@ def _normalize_ensemble(ensemble, what):
         members.append((w, state))
     if not members:
         raise ValidationError(f"{what} must have at least one member")
-    if abs(total - 1.0) > ATOL:
+    if not abs(total - 1.0) <= ATOL:
         raise ValidationError(f"{what} weights sum to {total}, not 1")
     return tuple(members)
 

@@ -34,7 +34,7 @@ class KetVector:
         if amp.ndim != 1 or amp.size < 1:
             raise ShapeError("ket amplitudes must be a nonempty 1-D vector")
         norm2 = float(np.vdot(amp, amp).real)
-        if abs(norm2 - 1.0) > ATOL:
+        if not abs(norm2 - 1.0) <= ATOL:
             raise ValidationError(f"ket squared norm {norm2} deviates from 1 beyond {ATOL}")
 
     @property
@@ -66,13 +66,13 @@ class DensityOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ShapeError("density matrix must be square")
         herm_gap = float(np.max(np.abs(m - m.conj().T)))
-        if herm_gap > ATOL:
+        if not herm_gap <= ATOL:
             raise ValidationError(f"density matrix not Hermitian: max |M - M^dag| = {herm_gap}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ATOL:
+        if not abs(tr - 1.0) <= ATOL:
             raise ValidationError(f"density matrix trace {tr} deviates from 1 beyond {ATOL}")
         min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -ATOL:
+        if not min_eig >= -ATOL:
             raise ValidationError(f"density matrix has eigenvalue {min_eig} < -{ATOL}")
 
     @property
@@ -118,14 +118,14 @@ class Povm:
                 dim = e.shape[0]
             elif e.shape[0] != dim:
                 raise ShapeError("POVM effects have mixed dimensions")
-            if float(np.max(np.abs(e - e.conj().T))) > ATOL:
+            if not float(np.max(np.abs(e - e.conj().T))) <= ATOL:
                 raise ValidationError("POVM effect not Hermitian")
-            if float(np.linalg.eigvalsh(e)[0]) < -ATOL:
+            if not float(np.linalg.eigvalsh(e)[0]) >= -ATOL:
                 raise ValidationError("POVM effect not positive semidefinite")
             e.setflags(write=False)
             mats.append(e)
         total = sum(mats)
-        if float(np.max(np.abs(total - np.eye(dim)))) > ATOL:
+        if not float(np.max(np.abs(total - np.eye(dim)))) <= ATOL:
             raise ValidationError("POVM effects do not sum to the identity")
         object.__setattr__(self, "effects", tuple(mats))
 
@@ -147,7 +147,7 @@ class Unitary:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError("unitary must be square")
         gap = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-        if gap > ATOL:
+        if not gap <= ATOL:
             raise ValidationError(f"matrix is not unitary: max |U^dag U - I| = {gap}")
 
     @property
@@ -218,7 +218,7 @@ def born_probabilities(rho: DensityOperator, m: Povm) -> np.ndarray:
     if np.min(probs) < -BORN_CLAMP:
         raise ValidationError(f"Born probability {np.min(probs)} below clamp threshold")
     probs = np.clip(probs, 0.0, None)
-    if abs(float(np.sum(probs)) - 1.0) > ATOL:
+    if not abs(float(np.sum(probs)) - 1.0) <= ATOL:
         raise ValidationError("Born probabilities do not sum to 1")
     return probs
 

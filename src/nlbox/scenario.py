@@ -115,7 +115,7 @@ def _int_from_json(value, where) -> int:
 def _float_from_json(value, where) -> float:
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         x = math.nan
     if isinstance(value, bool) or not 0 <= x < math.inf:
         raise ValidationError(f"{where} must be a non-negative number, got {value!r}")
@@ -203,7 +203,7 @@ def parse_scenario(path) -> ScenarioConfig:
         return _scenario_from_json(raw)
     except NlboxError:
         raise
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"{path}: malformed scenario ({type(exc).__name__}: {exc})") from exc
 
@@ -268,12 +268,12 @@ def parse_stats(path) -> "StatsTable":
         if counts is not None:
             counts = _cells_from_json(
                 counts, lambda v: _int_from_json(v, "stats: sample_counts"))
+        return StatsTable(preparations=preps, measurements=meas,
+                          probabilities=probs, sample_counts=counts)
     except NlboxError:
         raise
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise ScenarioParseError(f"{path}: malformed stats table ({exc})") from exc
-    return StatsTable(preparations=preps, measurements=meas,
-                      probabilities=probs, sample_counts=counts)
 
 
 def _alice_event(params) -> SpacetimeEvent:

@@ -20,7 +20,7 @@ from .qcore import (
     _partial_trace_raw,
     _phase_fix,
 )
-from .tolerances import ATOL, DTOL, PURITY_MIN, RANK_CUT
+from .tolerances import ATOL, DTOL, PURITY_MIN, RANK_CUT, ZERO_PROB
 
 # Decompositions beyond this many members are rejected.
 MAX_MEMBERS = 16
@@ -39,16 +39,16 @@ class EnsembleDecomposition:
             raise DecompositionError("decomposition needs at least one member")
         total = 0.0
         for w, state in members:
-            if w <= 0:
+            if not w > 0:
                 raise DecompositionError(f"member weight {w} must be positive")
             if state.dim != self.sigma_b.dim:
                 raise ShapeError("member dimension differs from sigma_B")
             total += w
-        if abs(total - 1.0) > ATOL:
+        if not abs(total - 1.0) <= ATOL:
             raise DecompositionError(f"member weights sum to {total}, not 1")
         avg = sum(w * s.matrix for w, s in members)
         gap = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(avg - self.sigma_b.matrix))))
-        if gap > DTOL:
+        if not gap <= DTOL:
             raise DecompositionError(
                 f"members average {gap} away from sigma_B (tolerance {DTOL})")
         object.__setattr__(self, "members", members)
@@ -77,7 +77,7 @@ class SteeringAssemblage:
             _partial_trace_raw(self.state_ab.matrix, (self.dim_a, self.dim_b), [1]))
         avg = sum(w * s.matrix for w, s in self.heralded)
         gap = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(avg - marginal.matrix))))
-        if gap > DTOL:
+        if not gap <= DTOL:
             raise ValidationError(
                 f"heralded ensemble averages {gap} away from the B marginal")
         object.__setattr__(self, "heralded", tuple(self.heralded))
@@ -204,7 +204,7 @@ def _condition(state_ab: DensityOperator, dim_a: int, dim_b: int, effect: np.nda
     None when the effect has zero probability and no conditional state."""
     weighted = np.kron(effect, np.eye(dim_b)) @ state_ab.matrix
     prob = float(np.trace(weighted).real)
-    if prob < 1e-12:
+    if prob < ZERO_PROB:
         return None
     cond = _partial_trace_raw(weighted, (dim_a, dim_b), [1]) / prob
     cond = 0.5 * (cond + cond.conj().T)

@@ -22,3 +22,21 @@ RANK_CUT = 1e-10
 
 # Negative Born probabilities above -BORN_CLAMP are clamped to zero.
 BORN_CLAMP = 1e-12
+
+# Singular values of M - I at or below this span the Deutsch loop's fixed points.
+LOOP_FIXED_CUT = 1e-9
+
+# A Deutsch loop state is accepted when ||M(sigma) - sigma||_1 is at most this.
+LOOP_RESIDUAL = 1e-8
+
+# Singular values of the stacked input densities above this count toward completeness.
+COMPLETENESS_CUT = 1e-8
+
+# Singular values of the fit's trace-preservation constraints at or below this are null.
+CONSTRAINT_NULL_CUT = 1e-10
+
+# Basis overlaps within this of 0 or 1 count as identical bases for the Brun map.
+OVERLAP_CUT = 1e-6
+
+# A steering outcome with probability below this heralds no state.
+ZERO_PROB = 1e-12

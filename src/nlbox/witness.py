@@ -16,7 +16,7 @@ from .boxes import NonlinearBox, apply_box
 from .errors import MisuseError, RankError, ShapeError, ValidationError
 from .preparations import Preparation, classify_membership, linearly_equivalent
 from .qcore import DensityOperator, Povm, trace_distance
-from .tolerances import ATOL, DTOL
+from .tolerances import ATOL, COMPLETENESS_CUT, CONSTRAINT_NULL_CUT, DTOL
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class StatsTable:
             row = tuple(float(x) for x in row)
             if len(row) != meas[ml].n_outcomes:
                 raise ShapeError(f"row ({pl}, {ml}) has wrong outcome count")
-            if any(x < -ATOL for x in row) or abs(sum(row) - 1.0) > ATOL:
+            if any(not x >= -ATOL for x in row) or not abs(sum(row) - 1.0) <= ATOL:
                 raise ValidationError(f"row ({pl}, {ml}) is not a probability distribution")
 
     @property
@@ -121,7 +121,7 @@ def _check_tomographic_completeness(table: StatsTable):
     din = table.input_dim
     rows = np.stack([rho.matrix.reshape(-1) for _, rho in table.preparations])
     svals = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(svals > 1e-8))
+    rank = int(np.sum(svals > COMPLETENESS_CUT))
     if rank < din * din:
         raise RankError(
             f"input densities span only {rank} of the {din * din} required "
@@ -155,7 +155,7 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
     # Nullspace of the trace-preservation constraints via SVD.
     _, svals, vt = np.linalg.svd(c, full_matrices=True)
     null_mask = np.ones(n * n, dtype=bool)
-    null_mask[: len(svals)] = svals <= 1e-10
+    null_mask[: len(svals)] = svals <= CONSTRAINT_NULL_CUT
     nullspace = vt[null_mask].T
 
     an = a @ nullspace

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nlbox.boxes import BrunBoxConfig, NonlinearBox, Semantics
 from nlbox.preparations import (
@@ -11,6 +12,11 @@ from nlbox.preparations import (
     SpacetimeEvent,
 )
 from nlbox.qcore import COMPUTATIONAL_BASIS, HADAMARD_BASIS
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 failure reproduces; examples have no deadline.
+settings.register_profile("nlbox", derandomize=True, database=None, deadline=None)
+settings.load_profile("nlbox")
 
 BOX_EVENT = SpacetimeEvent(1.0, 0.0)
 FAR_EVENT = SpacetimeEvent(0.0, 10.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BOX_EVENT,
@@ -11,6 +13,7 @@ from conftest import (
     make_box,
     remote_prep,
 )
+from nlbox import boxes
 from nlbox.boxes import (
     BrunBoxConfig,
     DeutschBoxConfig,
@@ -24,7 +27,7 @@ from nlbox.boxes import (
     kent_brun_emulation,
     kent_readout,
 )
-from nlbox.errors import DomainError, ShapeError, ValidationError
+from nlbox.errors import ConvergenceError, DomainError, ShapeError, ValidationError
 from nlbox.preparations import (
     MembershipPolicy,
     PolicyKind,
@@ -44,8 +47,9 @@ from nlbox.qcore import (
     maximally_mixed,
     tensor,
     trace_distance,
+    trace_norm,
 )
-from nlbox.rand import random_density, random_ket
+from nlbox.rand import random_density, random_ket, random_unitary
 
 KET_I = ket(1 / np.sqrt(2), 1j / np.sqrt(2))
 
@@ -123,6 +127,40 @@ def iterated_loop_oracle(u, rho_in_mat, d_sys, d_ctc, steps=400):
     return sum(tail) / len(tail)
 
 
+def reference_fixed_point(u, rho_in_mat, d_ctc):
+    """The loop state by the earlier solver, kept as a reference: build the
+    loop superoperator column by column from basis matrices, diagonalise it
+    with eig, and keep the eigenvalue-one part of I/d_ctc. Returns the state
+    and the loop map."""
+    d_sys = rho_in_mat.shape[0]
+
+    def loop(sigma):
+        joint = u @ np.kron(rho_in_mat, sigma) @ u.conj().T
+        return np.einsum("iaib->ab", joint.reshape(d_sys, d_ctc, d_sys, d_ctc))
+
+    basis = np.eye(d_ctc * d_ctc, dtype=complex)
+    m = np.column_stack([loop(basis[:, k].reshape(d_ctc, d_ctc)).reshape(-1)
+                         for k in range(d_ctc * d_ctc)])
+    evals, evecs = np.linalg.eig(m)
+    coeffs = np.linalg.solve(evecs, (np.eye(d_ctc) / d_ctc).reshape(-1))
+    fixed = np.abs(evals - 1.0) < 1e-9
+    star = (evecs[:, fixed] @ coeffs[fixed]).reshape(d_ctc, d_ctc)
+    star = 0.5 * (star + star.conj().T)
+    return star / np.trace(star).real, loop
+
+
+def reference_output(u, rho_in_mat, star, d_ctc):
+    d_sys = rho_in_mat.shape[0]
+    joint = u @ np.kron(rho_in_mat, star) @ u.conj().T
+    return np.einsum("aibi->ab", joint.reshape(d_sys, d_ctc, d_sys, d_ctc))
+
+
+def assert_density(m):
+    assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+    assert abs(np.trace(m) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(m)[0] >= -1e-9
+
+
 class TestDeutsch:
     def test_swap_fixed_point_is_input(self, rng):
         cfg = DeutschBoxConfig(Unitary(SWAP), 2)
@@ -180,6 +218,56 @@ class TestDeutsch:
             combo = DensityOperator(lam * out_a.matrix + (1 - lam) * out_b.matrix)
             gap = max(gap, trace_distance(out_mixed, combo))
         assert gap > 1e-3
+
+    def test_degenerate_fixed_space_takes_cesaro_mean(self):
+        # The loop map keeps |0>, |1> and their coherence and sends |2> to
+        # |0> with probability 0.8 and to |1> with 0.2. Every state on
+        # span{|0>, |1>} is a fixed point; the iterates from I/3 settle on
+        # diag(0.6, 0.4, 0), not on the orthogonal projection diag(0.5, 0.5, 0).
+        e = np.eye(3)
+        kraus = [np.diag([1.0, 1.0, 0.0]), np.sqrt(0.8) * np.outer(e[0], e[2]),
+                 np.sqrt(0.2) * np.outer(e[1], e[2])]
+        iso = np.vstack(kraus)  # column a of system input |0>: sum_s |s> (x) K_s|a>
+        complement = np.linalg.svd(iso.conj().T)[2][3:].conj().T
+        u = np.hstack([iso, complement]).astype(complex)
+        rho = DensityOperator(np.diag([1.0, 0.0, 0.0]).astype(complex))
+        star = deutsch_fixed_point(DeutschBoxConfig(Unitary(u), 3), rho)
+        assert np.max(np.abs(star.matrix - np.diag([0.6, 0.4, 0.0]))) < 1e-12
+        oracle = iterated_loop_oracle(u, rho.matrix, 3, 3)
+        assert np.max(np.abs(star.matrix - oracle)) < 1e-12
+
+    @settings(max_examples=60)
+    @given(d_ctc=st.sampled_from([2, 4, 8]), rank=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_eig_reference(self, d_ctc, rank, seed):
+        rng = np.random.default_rng(seed)
+        u = random_unitary(2 * d_ctc, rng).matrix
+        rho = random_density(2, rng, rank=rank)
+        cfg = DeutschBoxConfig(Unitary(u), d_ctc)
+        star = deutsch_fixed_point(cfg, rho)
+        out = deutsch_apply(cfg, rho)
+        ref_star, loop = reference_fixed_point(u, rho.matrix, d_ctc)
+        assert np.max(np.abs(star.matrix - ref_star)) <= 1e-10
+        assert np.max(np.abs(out.matrix - reference_output(u, rho.matrix, ref_star, d_ctc))) <= 1e-10
+        assert trace_norm(loop(star.matrix) - star.matrix) <= 1e-8
+        assert_density(star.matrix)
+        assert_density(out.matrix)
+
+    def test_residual_above_tolerance_raises(self, monkeypatch):
+        cfg = DeutschBoxConfig(Unitary(CNOT @ SWAP), 2)
+        monkeypatch.setattr(boxes, "LOOP_RESIDUAL", -1.0)
+        with pytest.raises(ConvergenceError) as exc:
+            deutsch_apply(cfg, KET_PLUS.projector())
+        assert 0.0 <= exc.value.residual <= 1e-8
+
+    def test_singular_projector_raises(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ConvergenceError) as exc:
+            deutsch_fixed_point(DeutschBoxConfig(Unitary(SWAP), 2), KET0.projector())
+        assert exc.value.residual == np.inf
 
 
 class TestKentReadout:

@@ -68,6 +68,17 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             Unitary(np.array([[1, 1], [0, 1]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("make", [
+        lambda x: KetVector(np.array([x, 0.0])),
+        lambda x: DensityOperator(np.diag([x, 0.0])),
+        lambda x: Unitary(np.diag([x, 1.0])),
+        lambda x: Povm((np.diag([x, 0.0]), np.diag([0.0, 1.0]))),
+    ], ids=["ket", "density", "unitary", "povm"])
+    def test_rejects_non_finite_entry(self, make, bad):
+        with pytest.raises(ValidationError):
+            make(bad)
+
 
 class TestTensor:
     def test_basis_kets(self):

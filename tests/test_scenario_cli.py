@@ -1,11 +1,17 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CNOT, SWAP
+from nlbox import boxes
 from nlbox.cli import main
-from nlbox.errors import ScenarioParseError, ValidationError
+from nlbox.errors import NlboxError, ScenarioParseError, ValidationError
 from nlbox.qcore import born_probabilities, computational_povm
 from nlbox.scenario import (
     REPORT_SCHEMA,
@@ -86,6 +92,9 @@ class TestParsing:
 
 
 IDENTITY_4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+NAN_IDENTITY_2 = [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+NAN_IDENTITY_4 = [[[math.nan, 0.0]] + IDENTITY_4[0][1:]] + IDENTITY_4[1:]
+HUGE = 10 ** 400  # an exact JSON integer that no float can hold
 
 # Malformed scenarios: (id, bundled scenario, path of the replaced field,
 # new value, exit code). Each must fail in parse_scenario, before any run.
@@ -111,6 +120,12 @@ MALFORMED = [
     ("ctc_dim_not_number", "verification", ("box",),
      {"kind": "deutsch", "unitary": IDENTITY_4, "ctc_dim": "x"}, 3),
     ("preparation_not_object", "verification", ("preparations",), [5], 3),
+    ("kraus_nan", "verification", ("box",), {"kind": "linear", "kraus": [NAN_IDENTITY_2]}, 3),
+    ("psi_basis_nan", "verification", ("box", "psi_basis"), NAN_IDENTITY_2, 3),
+    ("unitary_nan", "verification", ("box",),
+     {"kind": "deutsch", "unitary": NAN_IDENTITY_4, "ctc_dim": 2}, 3),
+    ("tol_huge_int", "verification", ("protocol", "tol"), HUGE, 3),
+    ("box_event_huge_int", "verification", ("box", "box_event"), [HUGE, 0.0], 3),
 ]
 
 
@@ -124,6 +139,8 @@ MALFORMED_STATS = [
     ("sample_count_fraction", ("sample_counts",), {"zero|comp": 100.7}, 3),
     ("sample_count_bool", ("sample_counts",), {"zero|comp": True}, 3),
     ("sample_count_negative", ("sample_counts",), {"zero|comp": -1}, 3),
+    ("probability_nan", ("probabilities", "zero|comp"), [1.0, math.nan], 3),
+    ("probability_huge_int", ("probabilities", "zero|comp"), [HUGE, 0.0], 2),
 ]
 
 
@@ -290,6 +307,82 @@ def stats_doc():
     }
 
 
+# What a mutation writes into a document: one of the values that broke the
+# parsers (non-finite and huge numbers, numeric strings, empty containers),
+# or any JSON value, nested lists and objects included.
+SPECIAL_VALUES = st.sampled_from(
+    [HUGE, -HUGE, math.nan, math.inf, -math.inf, "1e400", "nan", "x", [], {}])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12)
+
+
+def node_paths(node, where=()):
+    """The path of every node under a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield where + (key,)
+        yield from node_paths(child, where + (key,))
+
+
+def mutated(doc, data):
+    """A copy of doc with one to three nodes replaced by drawn values."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        where = data.draw(st.sampled_from(list(node_paths(doc))))
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = data.draw(SPECIAL_VALUES | JSON_VALUES)
+    return doc
+
+
+def spelled_out(doc):
+    """The same scenario with its named bases written out as kets, so that
+    a mutation can reach the amplitudes."""
+    r = math.sqrt(0.5)
+    doc = copy.deepcopy(doc)
+    doc["box"]["psi_basis"] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    doc["box"]["phi_basis"] = [[[r, 0.0], [r, 0.0]], [[r, 0.0], [-r, 0.0]]]
+    return doc
+
+
+# The bb84 scenarios are left out: any integer n_bits is valid, and a huge
+# one is a run that does not end, not a malformed file.
+FUZZED_SCENARIOS = [json.loads(p.read_text()) for p in BUNDLED
+                    if not p.stem.startswith("bb84")]
+FUZZED_SCENARIOS += [spelled_out(doc) for doc in FUZZED_SCENARIOS]
+
+
+class TestParserFuzz:
+    """Mutated scenario and stats files: only NlboxError subclasses escape
+    parsing and running, so the CLI maps every one to an exit code."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_scenario(self, tmp_path_factory, data):
+        source = data.draw(st.sampled_from(FUZZED_SCENARIOS))
+        path = tmp_path_factory.getbasetemp() / "fuzz.scn"
+        path.write_text(json.dumps(mutated(source, data)))
+        try:
+            run_scenario(parse_scenario(path))
+        except NlboxError:
+            pass
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_stats(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz_stats.json"
+        path.write_text(json.dumps(mutated(stats_doc(), data)))
+        try:
+            parse_stats(path)
+        except NlboxError:
+            pass
+
+
 class TestCli:
     def test_run_writes_report(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -357,6 +450,17 @@ class TestCli:
         report = run_scenario(parse_scenario(write_scenario(tmp_path, doc)))
         assert report.payload["n_bits"] == 0
         assert report.payload["sifted_key_fraction"] == 0.0
+
+    def test_convergence_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        unitary = [[[x.real, x.imag] for x in row] for row in CNOT @ SWAP]
+        box = {"kind": "deutsch", "unitary": unitary, "ctc_dim": 2, "semantics": "state"}
+        path = mutated_scenario(tmp_path, "signaling_naive", ("box",), box)
+        assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 0
+        monkeypatch.setattr(boxes, "LOOP_RESIDUAL", -1.0)
+        assert main(["run", str(path), "--out", str(tmp_path / "s.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("convergence error: ") and "(residual=" in err
+        assert not (tmp_path / "s.json").exists()
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLBOX_OUT_DIR", str(tmp_path))

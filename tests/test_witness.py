@@ -282,7 +282,7 @@ class TestFitAgainstReference:
         assert abs(fit.residual - residual) <= 1e-12
         assert abs(fit.choi_min_eig - choi_min_eig) <= 1e-12
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=20)
     @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
     def test_random_cptp_channel_fits_exactly(self, d, seed):
         fit = fit_linear_map(_square(d)(np.random.default_rng(seed)))
