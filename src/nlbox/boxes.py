@@ -32,9 +32,11 @@ from .preparations import (
     unconditioned_density,
 )
 from .qcore import (
+    QUBIT0,
     DensityOperator,
     KetVector,
     Unitary,
+    _freeze,
     _partial_trace_raw,
     born_probabilities,
     computational_povm,
@@ -187,7 +189,7 @@ def kent_brun_emulation(brun: BrunBoxConfig) -> KentBoxConfig:
             for i, state in enumerate(brun.domain_states):
                 if k.fidelity(state) >= PURITY_MIN:
                     return _TWO_QUBIT_BASIS_STATES[i]
-        return tensor(readout, _QUBIT0)
+        return tensor(readout, QUBIT0)
 
     return KentBoxConfig(target=target, brun=brun)
 
@@ -200,28 +202,24 @@ class LinearBoxConfig:
     space matches the two-qubit boxes.
     """
 
-    kraus: tuple
+    kraus: np.ndarray  # read-only (n, d_out, d_in); any sequence of matrices is accepted
     ancilla: bool = False
 
     def __post_init__(self):
-        mats = tuple(np.array(k, dtype=complex) for k in self.kraus)
-        if not mats:
-            raise ValidationError("channel needs at least one Kraus operator")
-        din = mats[0].shape[1]
-        total = sum(k.conj().T @ k for k in mats)
-        if not float(np.max(np.abs(total - np.eye(din)))) <= ATOL:
+        mats = _freeze(self, "kraus", self.kraus)
+        if mats.ndim != 3 or mats.size == 0:
+            raise ShapeError("channel needs one or more Kraus matrices of one shape")
+        total = np.einsum("kai,kaj->ij", mats.conj(), mats)
+        if not float(np.max(np.abs(total - np.eye(mats.shape[2])))) <= ATOL:
             raise ValidationError("Kraus operators are not trace preserving")
-        object.__setattr__(self, "kraus", mats)
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         mat = rho.matrix
         if self.ancilla:
-            anc = np.zeros((2, 2), dtype=complex)
-            anc[0, 0] = 1.0
-            mat = np.kron(mat, anc)
-        if mat.shape[0] != self.kraus[0].shape[1]:
+            mat = np.kron(mat, QUBIT0.matrix)
+        if mat.shape[0] != self.kraus.shape[2]:
             raise ShapeError("channel input dimension mismatch")
-        out = sum(k @ mat @ k.conj().T for k in self.kraus)
+        out = np.einsum("kab,bc,kdc->ad", self.kraus, mat, self.kraus.conj())
         return DensityOperator(0.5 * (out + out.conj().T))
 
 
@@ -236,9 +234,6 @@ class NonlinearBox:
     membership: MembershipPolicy
 
 
-_QUBIT0 = DensityOperator(np.array([[1, 0], [0, 0]], dtype=complex))
-
-
 def _brun_on_density(config: BrunBoxConfig, rho: DensityOperator) -> DensityOperator:
     """Density-level action of the basis-discriminating map.
 
@@ -248,7 +243,7 @@ def _brun_on_density(config: BrunBoxConfig, rho: DensityOperator) -> DensityOper
     """
     if rho.purity() >= PURITY_MIN:
         return brun_apply_pure(config, rho.principal_ket())
-    return tensor(rho, _QUBIT0)
+    return tensor(rho, QUBIT0)
 
 
 def kent_readout(p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
@@ -297,7 +292,7 @@ def apply_box(box: NonlinearBox, p: Preparation) -> DensityOperator:
         # policy says is not available to the box.
         rho = unconditioned_density(p)
         if isinstance(cfg, BrunBoxConfig):
-            return tensor(rho, _QUBIT0)
+            return tensor(rho, QUBIT0)
         return _map_on_density(box, rho)
 
     if box.semantics is Semantics.DECOMPOSITION:

@@ -28,6 +28,7 @@ from .preparations import (
 from .qcore import (
     COMPUTATIONAL_BASIS,
     HADAMARD_BASIS,
+    QUBIT0,
     DensityOperator,
     KetVector,
     basis_povm,
@@ -103,12 +104,11 @@ def run_verification(box: NonlinearBox, tol: float = 1e-6, states=None) -> Verif
     povm = computational_povm(4)
     table = {}
     identified = True
-    anc = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
     for i, (name, state) in enumerate(zip(_STATE_NAMES, states)):
         prep = _local_prep(state, f"verify_{name}", box.box_event)
         out = apply_box(box, prep)
         if out.dim == 2:
-            out = tensor(out, anc)
+            out = tensor(out, QUBIT0)
         probs = born_probabilities(out, povm)
         table[name] = [float(x) for x in probs]
         if probs[i] < 1.0 - tol:

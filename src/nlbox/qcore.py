@@ -13,11 +13,17 @@ from functools import cache
 import numpy as np
 
 from .errors import CapacityError, ShapeError, ValidationError
-from .tolerances import ATOL, BORN_CLAMP, MAX_TENSOR_DIM, PURITY_MIN
+from .tolerances import ATOL, BORN_CLAMP, MAX_TENSOR_DIM, PHASE_CUT
 
 
 def _freeze(obj, name, arr):
-    arr = np.array(arr, dtype=complex)
+    """Store arr on obj as a read-only complex array of finite entries."""
+    try:
+        arr = np.array(arr, dtype=complex)
+    except ValueError as exc:  # a ragged sequence, such as effects of mixed sizes
+        raise ShapeError(f"{name} is not a rectangular array ({exc})") from exc
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} has a non-finite entry")
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
@@ -83,9 +89,6 @@ class DensityOperator:
         """Tr(rho^2), real."""
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def is_pure(self) -> bool:
-        return self.purity() >= PURITY_MIN
-
     def principal_ket(self) -> KetVector:
         """Eigenvector of the largest eigenvalue, phase-fixed.
 
@@ -95,47 +98,35 @@ class DensityOperator:
         v = vecs[:, -1]
         return KetVector(_phase_fix(v))
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 @dataclass(frozen=True)
 class Povm:
-    """A finite measurement: PSD effects summing to the identity."""
+    """A finite measurement: PSD effects summing to the identity.
 
-    effects: tuple
+    `effects` is one read-only (k, d, d) array; the constructor takes any
+    sequence of k square matrices of one size, or such an array.
+    """
+
+    effects: np.ndarray
 
     def __post_init__(self):
-        if len(self.effects) < 1:
-            raise ValidationError("POVM needs at least one effect")
-        mats = []
-        dim = None
-        for e in self.effects:
-            e = np.array(e, dtype=complex)
-            if e.ndim != 2 or e.shape[0] != e.shape[1]:
-                raise ShapeError("POVM effects must be square matrices")
-            if dim is None:
-                dim = e.shape[0]
-            elif e.shape[0] != dim:
-                raise ShapeError("POVM effects have mixed dimensions")
-            if not float(np.max(np.abs(e - e.conj().T))) <= ATOL:
-                raise ValidationError("POVM effect not Hermitian")
-            if not float(np.linalg.eigvalsh(e)[0]) >= -ATOL:
-                raise ValidationError("POVM effect not positive semidefinite")
-            e.setflags(write=False)
-            mats.append(e)
-        total = sum(mats)
-        if not float(np.max(np.abs(total - np.eye(dim)))) <= ATOL:
+        e = _freeze(self, "effects", self.effects)
+        if e.ndim != 3 or e.size == 0 or e.shape[1] != e.shape[2]:
+            raise ShapeError("POVM effects must be one or more square matrices of one size")
+        if not float(np.max(np.abs(e - e.conj().transpose(0, 2, 1)))) <= ATOL:
+            raise ValidationError("POVM effect not Hermitian")
+        if not float(np.min(np.linalg.eigvalsh(e)[:, 0])) >= -ATOL:
+            raise ValidationError("POVM effect not positive semidefinite")
+        if not float(np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[1])))) <= ATOL:
             raise ValidationError("POVM effects do not sum to the identity")
-        object.__setattr__(self, "effects", tuple(mats))
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.effects)
+        return self.effects.shape[0]
 
 
 @dataclass(frozen=True)
@@ -156,12 +147,10 @@ class Unitary:
 
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first nonzero amplitude is real positive."""
+    """Rotate a global phase so the first amplitude above PHASE_CUT is real positive."""
     v = np.array(v, dtype=complex)
-    for a in v:
-        if abs(a) > 1e-12:
-            return v * (abs(a) / a)
-    return v
+    big = v[np.abs(v) > PHASE_CUT]
+    return v * (abs(big[0]) / big[0]) if big.size else v
 
 
 def tensor(a, b):
@@ -214,7 +203,7 @@ def born_probabilities(rho: DensityOperator, m: Povm) -> np.ndarray:
     """Outcome distribution Tr(E_k rho), tiny negatives clamped to zero."""
     if rho.dim != m.dim:
         raise ShapeError(f"state dim {rho.dim} vs POVM dim {m.dim}")
-    probs = np.array([float(np.trace(e @ rho.matrix).real) for e in m.effects])
+    probs = np.einsum("kij,ji->k", m.effects, rho.matrix).real
     if np.min(probs) < -BORN_CLAMP:
         raise ValidationError(f"Born probability {np.min(probs)} below clamp threshold")
     probs = np.clip(probs, 0.0, None)
@@ -227,8 +216,7 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """(1/2) ||a - b||_1 via the eigenvalues of the difference."""
     if a.dim != b.dim:
         raise ShapeError(f"dims differ: {a.dim} vs {b.dim}")
-    eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return 0.5 * float(np.sum(np.abs(eigs)))
+    return 0.5 * trace_norm(a.matrix - b.matrix)
 
 
 def trace_norm(mat: np.ndarray) -> float:
@@ -250,6 +238,9 @@ KET_MINUS = ket(1 / np.sqrt(2), -1 / np.sqrt(2))
 COMPUTATIONAL_BASIS = (KET0, KET1)
 HADAMARD_BASIS = (KET_PLUS, KET_MINUS)
 
+# |0><0|, the ancilla that the two-qubit boxes append to a one-qubit state.
+QUBIT0 = KET0.projector()
+
 
 def maximally_mixed(dim: int) -> DensityOperator:
     return DensityOperator(np.eye(dim) / dim)
@@ -257,16 +248,15 @@ def maximally_mixed(dim: int) -> DensityOperator:
 
 def basis_povm(kets) -> Povm:
     """Projective measurement onto an orthonormal set of kets."""
-    return Povm(tuple(np.outer(k.amplitudes, k.amplitudes.conj()) for k in kets))
+    if len({k.dim for k in kets}) != 1:
+        raise ShapeError("basis kets must share one dimension")
+    v = np.array([k.amplitudes for k in kets])
+    return Povm(v[:, :, None] * v[:, None, :].conj())
 
 
 @cache
 def computational_povm(dim: int) -> Povm:
     """Projective measurement in the computational basis, built once per
     dimension; a Povm's effects are read-only, so callers share it."""
-    effects = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, i] = 1.0
-        effects.append(e)
-    return Povm(tuple(effects))
+    eye = np.eye(dim)
+    return Povm(eye[:, :, None] * eye[:, None, :])

@@ -25,7 +25,13 @@ from .boxes import (
     Semantics,
     kent_brun_emulation,
 )
-from .errors import ConfigurationError, NlboxError, ScenarioParseError, ValidationError
+from .errors import (
+    CapacityError,
+    ConfigurationError,
+    NlboxError,
+    ScenarioParseError,
+    ValidationError,
+)
 from .preparations import (
     MembershipPolicy,
     PolicyKind,
@@ -46,6 +52,9 @@ from .qcore import COMPUTATIONAL_BASIS, HADAMARD_BASIS, DensityOperator, KetVect
 
 SCENARIO_SCHEMA = "nlbox-scenario/1"
 REPORT_SCHEMA = "nlbox-report/1"
+
+# The most bits a bb84 scenario may ask for: 10-20 s at 0.1-0.19 us per bit.
+MAX_BB84_BITS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -304,7 +313,10 @@ def _bb84_params(params) -> dict:
     if strategy not in EVE_STRATEGIES:
         raise ValidationError(f"protocol: unknown eve_strategy {strategy!r}; "
                               f"expected one of {EVE_STRATEGIES}")
-    return {"n_bits": _int_from_json(params.get("n_bits", 1000), "protocol: n_bits"),
+    n_bits = _int_from_json(params.get("n_bits", 1000), "protocol: n_bits")
+    if n_bits > MAX_BB84_BITS:
+        raise CapacityError(f"protocol: n_bits must be at most {MAX_BB84_BITS}")
+    return {"n_bits": n_bits,
             "seed": _int_from_json(params.get("seed", 0), "protocol: seed"),
             "eve_strategy": strategy}
 

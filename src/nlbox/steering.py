@@ -19,8 +19,9 @@ from .qcore import (
     Povm,
     _partial_trace_raw,
     _phase_fix,
+    trace_norm,
 )
-from .tolerances import ATOL, DTOL, PURITY_MIN, RANK_CUT, ZERO_PROB
+from .tolerances import ATOL, DTOL, EIG_TIE_DIGITS, RANK_CUT, ZERO_PROB
 
 # Decompositions beyond this many members are rejected.
 MAX_MEMBERS = 16
@@ -47,7 +48,7 @@ class EnsembleDecomposition:
         if not abs(total - 1.0) <= ATOL:
             raise DecompositionError(f"member weights sum to {total}, not 1")
         avg = sum(w * s.matrix for w, s in members)
-        gap = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(avg - self.sigma_b.matrix))))
+        gap = 0.5 * trace_norm(avg - self.sigma_b.matrix)
         if not gap <= DTOL:
             raise DecompositionError(
                 f"members average {gap} away from sigma_B (tolerance {DTOL})")
@@ -73,10 +74,9 @@ class SteeringAssemblage:
             raise ShapeError("dim_a * dim_b must equal the bipartite dimension")
         if self.povm_a.dim != self.dim_a:
             raise ShapeError("POVM acts on A, dimensions differ")
-        marginal = DensityOperator(
-            _partial_trace_raw(self.state_ab.matrix, (self.dim_a, self.dim_b), [1]))
+        marginal = _partial_trace_raw(self.state_ab.matrix, (self.dim_a, self.dim_b), [1])
         avg = sum(w * s.matrix for w, s in self.heralded)
-        gap = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(avg - marginal.matrix))))
+        gap = 0.5 * trace_norm(avg - marginal)
         if not gap <= DTOL:
             raise ValidationError(
                 f"heralded ensemble averages {gap} away from the B marginal")
@@ -91,17 +91,24 @@ def _sorted_eig(sigma: DensityOperator):
     """Eigendecomposition with eigenvalues descending, phase-fixed vectors,
     and lexicographic tie-breaking within degenerate eigenvalues."""
     evals, evecs = np.linalg.eigh(sigma.matrix)
-    cols = [(float(evals[k]), _phase_fix(evecs[:, k])) for k in range(len(evals))]
+    vecs = [_phase_fix(v) for v in evecs.T]
 
-    def key(item):
-        lam, v = item
-        lex = tuple(x for a in v for x in (round(a.real, 12), round(a.imag, 12)))
-        return (-round(lam, 12),) + lex
+    def key(k):
+        parts = (-float(evals[k]),) + tuple(x for a in vecs[k] for x in (a.real, a.imag))
+        return tuple(round(x, EIG_TIE_DIGITS) for x in parts)
 
-    cols.sort(key=key)
-    lams = np.array([c[0] for c in cols])
-    vecs = np.column_stack([c[1] for c in cols])
-    return lams, vecs
+    order = sorted(range(len(evals)), key=key)
+    return evals[order], np.column_stack([vecs[k] for k in order])
+
+
+def _rank_space(sigma: DensityOperator):
+    """(eigenvalues above RANK_CUT, their eigenvectors as columns, the
+    canonical purification's amplitudes), in _sorted_eig order."""
+    lams, vecs = _sorted_eig(sigma)
+    keep = lams > RANK_CUT
+    lams, vecs = lams[keep], vecs[:, keep]
+    amps = (np.sqrt(lams)[:, None] * vecs.T).reshape(-1)
+    return lams, vecs, amps / np.linalg.norm(amps)
 
 
 def purify(sigma_b: DensityOperator) -> KetVector:
@@ -110,105 +117,57 @@ def purify(sigma_b: DensityOperator) -> KetVector:
     Deterministic: eigenvalues descending, each eigenvector's first nonzero
     amplitude made real positive, ties broken lexicographically.
     """
-    lams, vecs = _sorted_eig(sigma_b)
-    keep = lams > RANK_CUT
-    lams = lams[keep]
-    vecs = vecs[:, keep]
-    amps = (np.sqrt(lams)[:, None] * vecs.T).reshape(-1)
-    amps = amps / np.linalg.norm(amps)
-    return KetVector(amps)
+    return KetVector(_rank_space(sigma_b)[2])
 
 
-def _pure_member_vectors(d: EnsembleDecomposition):
-    """Unit vectors of an all-pure decomposition, in member order."""
-    vecs = []
-    for _, state in d.members:
-        if state.purity() < PURITY_MIN:
-            return None
-        vecs.append(state.principal_ket().amplitudes)
-    return vecs
-
-
-def _hjw_povm_vectors(lams, basis_vecs, members):
-    """Measurement vectors a_i on the rank space of the average state.
+def _hjw_povm_vectors(lams, basis_vecs, weights, members):
+    """Measurement vectors a_i on the rank space of the average state, one
+    row per member vector phi_i (the rows of `members`).
 
     Each effect |a_i><a_i| heralds sqrt(p_i)|phi_i> from the canonical
     purification; the a_i resolve the identity automatically because the
     members average to the purified state's marginal.
     """
-    r = len(lams)
-    out = []
-    for p_i, phi in members:
-        a = np.array([np.sqrt(p_i) * np.vdot(phi, basis_vecs[:, k]) / np.sqrt(lams[k])
-                      for k in range(r)])
-        out.append(a)
-    return out
+    return np.sqrt(weights)[:, None] * (members.conj() @ basis_vecs) / np.sqrt(lams)
 
 
 def hjw_assemblage(d: EnsembleDecomposition) -> SteeringAssemblage:
     """Build a bipartite state and measurement on A realizing a decomposition.
 
-    All-pure decompositions use the rank space of sigma_B directly; mixed
-    members are purified into an auxiliary factor that is absorbed into A.
+    Each member is purified into an auxiliary factor C^m, m the largest
+    member rank, and that factor is absorbed into A; for an all-pure
+    decomposition m = 1 and A is the rank space of sigma_B.
     """
     if d.n_members > MAX_MEMBERS:
         raise DecompositionError(f"decompositions are capped at {MAX_MEMBERS} members")
     dim_b = d.sigma_b.dim
-    pure_vecs = _pure_member_vectors(d)
+    purs = [_rank_space(state)[2] for _, state in d.members]
+    m = max(len(chi) for chi in purs) // dim_b
+    padded = np.array([np.pad(chi, (0, m * dim_b - len(chi))) for chi in purs])
+    weights = np.array([w for w, _ in d.members])
+    sigma_prime = DensityOperator(np.einsum("i,ia,ib->ab", weights, padded, padded.conj()))
 
-    if pure_vecs is not None:
-        lams, vecs = _sorted_eig(d.sigma_b)
-        keep = lams > RANK_CUT
-        lams, vecs = lams[keep], vecs[:, keep]
-        dim_a = len(lams)
-        psi = purify(d.sigma_b)
-        a_vecs = _hjw_povm_vectors(lams, vecs, list(zip([w for w, _ in d.members], pure_vecs)))
-        effects = tuple(np.outer(a, a.conj()) for a in a_vecs)
-        state_ab = psi.projector()
-        povm = Povm(effects)
-        heralded = d.members
-        return SteeringAssemblage(state_ab, dim_a, dim_b, povm, heralded)
-
-    # General path: purify each member into an auxiliary factor of fixed size.
-    ranks = []
-    member_purs = []
-    for _, state in d.members:
-        chi = purify(state)
-        ranks.append(chi.dim // dim_b)
-        member_purs.append(chi)
-    m = max(ranks)
-    padded = []
-    for chi in member_purs:
-        block = chi.amplitudes.reshape(-1, dim_b)
-        full = np.zeros((m, dim_b), dtype=complex)
-        full[: block.shape[0], :] = block
-        padded.append(full.reshape(-1))
-    sigma_prime = DensityOperator(
-        sum(w * np.outer(v, v.conj()) for (w, _), v in zip(d.members, padded)))
-
-    lams, vecs = _sorted_eig(sigma_prime)
-    keep = lams > RANK_CUT
-    lams, vecs = lams[keep], vecs[:, keep]
+    # The purification lives on C^r (x) (C^m (x) C^dim_b).
+    lams, vecs, psi = _rank_space(sigma_prime)
+    a = _hjw_povm_vectors(lams, vecs, weights, padded)
     r = len(lams)
-    psi = purify(sigma_prime)  # lives on C^r (x) (C^m (x) C^dim_b)
-    a_vecs = _hjw_povm_vectors(lams, vecs, list(zip([w for w, _ in d.members], padded)))
-    dim_a = r * m
-    effects = tuple(np.kron(np.outer(a, a.conj()), np.eye(m)) for a in a_vecs)
-    state_ab = psi.projector()
-    povm = Povm(effects)
-    return SteeringAssemblage(state_ab, dim_a, dim_b, povm, d.members)
+    effects = np.einsum("ia,ib,xy->iaxby", a, a.conj(), np.eye(m)).reshape(-1, r * m, r * m)
+    return SteeringAssemblage(KetVector(psi).projector(), r * m, dim_b, Povm(effects),
+                              d.members)
 
 
-def _condition(state_ab: DensityOperator, dim_a: int, dim_b: int, effect: np.ndarray):
-    """(probability, heralded DensityOperator) for one effect on A, or
-    None when the effect has zero probability and no conditional state."""
-    weighted = np.kron(effect, np.eye(dim_b)) @ state_ab.matrix
-    prob = float(np.trace(weighted).real)
-    if prob < ZERO_PROB:
-        return None
-    cond = _partial_trace_raw(weighted, (dim_a, dim_b), [1]) / prob
-    cond = 0.5 * (cond + cond.conj().T)
-    return prob, DensityOperator(cond)
+def _condition(state_ab: DensityOperator, dim_a: int, dim_b: int, effects: np.ndarray):
+    """For each effect of a (k, dim_a, dim_a) stack on A, (probability,
+    heralded DensityOperator), or None when the effect has zero probability
+    and no conditional state."""
+    t = state_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
+    blocks = np.einsum("kxa,ajxc->kjc", effects, t)
+    probs = np.einsum("kjj->k", blocks).real
+    heralds = probs >= ZERO_PROB
+    conds = blocks / np.where(heralds, probs, 1.0)[:, None, None]
+    conds = 0.5 * (conds + conds.conj().transpose(0, 2, 1))
+    return [(float(p), DensityOperator(c)) if h else None
+            for p, h, c in zip(probs, heralds, conds)]
 
 
 def steer(assemblage: SteeringAssemblage, outcome: int):
@@ -219,7 +178,7 @@ def steer(assemblage: SteeringAssemblage, outcome: int):
     if not 0 <= outcome < assemblage.n_outcomes:
         raise MisuseError(f"outcome {outcome} out of range")
     result = _condition(assemblage.state_ab, assemblage.dim_a, assemblage.dim_b,
-                        assemblage.povm_a.effects[outcome])
+                        assemblage.povm_a.effects[outcome:outcome + 1])[0]
     if result is None:
         raise MisuseError(f"outcome {outcome} has zero probability; conditional undefined")
     return result
@@ -232,6 +191,6 @@ def assemblage_from(state_ab: DensityOperator, dim_a: int, dim_b: int,
     Zero-probability outcomes contribute nothing to the marginal and are
     left out of the heralded set.
     """
-    conditioned = (_condition(state_ab, dim_a, dim_b, e) for e in povm_a.effects)
+    conditioned = _condition(state_ab, dim_a, dim_b, povm_a.effects)
     heralded = tuple(c for c in conditioned if c is not None)
     return SteeringAssemblage(state_ab, dim_a, dim_b, povm_a, heralded)

@@ -40,3 +40,9 @@ OVERLAP_CUT = 1e-6
 
 # A steering outcome with probability below this heralds no state.
 ZERO_PROB = 1e-12
+
+# The first amplitude above this in modulus sets a vector's global phase.
+PHASE_CUT = 1e-12
+
+# Eigenvalues and amplitudes equal to this many decimals tie when sorting an eigenbasis.
+EIG_TIE_DIGITS = 12

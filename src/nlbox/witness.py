@@ -15,7 +15,7 @@ import numpy as np
 from .boxes import NonlinearBox, apply_box
 from .errors import MisuseError, RankError, ShapeError, ValidationError
 from .preparations import Preparation, classify_membership, linearly_equivalent
-from .qcore import DensityOperator, Povm, trace_distance
+from .qcore import trace_distance
 from .tolerances import ATOL, COMPLETENESS_CUT, CONSTRAINT_NULL_CUT, DTOL
 
 
@@ -112,10 +112,6 @@ class LinearFit:
         c = self.choi.reshape(dout, din, dout, din)
         return np.einsum("aibj,ij->ab", c, rho)
 
-    def predict(self, rho: DensityOperator, m: Povm) -> np.ndarray:
-        out = self.apply_matrix(rho.matrix)
-        return np.array([float(np.trace(e @ out).real) for e in m.effects])
-
 
 def _check_tomographic_completeness(table: StatsTable):
     din = table.input_dim
@@ -142,8 +138,9 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
 
     # One design row per (cell, outcome): the coordinates of kron(E, rho^T).
     cells = sorted(table.probabilities.items())
-    effects = np.array([e for (_, ml), _ in cells for e in meas[ml].effects])
-    rhos = np.array([preps[pl].matrix for (pl, ml), _ in cells for _ in meas[ml].effects])
+    effects = np.concatenate([meas[ml].effects for (_, ml), _ in cells])
+    rhos = np.repeat(np.array([preps[pl].matrix for (pl, _), _ in cells]),
+                     [meas[ml].n_outcomes for (_, ml), _ in cells], axis=0)
     y = np.array([p for _, probs in cells for p in probs], dtype=float)
     a = _coords(np.einsum("rab,rji->raibj", effects, rhos).reshape(-1, n, n))
 

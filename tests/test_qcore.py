@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nlbox.boxes import LinearBoxConfig
 from nlbox.errors import CapacityError, ShapeError, ValidationError
 from nlbox.qcore import (
     COMPUTATIONAL_BASIS,
@@ -22,7 +25,7 @@ from nlbox.qcore import (
     tensor,
     trace_distance,
 )
-from nlbox.rand import random_density, random_ket
+from nlbox.rand import random_density, random_ket, random_unitary
 
 
 def singlet_density():
@@ -64,6 +67,24 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             Povm((e1, e2))
 
+    @pytest.mark.parametrize("wrap", [tuple, list, np.array], ids=["tuple", "list", "ndarray"])
+    def test_povm_accepts_any_sequence(self, wrap):
+        povm = Povm(wrap([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+        assert povm.effects.shape == (2, 2, 2)
+        assert povm.effects.dtype == complex
+        assert not povm.effects.flags.writeable
+        assert np.array_equal(povm.effects, computational_povm(2).effects)
+
+    def test_povm_rejects_single_matrix(self):
+        with pytest.raises(ShapeError):
+            Povm(np.eye(2))
+
+    def test_povm_rejects_mixed_sizes(self):
+        with pytest.raises(ShapeError):
+            Povm((np.eye(2), np.zeros((3, 3))))
+        with pytest.raises(ShapeError):
+            basis_povm((KET0, ket(0, 0, 1)))
+
     def test_unitary_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             Unitary(np.array([[1, 1], [0, 1]], dtype=complex))
@@ -74,9 +95,10 @@ class TestConstructors:
         lambda x: DensityOperator(np.diag([x, 0.0])),
         lambda x: Unitary(np.diag([x, 1.0])),
         lambda x: Povm((np.diag([x, 0.0]), np.diag([0.0, 1.0]))),
-    ], ids=["ket", "density", "unitary", "povm"])
+        lambda x: LinearBoxConfig((np.diag([x, 1.0]),)),
+    ], ids=["ket", "density", "unitary", "povm", "kraus"])
     def test_rejects_non_finite_entry(self, make, bad):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="non-finite"):
             make(bad)
 
 
@@ -137,7 +159,27 @@ class TestPartialTrace:
             assert trace_distance(back, a) < 1e-9
 
 
+def reference_born(rho, povm):
+    """The per-effect Born rule that born_probabilities' one einsum replaced."""
+    return np.array([float(np.trace(e @ rho.matrix).real) for e in povm.effects])
+
+
+def random_povm(dim, k, rng):
+    """A k-outcome POVM of any rank: row blocks of a random isometry."""
+    v = random_unitary(dim * k, rng).matrix[:, :dim]
+    return Povm(tuple(v[i::k].conj().T @ v[i::k] for i in range(k)))
+
+
 class TestBorn:
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4), k=st.integers(1, 6))
+    def test_matches_per_effect_reference(self, seed, dim, k):
+        rng = np.random.default_rng(seed)
+        rho, povm = random_density(dim, rng), random_povm(dim, k, rng)
+        probs = born_probabilities(rho, povm)
+        assert probs.shape == (k,)
+        assert np.max(np.abs(probs - reference_born(rho, povm))) <= 1e-12
+
     def test_plus_in_computational(self):
         probs = born_probabilities(KET_PLUS.projector(), computational_povm(2))
         assert np.allclose(probs, [0.5, 0.5], atol=1e-12)

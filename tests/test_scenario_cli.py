@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from conftest import CNOT, SWAP
 from nlbox import boxes
 from nlbox.cli import main
-from nlbox.errors import NlboxError, ScenarioParseError, ValidationError
+from nlbox.errors import CapacityError, NlboxError, ScenarioParseError, ValidationError
 from nlbox.qcore import born_probabilities, computational_povm
 from nlbox.scenario import (
+    MAX_BB84_BITS,
     REPORT_SCHEMA,
     emit_table,
     parse_scenario,
@@ -103,6 +104,8 @@ MALFORMED = [
     ("n_bits_bool", "bb84_attack", ("protocol", "n_bits"), True, 3),
     ("seed_fraction", "bb84_attack", ("protocol", "seed"), 3.9, 3),
     ("eve_strategy_unknown", "bb84_attack", ("protocol", "eve_strategy"), "bribe", 3),
+    ("n_bits_above_cap", "bb84_attack", ("protocol", "n_bits"), MAX_BB84_BITS + 1, 3),
+    ("n_bits_huge_int", "bb84_ablation", ("protocol", "n_bits"), HUGE, 3),
     ("settings_not_list", "signaling_naive", ("protocol", "settings"), 5, 3),
     ("setting_unknown", "signaling_naive", ("protocol", "settings"), ["psi", "chi"], 3),
     ("alice_event_short", "signaling_naive", ("protocol", "alice_event"), [0.0], 3),
@@ -175,6 +178,14 @@ class TestMalformedCorpus:
         b = run_scenario(parse_scenario(
             mutated_scenario(tmp_path, "bb84_attack", ("protocol", key), value)))
         assert a.payload == b.payload
+
+    def test_n_bits_cap(self, tmp_path):
+        at_cap = mutated_scenario(tmp_path, "bb84_attack", ("protocol", "n_bits"), MAX_BB84_BITS)
+        assert parse_scenario(at_cap).params["n_bits"] == MAX_BB84_BITS
+        above = mutated_scenario(tmp_path, "bb84_attack", ("protocol", "n_bits"),
+                                 MAX_BB84_BITS + 1)
+        with pytest.raises(CapacityError, match="n_bits"):
+            parse_scenario(above)
 
     @pytest.mark.parametrize("where,value,code", [case[1:] for case in MALFORMED_STATS],
                              ids=[case[0] for case in MALFORMED_STATS])
@@ -350,10 +361,7 @@ def spelled_out(doc):
     return doc
 
 
-# The bb84 scenarios are left out: any integer n_bits is valid, and a huge
-# one is a run that does not end, not a malformed file.
-FUZZED_SCENARIOS = [json.loads(p.read_text()) for p in BUNDLED
-                    if not p.stem.startswith("bb84")]
+FUZZED_SCENARIOS = [json.loads(p.read_text()) for p in BUNDLED]
 FUZZED_SCENARIOS += [spelled_out(doc) for doc in FUZZED_SCENARIOS]
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlbox.errors import DecompositionError, MisuseError
 from nlbox.qcore import (
@@ -16,14 +18,16 @@ from nlbox.qcore import (
     maximally_mixed,
     trace_distance,
 )
-from nlbox.rand import random_density
+from nlbox.rand import random_density, random_ket, random_unitary
 from nlbox.steering import (
     EnsembleDecomposition,
+    _sorted_eig,
     assemblage_from,
     hjw_assemblage,
     purify,
     steer,
 )
+from nlbox.tolerances import RANK_CUT
 
 
 def singlet():
@@ -33,6 +37,50 @@ def singlet():
 def b_marginal(state_ab, dim_a, dim_b):
     return DensityOperator(
         _partial_trace_raw(state_ab.matrix, (dim_a, dim_b), [1]))
+
+
+def reference_pure_hjw(d):
+    """The all-pure HJW path that the general path replaced: the canonical
+    purification of sigma_B and one rank-one effect per member, as
+    (state_ab matrix, stacked effects)."""
+    lams, vecs = _sorted_eig(d.sigma_b)
+    keep = lams > RANK_CUT
+    lams, vecs = lams[keep], vecs[:, keep]
+    effects = []
+    for p_i, state in d.members:
+        phi = state.principal_ket().amplitudes
+        a = np.array([np.sqrt(p_i) * np.vdot(phi, vecs[:, k]) / np.sqrt(lams[k])
+                      for k in range(len(lams))])
+        effects.append(np.outer(a, a.conj()))
+    return purify(d.sigma_b).projector().matrix, np.array(effects)
+
+
+def reference_condition(state_ab, dim_a, dim_b, effect):
+    """Per-effect conditioning through the full (E (x) I) rho product."""
+    weighted = np.kron(effect, np.eye(dim_b)) @ state_ab.matrix
+    prob = float(np.trace(weighted).real)
+    return prob, _partial_trace_raw(weighted, (dim_a, dim_b), [1]) / prob
+
+
+def pure_decomposition(kets, weights):
+    sigma = DensityOperator(sum(w * k.projector().matrix for w, k in zip(weights, kets)))
+    return EnsembleDecomposition(
+        sigma, tuple((float(w), k.projector()) for w, k in zip(weights, kets)))
+
+
+FOURIER_3 = [ket(*(np.exp(2j * np.pi * j * k / 3) / np.sqrt(3) for k in range(3)))
+             for j in range(3)]
+DEGENERATE_PURE = {
+    "computational": ([KET0, KET1], [0.5, 0.5]),
+    "plus_minus": ([KET_PLUS, KET_MINUS], [0.5, 0.5]),
+    "two_bases": ([KET0, KET1, KET_PLUS, KET_MINUS], [0.25] * 4),
+    "fourier_qutrit": (FOURIER_3, [1 / 3] * 3),
+    "rank_deficient_qutrit": ([ket(1, 0, 0), ket(np.sqrt(0.5), np.sqrt(0.5), 0)], [0.5, 0.5]),
+    "single_member": ([KET_PLUS], [1.0]),
+}
+# sigma_B = I/3 only up to rounding, so rounding picks its eigenbasis, and the
+# two constructions purify in different, equally valid bases of A.
+NOISY_EIGENBASIS = {"fourier_qutrit"}
 
 
 class TestPurify:
@@ -179,6 +227,35 @@ class TestHjw:
                     assert trace_distance(rho, kets[i].projector()) < 1e-8
 
 
+class TestHjwAgainstPureReference:
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_PURE))
+    def test_degenerate_decompositions(self, name):
+        self.check(pure_decomposition(*DEGENERATE_PURE[name]),
+                   same_basis=name not in NOISY_EIGENBASIS)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), n=st.integers(1, 5))
+    def test_random_decompositions(self, seed, dim, n):
+        rng = np.random.default_rng(seed)
+        self.check(pure_decomposition([random_ket(dim, rng) for _ in range(n)],
+                                      rng.dirichlet(np.ones(n))))
+
+    @staticmethod
+    def check(d, same_basis=True):
+        state_ab, effects = reference_pure_hjw(d)
+        asm = hjw_assemblage(d)
+        assert asm.povm_a.effects.shape == effects.shape
+        if same_basis:
+            assert np.max(np.abs(asm.state_ab.matrix - state_ab)) <= 1e-10
+            assert np.max(np.abs(asm.povm_a.effects - effects)) <= 1e-10
+        # What each outcome heralds on B, p_i rho_i, does not depend on A's basis.
+        dims = asm.dim_a, asm.dim_b
+        for got, ref in zip(asm.povm_a.effects, effects):
+            p, rho = reference_condition(asm.state_ab, *dims, got)
+            ref_p, ref_rho = reference_condition(DensityOperator(state_ab), *dims, ref)
+            assert np.max(np.abs(p * rho - ref_p * ref_rho)) <= 1e-10
+
+
 class TestSteer:
     def test_singlet_computational(self):
         asm = assemblage_from(singlet().projector(), 2, 2, basis_povm((KET0, KET1)))
@@ -215,3 +292,27 @@ class TestSteer:
         asm = assemblage_from(state, 2, 2, basis_povm((KET0, KET1)))
         with pytest.raises(MisuseError):
             steer(asm, 1)
+
+    def test_assemblage_drops_zero_probability_outcome(self):
+        # |0>|+> under a three-outcome POVM on A whose middle effect never fires.
+        state = KetVector(np.kron(KET0.amplitudes, KET_PLUS.amplitudes)).projector()
+        half0 = 0.5 * KET0.projector().matrix
+        asm = assemblage_from(state, 2, 2, Povm((half0, KET1.projector().matrix, half0)))
+        assert len(asm.heralded) == 2
+        for p, rho in asm.heralded:
+            assert abs(p - 0.5) < 1e-12
+            assert trace_distance(rho, KET_PLUS.projector()) < 1e-12
+        with pytest.raises(MisuseError):
+            steer(asm, 1)
+
+    def test_batched_conditioning_matches_per_effect(self, rng):
+        for dim_a, dim_b in ((2, 2), (2, 3), (3, 2)):
+            state = random_density(dim_a * dim_b, rng)
+            u = random_unitary(dim_a, rng).matrix
+            povm = basis_povm(tuple(KetVector(u[:, j]) for j in range(dim_a)))
+            asm = assemblage_from(state, dim_a, dim_b, povm)
+            assert len(asm.heralded) == dim_a
+            for effect, (p, rho) in zip(povm.effects, asm.heralded):
+                ref_p, ref_rho = reference_condition(state, dim_a, dim_b, effect)
+                assert abs(p - ref_p) < 1e-12
+                assert np.max(np.abs(rho.matrix - ref_rho)) < 1e-12
