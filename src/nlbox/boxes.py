@@ -26,6 +26,7 @@ from .preparations import (
     MembershipPolicy,
     Preparation,
     SpacetimeEvent,
+    _mix,
     classify_membership,
     effective_density,
     in_past_light_cone,
@@ -296,9 +297,7 @@ def apply_box(box: NonlinearBox, p: Preparation) -> DensityOperator:
         return _map_on_density(box, rho)
 
     if box.semantics is Semantics.DECOMPOSITION:
-        parts = [(w, _map_on_density(box, state)) for w, state in p.ensemble]
-        acc = sum(w * out.matrix for w, out in parts)
-        return DensityOperator(acc)
+        return _mix([(w, _map_on_density(box, state)) for w, state in p.ensemble])
     return _map_on_density(box, effective_density(p))
 
 

@@ -12,6 +12,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import __version__
 from .errors import (
     ConvergenceError,
     NlboxError,
@@ -32,6 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlbox",
         description="Scenario-driven nonlinear-box experiments")
+    parser.add_argument("--version", action="version", version=f"nlbox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_out=True):

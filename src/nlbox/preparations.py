@@ -78,8 +78,10 @@ def _normalize_ensemble(ensemble, what):
 
 
 def _mix(ensemble) -> DensityOperator:
-    acc = sum(w * state.matrix for w, state in ensemble)
-    return DensityOperator(acc)
+    """Weighted average of validated members; a lone weight-1 member is returned as it is."""
+    if len(ensemble) == 1 and ensemble[0][0] == 1.0:
+        return ensemble[0][1]
+    return DensityOperator(sum(w * state.matrix for w, state in ensemble))
 
 
 @dataclass(frozen=True)
@@ -96,11 +98,12 @@ class Preparation:
     provenance: Provenance
     label: str
     unconditioned: tuple | None = None
+    _mixture: DensityOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         members = _normalize_ensemble(self.ensemble, "ensemble")
         object.__setattr__(self, "ensemble", members)
-        _mix(members)  # raises if the average is not a valid density
+        object.__setattr__(self, "_mixture", _mix(members))  # checked once, then shared
         if self.unconditioned is not None:
             unc = _normalize_ensemble(self.unconditioned, "unconditioned ensemble")
             if unc[0][1].dim != members[0][1].dim:
@@ -114,12 +117,12 @@ class Preparation:
 
 def effective_density(p: Preparation) -> DensityOperator:
     """The weighted average of the ensemble: the linear-theory state."""
-    return _mix(p.ensemble)
+    return p._mixture
 
 
 def unconditioned_density(p: Preparation) -> DensityOperator:
     """The state assigned without access to any heralding record."""
-    return _mix(p.unconditioned) if p.unconditioned is not None else _mix(p.ensemble)
+    return _mix(p.unconditioned) if p.unconditioned is not None else p._mixture
 
 
 def linearly_equivalent(p1: Preparation, p2: Preparation) -> bool:

@@ -2,12 +2,13 @@
 
 Everything here is a small complex numpy array wrapped in a frozen
 dataclass that validates its invariants on construction. Operations are
-pure functions; values are safe to share between threads.
+pure functions; values are safe to share between threads. A ket's projector
+is kept once built; threads racing on that field store equal read-only values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -34,6 +35,7 @@ class KetVector:
     """A normalized pure state: complex amplitudes of unit norm."""
 
     amplitudes: np.ndarray
+    _projector: DensityOperator | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amp = _freeze(self, "amplitudes", self.amplitudes)
@@ -58,7 +60,11 @@ class KetVector:
         return abs(self.overlap(other)) ** 2
 
     def projector(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
+        """|k><k|, built and validated on the first call, then shared."""
+        if self._projector is None:
+            rho = DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
+            object.__setattr__(self, "_projector", rho)
+        return self._projector
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from nlbox.qcore import (
     KET_MINUS,
     KET_PLUS,
     DensityOperator,
+    KetVector,
     Unitary,
     ket,
     maximally_mixed,
@@ -49,7 +50,8 @@ from nlbox.qcore import (
     trace_distance,
     trace_norm,
 )
-from nlbox.rand import random_density, random_ket, random_unitary
+from nlbox.rand import random_cptp_kraus, random_density, random_ket, random_unitary
+from nlbox.tolerances import ATOL
 
 KET_I = ket(1 / np.sqrt(2), 1j / np.sqrt(2))
 
@@ -374,6 +376,46 @@ class TestApplyBox:
             rhs = DensityOperator(lam * deutsch_apply(cfg, a).matrix
                                   + (1 - lam) * deutsch_apply(cfg, b).matrix)
             assert trace_distance(lhs, rhs) < 1e-9
+
+
+def random_box(kind, policy, semantics, rng):
+    """A box of the given kind on a random non-identical basis pair."""
+    psi, phi = ([KetVector(col) for col in random_unitary(2, rng).matrix.T]
+                for _ in range(2))
+    brun = BrunBoxConfig(tuple(psi), tuple(phi))
+    config = {
+        "brun": lambda: brun,
+        "kent": lambda: kent_brun_emulation(brun),
+        "deutsch": lambda: DeutschBoxConfig(random_unitary(4, rng), 2),
+        "linear": lambda: LinearBoxConfig(random_cptp_kraus(4, rng), ancilla=True),
+    }[kind]()
+    membership = MembershipPolicy(policy, box_event=BOX_EVENT,
+                                  labels=frozenset({"local", "mixed"}))
+    return make_box(config, semantics=semantics, policy=membership), brun.domain_states
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("policy", list(PolicyKind))
+@pytest.mark.parametrize("kind", ["brun", "kent", "deutsch", "linear"])
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2 ** 32 - 1), i=st.integers(0, 3))
+def test_apply_box_outputs_are_valid_read_only(kind, policy, semantics, seed, i):
+    rng = np.random.default_rng(seed)
+    box, states = random_box(kind, policy, semantics, rng)
+    state, partner = states[i].projector(), states[i ^ 1].projector()
+    w = float(rng.uniform(0.1, 0.9))
+    preps = [
+        local_prep(state, label="local"),
+        ensemble_prep([(w, state), (1 - w, states[(i + 2) % 4].projector())], label="mixed"),
+        remote_prep(state, [(0.5, state), (0.5, partner)], label="remote"),
+        local_prep(random_density(2, rng), label="noisy"),
+    ]
+    for p in preps:
+        m = apply_box(box, p).matrix
+        assert np.max(np.abs(m - m.conj().T)) <= ATOL
+        assert abs(np.trace(m) - 1) <= ATOL
+        assert np.linalg.eigvalsh(m)[0] >= -ATOL
+        assert not m.flags.writeable
 
 
 class TestLinearBox:

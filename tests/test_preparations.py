@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import BOX_EVENT, FAR_EVENT, ensemble_prep, local_prep, remote_prep
 from nlbox.errors import ConfigurationError, ShapeError, ValidationError
@@ -21,6 +23,7 @@ from nlbox.qcore import (
     KET1,
     KET_MINUS,
     KET_PLUS,
+    DensityOperator,
     maximally_mixed,
     trace_distance,
 )
@@ -55,10 +58,13 @@ class TestEffectiveDensity:
     def test_singleton(self):
         p = local_prep(KET0.projector())
         assert trace_distance(effective_density(p), KET0.projector()) < 1e-12
+        # A lone weight-1 member is its own mixture: the same object.
+        assert effective_density(p) is KET0.projector()
 
     def test_computational_mixture(self):
         p = ensemble_prep([(0.5, KET0.projector()), (0.5, KET1.projector())])
         assert trace_distance(effective_density(p), maximally_mixed(2)) < 1e-12
+        assert effective_density(p) is effective_density(p)
 
     def test_hadamard_mixture(self):
         # Oracle: (|+><+| + |-><-|)/2 summed entrywise is I/2.
@@ -66,6 +72,24 @@ class TestEffectiveDensity:
         expected = 0.5 * (KET_PLUS.projector().matrix + KET_MINUS.projector().matrix)
         assert np.allclose(effective_density(p).matrix, expected)
         assert trace_distance(effective_density(p), maximally_mixed(2)) < 1e-12
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), k=st.integers(1, 4))
+    def test_matches_weighted_sum(self, seed, dim, k):
+        rng = np.random.default_rng(seed)
+        weights = rng.dirichlet(np.ones(k))
+        states = [random_density(dim, rng) for _ in range(k)]
+        p = ensemble_prep(list(zip(weights, states)))
+        expected = np.einsum("k,kij->ij", weights, np.array([s.matrix for s in states]))
+        assert np.max(np.abs(effective_density(p).matrix - expected)) <= 1e-15
+
+    def test_invalid_mixture_of_valid_members_rejected(self):
+        # Each member and the weights pass alone (off by 0.9e-9 <= ATOL),
+        # but the mixture's trace is off by 1.8e-9.
+        big = 1 + 0.9e-9
+        members = [(0.5 + 0.45e-9, DensityOperator(np.diag([big, 0]).astype(complex))),
+                   (0.5 + 0.45e-9, DensityOperator(np.diag([0, big]).astype(complex)))]
+        with pytest.raises(ValidationError, match="trace"):
+            ensemble_prep(members)
 
 
 class TestLinearEquivalence:
@@ -184,6 +208,8 @@ class TestMembership:
 def test_unconditioned_density_defaults_to_effective():
     p = local_prep(KET0.projector())
     assert trace_distance(unconditioned_density(p), effective_density(p)) < 1e-12
+    p = ensemble_prep([(0.5, KET0.projector()), (0.5, KET_MINUS.projector())])
+    assert unconditioned_density(p) is effective_density(p)
 
 
 def test_unconditioned_density_for_remote():

@@ -4,6 +4,7 @@ import pytest
 from conftest import BOX_EVENT, make_box
 from nlbox import protocols
 from nlbox.boxes import (
+    BrunBoxConfig,
     DeutschBoxConfig,
     LinearBoxConfig,
     Semantics,
@@ -24,6 +25,7 @@ from nlbox.qcore import (
     KET1,
     KET_MINUS,
     KET_PLUS,
+    DensityOperator,
     Unitary,
     ket,
 )
@@ -249,3 +251,43 @@ class TestInverseCdf:
         freq = np.bincount(out, minlength=4) / n
         sigma = np.sqrt(row * (1 - row) / n)
         assert np.all(np.abs(freq - row) <= 5 * sigma)
+
+
+class TestValidationCount:
+    """Each density is validated once, when it is built: a ket's projector
+    and a preparation's mixture are kept and shared, never rebuilt."""
+
+    @staticmethod
+    def fresh_box(**kwargs):
+        # New kets, as a .scn file would give, so no projector is cached yet.
+        s = 1 / np.sqrt(2)
+        return make_box(BrunBoxConfig((ket(1, 0), ket(0, 1)), (ket(s, s), ket(s, -s))),
+                        **kwargs)
+
+    @staticmethod
+    def count_validations(monkeypatch):
+        calls = []
+        validate = DensityOperator.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counting)
+        return calls
+
+    def test_bb84_validates_each_domain_projector_once(self, monkeypatch):
+        box = self.fresh_box()
+        calls = self.count_validations(monkeypatch)
+        run_bb84_attack(box, 1000, seed=5)
+        assert len(calls) <= 4
+
+    def test_preparation_demo_builds_only_new_values(self, monkeypatch):
+        # 4 projectors, then per remote preparation its unconditioned
+        # mixture and that mixture with the ancilla appended.
+        policy = MembershipPolicy(PolicyKind.KENT_LIGHT_CONE, box_event=BOX_EVENT)
+        box = self.fresh_box(policy=policy)
+        calls = self.count_validations(monkeypatch)
+        report = run_preparation_problem_demo(box)
+        assert not report.hazard
+        assert len(calls) <= 12

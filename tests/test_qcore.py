@@ -242,6 +242,14 @@ class TestTraceDistance:
         assert abs(trace_distance(a, b) - trace_distance(b, a)) < 1e-12
 
 
+def test_projector_is_kept_and_read_only(rng):
+    k = random_ket(3, rng)
+    rho = k.projector()
+    assert k.projector() is rho
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 0.0
+
+
 def test_principal_ket_recovers_pure_state(rng):
     for _ in range(10):
         k = random_ket(3, rng)

@@ -495,6 +495,12 @@ class TestCli:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "nlbox 0.1.0\n"
+
     def test_batch_empty_directory(self, tmp_path):
         assert main(["batch", str(tmp_path)]) == 3
 
