@@ -9,9 +9,7 @@ from .boxes import (
     Semantics,
     apply_box,
     brun_apply_pure,
-    deutsch_apply,
     deutsch_fixed_point,
-    kent_brun_emulation,
     kent_readout,
 )
 from .preparations import (

@@ -1,17 +1,19 @@
 """The nonlinear boxes and their application rules.
 
-Each box maps preparations to output density operators. A membership
-policy decides which preparations exhibit the nonlinear evolution; a
-semantics policy decides whether a member box acts on the effective
-density or on each ensemble member separately. Linear quantum mechanics
-holds for everything the policy excludes.
+Each box maps preparations to output density operators. A box config is
+plain data whose `apply(rho)` is its map on a density; a Kent config holds
+the Brun config it emulates. A membership policy decides which
+preparations exhibit the nonlinear evolution; a semantics policy decides
+whether a member box acts on the effective density or on each ensemble
+member separately. Linear quantum mechanics holds for everything the
+policy excludes. A pure input off the domain of a Brun box is always a
+DomainError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -58,14 +60,11 @@ class BrunBoxConfig:
 
     The four domain states psi0, psi1, phi0, phi1 are sent to the four
     two-qubit computational basis states; the second input qubit |0> is
-    supplied internally. `completion` is either "strict" (the map is
-    undefined off the domain) or a callable KetVector -> DensityOperator
-    giving a custom action on other pure states.
+    supplied internally. The map is undefined on other pure states.
     """
 
     psi_basis: tuple
     phi_basis: tuple
-    completion: str | Callable = "strict"
 
     def __post_init__(self):
         for name, (b0, b1) in (("psi", self.psi_basis), ("phi", self.phi_basis)):
@@ -77,13 +76,19 @@ class BrunBoxConfig:
         if all(o < OVERLAP_CUT or o > 1 - OVERLAP_CUT for o in overlaps):
             raise ValidationError("psi and phi bases must be non-identical "
                                   "(some cross overlap strictly between 0 and 1)")
-        if isinstance(self.completion, str) and self.completion != "strict":
-            raise ConfigurationError(f"unknown completion {self.completion!r}")
 
     @property
     def domain_states(self) -> tuple:
         return (self.psi_basis[0], self.psi_basis[1],
                 self.phi_basis[0], self.phi_basis[1])
+
+    def apply(self, rho: DensityOperator) -> DensityOperator:
+        """Pure states follow the map (a DomainError off its domain); mixed
+        states, on which the map is undefined, pass through with an
+        untouched ancilla."""
+        if rho.purity() >= PURITY_MIN:
+            return brun_apply_pure(self, rho.principal_ket())
+        return tensor(rho, QUBIT0)
 
 
 # The map's four targets, the two-qubit computational basis states, built
@@ -96,17 +101,15 @@ def brun_apply_pure(config: BrunBoxConfig, input_ket: KetVector) -> DensityOpera
     """Apply the basis-discriminating map to a pure one-qubit input.
 
     Domain inputs map to the corresponding two-qubit computational state;
-    anything else is a domain error under strict completion.
+    anything else is a domain error.
     """
     if input_ket.dim != 2:
         raise ShapeError("box input must be a single qubit")
     for i, state in enumerate(config.domain_states):
         if input_ket.fidelity(state) >= PURITY_MIN:
             return _TWO_QUBIT_BASIS_STATES[i]
-    if callable(config.completion):
-        return config.completion(input_ket)
-    raise DomainError("input is not one of the four domain states and the "
-                      "map has no completion off its domain")
+    raise DomainError("input is not one of the four domain states, "
+                      "off which the map is undefined")
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,14 @@ class DeutschBoxConfig:
     @property
     def system_dim(self) -> int:
         return self.unitary.dim // self.ctc_dim
+
+    def apply(self, rho_in: DensityOperator) -> DensityOperator:
+        """System output once the loop state is consistent."""
+        star = deutsch_fixed_point(self, rho_in)
+        dc = self.ctc_dim
+        t = self.unitary.matrix.reshape(rho_in.dim, dc, rho_in.dim, dc)
+        out = np.einsum("scxa,xy,ab,tcyb->st", t, rho_in.matrix, star.matrix, t.conj())
+        return DensityOperator(0.5 * (out + out.conj().T))
 
 
 def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> DensityOperator:
@@ -161,38 +172,21 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
     return DensityOperator(sigma)
 
 
-def deutsch_apply(config: DeutschBoxConfig, rho_in: DensityOperator) -> DensityOperator:
-    """System output once the loop state is consistent."""
-    star = deutsch_fixed_point(config, rho_in)
-    dc = config.ctc_dim
-    t = config.unitary.matrix.reshape(rho_in.dim, dc, rho_in.dim, dc)
-    out = np.einsum("scxa,xy,ab,tcyb->st", t, rho_in.matrix, star.matrix, t.conj())
-    return DensityOperator(0.5 * (out + out.conj().T))
-
-
 @dataclass(frozen=True)
 class KentBoxConfig:
-    """A readout box: emits the density matrix knowable from classical data
-    in its past light cone, then re-prepares through a target map."""
+    """A readout box emulating a basis-discriminating map: it emits the
+    density matrix knowable from classical data in its past light cone,
+    then re-prepares."""
 
-    target: Callable  # DensityOperator -> DensityOperator
-    brun: BrunBoxConfig | None = None
+    brun: BrunBoxConfig
 
-
-def kent_brun_emulation(brun: BrunBoxConfig) -> KentBoxConfig:
-    """Emulate the basis-discriminating map via readout-then-re-prepare:
-    a pure readout matching a domain state yields its two-qubit target;
-    any other readout passes through with an untouched ancilla."""
-
-    def target(readout: DensityOperator) -> DensityOperator:
-        if readout.purity() >= PURITY_MIN:
-            k = readout.principal_ket()
-            for i, state in enumerate(brun.domain_states):
-                if k.fidelity(state) >= PURITY_MIN:
-                    return _TWO_QUBIT_BASIS_STATES[i]
-        return tensor(readout, QUBIT0)
-
-    return KentBoxConfig(target=target, brun=brun)
+    def apply(self, readout: DensityOperator) -> DensityOperator:
+        """The Brun map on the readout, except that a pure readout off its
+        domain passes through with an untouched ancilla, as a mixed one does."""
+        try:
+            return self.brun.apply(readout)
+        except DomainError:
+            return tensor(readout, QUBIT0)
 
 
 @dataclass(frozen=True)
@@ -229,22 +223,15 @@ class NonlinearBox:
     """A bounded spacetime region applying a state map under a semantics
     and membership policy; linear quantum mechanics holds outside it."""
 
-    config: object  # Brun | Deutsch | Kent | Linear config
+    config: BrunBoxConfig | DeutschBoxConfig | KentBoxConfig | LinearBoxConfig
     box_event: SpacetimeEvent
     semantics: Semantics
     membership: MembershipPolicy
 
-
-def _brun_on_density(config: BrunBoxConfig, rho: DensityOperator) -> DensityOperator:
-    """Density-level action of the basis-discriminating map.
-
-    Pure domain states follow the map; pure off-domain states hit the
-    completion (a domain error when strict); mixed states, on which the
-    map is undefined, pass through with an untouched ancilla.
-    """
-    if rho.purity() >= PURITY_MIN:
-        return brun_apply_pure(config, rho.principal_ket())
-    return tensor(rho, QUBIT0)
+    def __post_init__(self):
+        if not isinstance(self.config, (BrunBoxConfig, DeutschBoxConfig,
+                                        KentBoxConfig, LinearBoxConfig)):
+            raise ConfigurationError(f"unknown box config {type(self.config).__name__}")
 
 
 def kent_readout(p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
@@ -260,24 +247,11 @@ def kent_readout(p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
     return effective_density(p) if knowable else unconditioned_density(p)
 
 
-def _map_on_density(box: NonlinearBox, rho: DensityOperator) -> DensityOperator:
-    cfg = box.config
-    if isinstance(cfg, BrunBoxConfig):
-        return _brun_on_density(cfg, rho)
-    if isinstance(cfg, DeutschBoxConfig):
-        return deutsch_apply(cfg, rho)
-    if isinstance(cfg, KentBoxConfig):
-        return cfg.target(rho)
-    if isinstance(cfg, LinearBoxConfig):
-        return cfg.apply(rho)
-    raise ConfigurationError(f"unknown box config {type(cfg).__name__}")
-
-
 def apply_box(box: NonlinearBox, p: Preparation) -> DensityOperator:
     """Send a preparation through a box.
 
     Non-members see only linear physics: the box acts on the density the
-    policy leaves visible (identity-with-ancilla for the strict
+    policy leaves visible (identity-with-ancilla for the
     basis-discriminating map, the plain channel otherwise). Members evolve
     under the box map, either on the effective density (state semantics)
     or member by member (decomposition semantics).
@@ -287,18 +261,18 @@ def apply_box(box: NonlinearBox, p: Preparation) -> DensityOperator:
 
     if not member:
         if isinstance(cfg, KentBoxConfig):
-            return cfg.target(kent_readout(p, box.box_event))
+            return cfg.apply(kent_readout(p, box.box_event))
         # Excluded heralded preparations present their unconditioned
         # mixture: the heralding record is exactly the information the
         # policy says is not available to the box.
         rho = unconditioned_density(p)
         if isinstance(cfg, BrunBoxConfig):
             return tensor(rho, QUBIT0)
-        return _map_on_density(box, rho)
+        return cfg.apply(rho)
 
     if box.semantics is Semantics.DECOMPOSITION:
-        return _mix([(w, _map_on_density(box, state)) for w, state in p.ensemble])
-    return _map_on_density(box, effective_density(p))
+        return _mix([(w, cfg.apply(state)) for w, state in p.ensemble])
+    return cfg.apply(effective_density(p))
 
 
 def box_output_qubit_distribution(out: DensityOperator) -> np.ndarray:

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError, ValidationError
+from .errors import ConfigurationError, DecompositionError, ShapeError, ValidationError
 from .qcore import DensityOperator, trace_distance
 from .tolerances import ATOL, DTOL, PURITY_MIN
 
@@ -55,15 +55,17 @@ class Provenance:
 
 
 def _normalize_ensemble(ensemble, what):
+    """The members as (float weight, DensityOperator) pairs; DecompositionError
+    unless there is one or more, with positive weights summing to 1."""
     members = []
     total = 0.0
     dim = None
     for w, state in ensemble:
         w = float(w)
         if not w > 0:
-            raise ValidationError(f"{what} weights must be positive, got {w}")
+            raise DecompositionError(f"{what} weights must be positive, got {w}")
         if not isinstance(state, DensityOperator):
-            raise ValidationError(f"{what} members must be DensityOperator values")
+            raise DecompositionError(f"{what} members must be DensityOperator values")
         if dim is None:
             dim = state.dim
         elif state.dim != dim:
@@ -71,9 +73,9 @@ def _normalize_ensemble(ensemble, what):
         total += w
         members.append((w, state))
     if not members:
-        raise ValidationError(f"{what} must have at least one member")
+        raise DecompositionError(f"{what} must have at least one member")
     if not abs(total - 1.0) <= ATOL:
-        raise ValidationError(f"{what} weights sum to {total}, not 1")
+        raise DecompositionError(f"{what} weights sum to {total}, not 1")
     return tuple(members)
 
 

@@ -29,7 +29,6 @@ from .qcore import (
     COMPUTATIONAL_BASIS,
     HADAMARD_BASIS,
     QUBIT0,
-    DensityOperator,
     KetVector,
     basis_povm,
     born_probabilities,
@@ -53,11 +52,8 @@ EVE_STRATEGIES = ("identify", "fixed_basis")
 _BB84_BATCH = 1 << 16
 
 
-def singlet() -> DensityOperator:
-    amp = np.zeros(4, dtype=complex)
-    amp[1] = 1 / np.sqrt(2)
-    amp[2] = -1 / np.sqrt(2)
-    return KetVector(amp).projector()
+# The sender's and receiver's shared singlet, built and validated once.
+SINGLET = KetVector(np.array([0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0], dtype=complex)).projector()
 
 
 def _box_bases(box: NonlinearBox):
@@ -148,12 +144,11 @@ def run_signaling_test(box: NonlinearBox, settings,
     """
     if not settings:
         raise ConfigurationError("signaling test needs at least one setting")
-    state = singlet()
     distributions = {}
     for idx, setting in enumerate(settings):
         name, (b0, b1) = _resolve_setting(box, setting)
         name = name or f"setting{idx}"
-        assemblage = assemblage_from(state, 2, 2, basis_povm((b0, b1)))
+        assemblage = assemblage_from(SINGLET, 2, 2, basis_povm((b0, b1)))
         q = np.zeros(2)
         for i in range(assemblage.n_outcomes):
             p_i, heralded = assemblage.heralded[i]

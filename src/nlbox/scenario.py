@@ -20,10 +20,10 @@ import numpy as np
 from .boxes import (
     BrunBoxConfig,
     DeutschBoxConfig,
+    KentBoxConfig,
     LinearBoxConfig,
     NonlinearBox,
     Semantics,
-    kent_brun_emulation,
 )
 from .errors import (
     CapacityError,
@@ -104,8 +104,9 @@ def _matrix_from_json(node, where) -> np.ndarray:
 
 
 def _event_from_json(node, where) -> SpacetimeEvent:
-    if not isinstance(node, (list, tuple)) or len(node) != 2:
-        raise ValidationError(f"{where}: spacetime events are [t, x] pairs")
+    if (not isinstance(node, (list, tuple)) or len(node) != 2
+            or any(isinstance(c, bool) for c in node)):
+        raise ValidationError(f"{where}: spacetime events are [t, x] pairs of numbers")
     return SpacetimeEvent(float(node[0]), float(node[1]))
 
 
@@ -136,11 +137,13 @@ def _policy_from_json(node, box_event, where) -> MembershipPolicy:
         raise ValidationError(f"{where}: membership policy needs a 'kind'")
     kind = PolicyKind(node["kind"])
     event = _event_from_json(node["box_event"], where) if "box_event" in node else box_event
-    labels = frozenset(node.get("labels", ()))
+    labels = node.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise ValidationError(f"{where}: membership labels must be a list of strings")
     if kind is PolicyKind.KENT_LIGHT_CONE:
         return MembershipPolicy(kind, box_event=event)
     if kind is PolicyKind.EXPLICIT_LIST:
-        return MembershipPolicy(kind, labels=labels)
+        return MembershipPolicy(kind, labels=frozenset(labels))
     return MembershipPolicy(kind)
 
 
@@ -158,14 +161,17 @@ def _box_from_json(node) -> NonlinearBox:
             psi_basis=_basis_from_json(node.get("psi_basis", "computational"), where),
             phi_basis=_basis_from_json(node.get("phi_basis", "hadamard"), where),
         )
-        config = brun if kind == "brun" else kent_brun_emulation(brun)
+        config = brun if kind == "brun" else KentBoxConfig(brun)
     elif kind == "deutsch":
         u = Unitary(_matrix_from_json(node["unitary"], where))
         ctc_dim = _int_from_json(node.get("ctc_dim", 2), "box: ctc_dim")
         config = DeutschBoxConfig(unitary=u, ctc_dim=ctc_dim)
     elif kind == "linear":
         kraus = tuple(_matrix_from_json(k, where) for k in node["kraus"])
-        config = LinearBoxConfig(kraus=kraus, ancilla=bool(node.get("ancilla", False)))
+        ancilla = node.get("ancilla", False)
+        if not isinstance(ancilla, bool):
+            raise ValidationError(f"box: ancilla must be true or false, got {ancilla!r}")
+        config = LinearBoxConfig(kraus=kraus, ancilla=ancilla)
     else:
         raise ValidationError(f"box: unknown kind {kind!r}")
     return NonlinearBox(config=config, box_event=box_event,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, MisuseError, ShapeError, ValidationError
+from .preparations import _normalize_ensemble
 from .qcore import (
     DensityOperator,
     KetVector,
@@ -21,7 +22,7 @@ from .qcore import (
     _phase_fix,
     trace_norm,
 )
-from .tolerances import ATOL, DTOL, EIG_TIE_DIGITS, RANK_CUT, ZERO_PROB
+from .tolerances import DTOL, EIG_TIE_DIGITS, RANK_CUT, ZERO_PROB
 
 # Decompositions beyond this many members are rejected.
 MAX_MEMBERS = 16
@@ -35,18 +36,9 @@ class EnsembleDecomposition:
     members: tuple
 
     def __post_init__(self):
-        members = tuple((float(w), state) for w, state in self.members)
-        if not members:
-            raise DecompositionError("decomposition needs at least one member")
-        total = 0.0
-        for w, state in members:
-            if not w > 0:
-                raise DecompositionError(f"member weight {w} must be positive")
-            if state.dim != self.sigma_b.dim:
-                raise ShapeError("member dimension differs from sigma_B")
-            total += w
-        if not abs(total - 1.0) <= ATOL:
-            raise DecompositionError(f"member weights sum to {total}, not 1")
+        members = _normalize_ensemble(self.members, "decomposition")
+        if members[0][1].dim != self.sigma_b.dim:
+            raise ShapeError("member dimension differs from sigma_B")
         avg = sum(w * s.matrix for w, s in members)
         gap = 0.5 * trace_norm(avg - self.sigma_b.matrix)
         if not gap <= DTOL:
@@ -114,8 +106,11 @@ def _rank_space(sigma: DensityOperator):
 def purify(sigma_b: DensityOperator) -> KetVector:
     """Canonical purification on A (x) B with dim(A) = rank(sigma_B).
 
-    Deterministic: eigenvalues descending, each eigenvector's first nonzero
-    amplitude made real positive, ties broken lexicographically.
+    Eigenvalues descending, each eigenvector's first nonzero amplitude made
+    real positive, ties broken lexicographically. Canonical only for
+    bit-identical input: within a degenerate eigenspace the basis is set by
+    rounding, so equal densities built differently can purify in different
+    bases of A.
     """
     return KetVector(_rank_space(sigma_b)[2])
 

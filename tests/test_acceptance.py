@@ -14,7 +14,6 @@ from nlbox.boxes import (
     DeutschBoxConfig,
     LinearBoxConfig,
     Semantics,
-    deutsch_apply,
     deutsch_fixed_point,
 )
 from nlbox.preparations import MembershipPolicy, PolicyKind
@@ -150,9 +149,9 @@ def test_criterion_07_fixed_points_and_nonlinearity():
     cfg = DeutschBoxConfig(Unitary(u), 2)
     rho_a, rho_b = KET_PLUS.projector(), KET_MINUS.projector()
     mixed = DensityOperator(0.5 * (rho_a.matrix + rho_b.matrix))
-    out_mixed = deutsch_apply(cfg, mixed)
-    combo = DensityOperator(0.5 * (deutsch_apply(cfg, rho_a).matrix
-                                   + deutsch_apply(cfg, rho_b).matrix))
+    out_mixed = cfg.apply(mixed)
+    combo = DensityOperator(0.5 * (cfg.apply(rho_a).matrix
+                                   + cfg.apply(rho_b).matrix))
     gap = trace_distance(out_mixed, combo)
     star_oracle = iterated_loop_oracle(u, mixed.matrix, 2, 2)
     joint = u @ np.kron(mixed.matrix, star_oracle) @ u.conj().T

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,17 +19,22 @@ from nlbox import boxes
 from nlbox.boxes import (
     BrunBoxConfig,
     DeutschBoxConfig,
+    KentBoxConfig,
     LinearBoxConfig,
     NonlinearBox,
     Semantics,
     apply_box,
     brun_apply_pure,
-    deutsch_apply,
     deutsch_fixed_point,
-    kent_brun_emulation,
     kent_readout,
 )
-from nlbox.errors import ConvergenceError, DomainError, ShapeError, ValidationError
+from nlbox.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    DomainError,
+    ShapeError,
+    ValidationError,
+)
 from nlbox.preparations import (
     MembershipPolicy,
     PolicyKind,
@@ -106,14 +113,6 @@ class TestBrunMap:
         with pytest.raises(DomainError):
             brun_apply_pure(brun_config, KET_I)
 
-    def test_custom_completion(self):
-        filler = maximally_mixed(4)
-        cfg = BrunBoxConfig(COMPUTATIONAL_BASIS, HADAMARD_BASIS,
-                            completion=lambda k: filler)
-        assert trace_distance(brun_apply_pure(cfg, KET_I), filler) < 1e-12
-        # Domain states still follow the map.
-        assert trace_distance(brun_apply_pure(cfg, KET0), two_qubit_state(0)) < 1e-12
-
 
 def iterated_loop_oracle(u, rho_in_mat, d_sys, d_ctc, steps=400):
     """Independent check: iterate the induced loop map from the maximally
@@ -187,13 +186,13 @@ class TestDeutsch:
 
     def test_swap_apply_replaces_system(self):
         cfg = DeutschBoxConfig(Unitary(SWAP), 2)
-        out = deutsch_apply(cfg, KET0.projector())
+        out = cfg.apply(KET0.projector())
         assert trace_distance(out, KET0.projector()) < 1e-10
 
     def test_identity_apply_is_identity(self, rng):
         cfg = DeutschBoxConfig(Unitary(np.eye(4)), 2)
         rho = random_density(2, rng)
-        assert trace_distance(deutsch_apply(cfg, rho), rho) < 1e-10
+        assert trace_distance(cfg.apply(rho), rho) < 1e-10
 
     def test_dim_mismatch(self):
         cfg = DeutschBoxConfig(Unitary(SWAP), 2)
@@ -207,12 +206,12 @@ class TestDeutsch:
         cfg = DeutschBoxConfig(Unitary(u), 2)
         rho_a = KET_PLUS.projector()
         rho_b = KET_MINUS.projector()
-        out_a = deutsch_apply(cfg, rho_a)
-        out_b = deutsch_apply(cfg, rho_b)
+        out_a = cfg.apply(rho_a)
+        out_b = cfg.apply(rho_b)
         gap = 0.0
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
             mixed = DensityOperator(lam * rho_a.matrix + (1 - lam) * rho_b.matrix)
-            out_mixed = deutsch_apply(cfg, mixed)
+            out_mixed = cfg.apply(mixed)
             star_oracle = iterated_loop_oracle(u, mixed.matrix, 2, 2)
             joint = u @ np.kron(mixed.matrix, star_oracle) @ u.conj().T
             out_oracle = np.einsum("abcb->ac", joint.reshape(2, 2, 2, 2))
@@ -247,7 +246,7 @@ class TestDeutsch:
         rho = random_density(2, rng, rank=rank)
         cfg = DeutschBoxConfig(Unitary(u), d_ctc)
         star = deutsch_fixed_point(cfg, rho)
-        out = deutsch_apply(cfg, rho)
+        out = cfg.apply(rho)
         ref_star, loop = reference_fixed_point(u, rho.matrix, d_ctc)
         assert np.max(np.abs(star.matrix - ref_star)) <= 1e-10
         assert np.max(np.abs(out.matrix - reference_output(u, rho.matrix, ref_star, d_ctc))) <= 1e-10
@@ -259,7 +258,7 @@ class TestDeutsch:
         cfg = DeutschBoxConfig(Unitary(CNOT @ SWAP), 2)
         monkeypatch.setattr(boxes, "LOOP_RESIDUAL", -1.0)
         with pytest.raises(ConvergenceError) as exc:
-            deutsch_apply(cfg, KET_PLUS.projector())
+            cfg.apply(KET_PLUS.projector())
         assert 0.0 <= exc.value.residual <= 1e-8
 
     def test_singular_projector_raises(self, monkeypatch):
@@ -341,7 +340,7 @@ class TestApplyBox:
         boxes = [
             make_box(brun_config),
             make_box(DeutschBoxConfig(Unitary(CNOT @ SWAP), 2), semantics=Semantics.STATE),
-            make_box(kent_brun_emulation(brun_config)),
+            make_box(KentBoxConfig(brun_config)),
             make_box(LinearBoxConfig((np.eye(2, dtype=complex),))),
         ]
         p = local_prep(KET_PLUS.projector())
@@ -351,7 +350,7 @@ class TestApplyBox:
 
     def test_kent_box_excluded_remote_appears_mixed(self, brun_config):
         policy = MembershipPolicy(PolicyKind.KENT_LIGHT_CONE, box_event=BOX_EVENT)
-        box = make_box(kent_brun_emulation(brun_config), policy=policy)
+        box = make_box(KentBoxConfig(brun_config), policy=policy)
         p = remote_prep(KET0.projector(),
                         [(0.5, KET0.projector()), (0.5, KET1.projector())])
         out = apply_box(box, p)
@@ -359,9 +358,22 @@ class TestApplyBox:
         assert trace_distance(out, expected) < 1e-12
 
     def test_kent_box_member_follows_map(self, brun_config):
-        box = make_box(kent_brun_emulation(brun_config))
+        box = make_box(KentBoxConfig(brun_config))
         p = local_prep(KET_MINUS.projector())
         assert trace_distance(apply_box(box, p), two_qubit_state(3)) < 1e-12
+
+    def test_pure_input_off_domain(self, brun_config):
+        # The Brun box is undefined there; the Kent box re-prepares what it
+        # read out, with an untouched ancilla.
+        p = local_prep(KET_I.projector())
+        with pytest.raises(DomainError):
+            apply_box(make_box(brun_config), p)
+        out = apply_box(make_box(KentBoxConfig(brun_config)), p)
+        assert trace_distance(out, tensor(KET_I.projector(), KET0.projector())) < 1e-12
+
+    def test_unknown_config_rejected_when_built(self):
+        with pytest.raises(ConfigurationError, match="unknown box config"):
+            make_box(object())
 
     def test_deutsch_linear_when_fixed_point_input_independent(self, rng):
         # U = I: the loop state is always maximally mixed, so the induced
@@ -372,9 +384,9 @@ class TestApplyBox:
             b = random_density(2, rng)
             lam = float(rng.uniform())
             mixed = DensityOperator(lam * a.matrix + (1 - lam) * b.matrix)
-            lhs = deutsch_apply(cfg, mixed)
-            rhs = DensityOperator(lam * deutsch_apply(cfg, a).matrix
-                                  + (1 - lam) * deutsch_apply(cfg, b).matrix)
+            lhs = cfg.apply(mixed)
+            rhs = DensityOperator(lam * cfg.apply(a).matrix
+                                  + (1 - lam) * cfg.apply(b).matrix)
             assert trace_distance(lhs, rhs) < 1e-9
 
 
@@ -385,7 +397,7 @@ def random_box(kind, policy, semantics, rng):
     brun = BrunBoxConfig(tuple(psi), tuple(phi))
     config = {
         "brun": lambda: brun,
-        "kent": lambda: kent_brun_emulation(brun),
+        "kent": lambda: KentBoxConfig(brun),
         "deutsch": lambda: DeutschBoxConfig(random_unitary(4, rng), 2),
         "linear": lambda: LinearBoxConfig(random_cptp_kraus(4, rng), ancilla=True),
     }[kind]()
@@ -416,6 +428,16 @@ def test_apply_box_outputs_are_valid_read_only(kind, policy, semantics, seed, i)
         assert abs(np.trace(m) - 1) <= ATOL
         assert np.linalg.eigvalsh(m)[0] >= -ATOL
         assert not m.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["brun", "kent", "deutsch", "linear"])
+def test_box_pickles(kind):
+    box, states = random_box(kind, PolicyKind.NAIVE_PURE, Semantics.DECOMPOSITION,
+                             np.random.default_rng(3))
+    copy = pickle.loads(pickle.dumps(box))
+    for state in states:
+        p = local_prep(state.projector())
+        assert np.array_equal(apply_box(copy, p).matrix, apply_box(box, p).matrix)
 
 
 class TestLinearBox:

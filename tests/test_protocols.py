@@ -6,9 +6,9 @@ from nlbox import protocols
 from nlbox.boxes import (
     BrunBoxConfig,
     DeutschBoxConfig,
+    KentBoxConfig,
     LinearBoxConfig,
     Semantics,
-    kent_brun_emulation,
 )
 from nlbox.errors import ConfigurationError
 from nlbox.preparations import MembershipPolicy, PolicyKind, classify_membership
@@ -44,7 +44,7 @@ class TestVerification:
             assert abs(sum(row) - 1.0) < 1e-12
 
     def test_kent_emulation_identifies_map(self, brun_config):
-        report = run_verification(make_box(kent_brun_emulation(brun_config)))
+        report = run_verification(make_box(KentBoxConfig(brun_config)))
         assert report.identified
 
     def test_linear_box_fails_verification(self, brun_config):
@@ -291,3 +291,19 @@ class TestValidationCount:
         report = run_preparation_problem_demo(box)
         assert not report.hazard
         assert len(calls) <= 12
+
+    @pytest.mark.parametrize("kind,bound", [
+        (PolicyKind.KENT_LIGHT_CONE, 16),
+        (PolicyKind.NAIVE_PURE, 8),
+    ])
+    def test_signaling_reuses_the_singlet(self, monkeypatch, kind, bound):
+        # Per outcome: its heralded state and the box output's first-qubit
+        # marginal; under kent_light_cone the excluded outcome also builds
+        # its unconditioned mixture and that mixture with the ancilla
+        # appended. The singlet is a module constant, built before counting.
+        box = self.fresh_box(policy=MembershipPolicy(kind, box_event=BOX_EVENT))
+        calls = self.count_validations(monkeypatch)
+        report = run_signaling_test(box, ("psi", "phi"))
+        assert report.signaling_metric == pytest.approx(
+            1.0 if kind is PolicyKind.NAIVE_PURE else 0.0, abs=1e-9)
+        assert len(calls) <= bound

@@ -129,6 +129,11 @@ MALFORMED = [
      {"kind": "deutsch", "unitary": NAN_IDENTITY_4, "ctc_dim": 2}, 3),
     ("tol_huge_int", "verification", ("protocol", "tol"), HUGE, 3),
     ("box_event_huge_int", "verification", ("box", "box_event"), [HUGE, 0.0], 3),
+    ("box_event_bool", "verification", ("box", "box_event"), [True, False], 3),
+    ("labels_string", "verification", ("box", "membership"),
+     {"kind": "explicit_list", "labels": "verify_psi0"}, 3),
+    ("ancilla_string", "verification", ("box",),
+     {"kind": "linear", "kraus": [IDENTITY_4], "ancilla": "false"}, 3),
 ]
 
 

@@ -131,6 +131,17 @@ class TestDecomposition:
             EnsembleDecomposition(maximally_mixed(2),
                                   ((0.7, KET0.projector()), (0.7, KET1.projector())))
 
+    def test_rejects_empty_and_non_positive_members(self):
+        for members in ((), ((1.5, KET0.projector()), (-0.5, KET1.projector()))):
+            with pytest.raises(DecompositionError):
+                EnsembleDecomposition(maximally_mixed(2), members)
+
+    def test_rejects_raw_array_member(self):
+        # A bare matrix is not a validated density: a typed error, not an
+        # AttributeError from a missing .dim.
+        with pytest.raises(DecompositionError):
+            EnsembleDecomposition(maximally_mixed(2), ((1.0, np.eye(2) / 2),))
+
     def test_rejects_too_many_members(self):
         members = tuple((1 / 32, maximally_mixed(2)) for _ in range(32))
         d = EnsembleDecomposition(maximally_mixed(2), members)
