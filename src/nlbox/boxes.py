@@ -41,6 +41,7 @@ from .qcore import (
     Unitary,
     _freeze,
     _partial_trace_raw,
+    _Validated,
     born_probabilities,
     computational_povm,
     tensor,
@@ -180,6 +181,10 @@ class KentBoxConfig:
 
     brun: BrunBoxConfig
 
+    def __post_init__(self):
+        if not isinstance(self.brun, BrunBoxConfig):
+            raise ConfigurationError("a Kent box needs a BrunBoxConfig to emulate")
+
     def apply(self, readout: DensityOperator) -> DensityOperator:
         """The Brun map on the readout, except that a pure readout off its
         domain passes through with an untouched ancilla, as a mixed one does."""
@@ -190,15 +195,14 @@ class KentBoxConfig:
 
 
 @dataclass(frozen=True)
-class LinearBoxConfig:
+class LinearBoxConfig(_Validated):
     """An ordinary CPTP channel in box clothing, for control experiments.
 
-    With `ancilla=True` the channel acts on input (x) |0><0| so its output
-    space matches the two-qubit boxes.
+    Kraus operators may be rectangular, d_out x d_in: 4 x 2 operators send
+    one qubit to two, so the output space matches the two-qubit boxes.
     """
 
     kraus: np.ndarray  # read-only (n, d_out, d_in); any sequence of matrices is accepted
-    ancilla: bool = False
 
     def __post_init__(self):
         mats = _freeze(self, "kraus", self.kraus)
@@ -209,12 +213,9 @@ class LinearBoxConfig:
             raise ValidationError("Kraus operators are not trace preserving")
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
-        mat = rho.matrix
-        if self.ancilla:
-            mat = np.kron(mat, QUBIT0.matrix)
-        if mat.shape[0] != self.kraus.shape[2]:
+        if rho.dim != self.kraus.shape[2]:
             raise ShapeError("channel input dimension mismatch")
-        out = np.einsum("kab,bc,kdc->ad", self.kraus, mat, self.kraus.conj())
+        out = np.einsum("kab,bc,kdc->ad", self.kraus, rho.matrix, self.kraus.conj())
         return DensityOperator(0.5 * (out + out.conj().T))
 
 

@@ -28,12 +28,10 @@ from .preparations import (
 from .qcore import (
     COMPUTATIONAL_BASIS,
     HADAMARD_BASIS,
-    QUBIT0,
     KetVector,
     basis_povm,
     born_probabilities,
     computational_povm,
-    tensor,
     trace_distance,
 )
 from .steering import assemblage_from
@@ -56,20 +54,18 @@ _BB84_BATCH = 1 << 16
 SINGLET = KetVector(np.array([0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0], dtype=complex)).projector()
 
 
-def _box_bases(box: NonlinearBox):
+def _brun(box: NonlinearBox) -> BrunBoxConfig | None:
+    """The basis-discriminating map a box applies or emulates, if any."""
     cfg = box.config
-    brun = cfg.brun if isinstance(cfg, KentBoxConfig) else cfg
-    if isinstance(brun, BrunBoxConfig):
-        return brun.psi_basis, brun.phi_basis
-    return None
+    cfg = cfg.brun if isinstance(cfg, KentBoxConfig) else cfg
+    return cfg if isinstance(cfg, BrunBoxConfig) else None
 
 
 def _domain_states(box: NonlinearBox):
-    bases = _box_bases(box)
-    if bases is None:
+    brun = _brun(box)
+    if brun is None:
         raise ConfigurationError("box carries no discrimination bases")
-    (p0, p1), (q0, q1) = bases
-    return (p0, p1, q0, q1)
+    return brun.domain_states
 
 
 def _local_prep(state: KetVector, label: str, record: SpacetimeEvent) -> Preparation:
@@ -87,25 +83,21 @@ class VerificationReport:
     tol: float
 
 
-def run_verification(box: NonlinearBox, tol: float = 1e-6, states=None) -> VerificationReport:
+def run_verification(box: NonlinearBox, tol: float = 1e-6) -> VerificationReport:
     """Check whether the four verifying preparations reveal the map.
 
     Each domain state is prepared locally and deterministically, sent
     through the box, and both output qubits are measured in the
     computational basis; the map is identified iff every input lands on
-    its target outcome with probability >= 1 - tol.
+    its target outcome with probability >= 1 - tol. A box without a
+    basis-discriminating map has no domain states: ConfigurationError.
     """
-    if states is None:
-        states = _domain_states(box)
     povm = computational_povm(4)
     table = {}
     identified = True
-    for i, (name, state) in enumerate(zip(_STATE_NAMES, states)):
+    for i, (name, state) in enumerate(zip(_STATE_NAMES, _domain_states(box))):
         prep = _local_prep(state, f"verify_{name}", box.box_event)
-        out = apply_box(box, prep)
-        if out.dim == 2:
-            out = tensor(out, QUBIT0)
-        probs = born_probabilities(out, povm)
+        probs = born_probabilities(apply_box(box, prep), povm)
         table[name] = [float(x) for x in probs]
         if probs[i] < 1.0 - tol:
             identified = False
@@ -122,11 +114,11 @@ class SignalingReport:
 
 def _resolve_setting(box: NonlinearBox, setting):
     if isinstance(setting, str):
-        bases = _box_bases(box)
+        brun = _brun(box)
         if setting == "psi":
-            return setting, (bases[0] if bases else COMPUTATIONAL_BASIS)
+            return setting, (brun.psi_basis if brun else COMPUTATIONAL_BASIS)
         if setting == "phi":
-            return setting, (bases[1] if bases else HADAMARD_BASIS)
+            return setting, (brun.phi_basis if brun else HADAMARD_BASIS)
         raise ConfigurationError(f"unknown setting name {setting!r}")
     b0, b1 = setting
     return None, (b0, b1)
@@ -234,9 +226,10 @@ class AttackReport:
 
 
 def _require_bb84_bases(box: NonlinearBox):
-    psi, phi = _box_bases(box) or (None, None)
-    if psi is None:
+    brun = _brun(box)
+    if brun is None:
         raise ConfigurationError("attack requires a basis-discriminating box")
+    psi, phi = brun.psi_basis, brun.phi_basis
     ok = (psi[0].fidelity(COMPUTATIONAL_BASIS[0]) >= PURITY_MIN
           and psi[1].fidelity(COMPUTATIONAL_BASIS[1]) >= PURITY_MIN
           and phi[0].fidelity(HADAMARD_BASIS[0]) >= PURITY_MIN

@@ -8,7 +8,7 @@ is kept once built; threads racing on that field store equal read-only values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -30,8 +30,16 @@ def _freeze(obj, name, arr):
     return arr
 
 
+class _Validated:
+    """A value that unpickles through its validating constructor, called on
+    its one init field, so an unpickled array is checked and read-only."""
+
+    def __reduce__(self):
+        return type(self), (getattr(self, fields(self)[0].name),)
+
+
 @dataclass(frozen=True)
-class KetVector:
+class KetVector(_Validated):
     """A normalized pure state: complex amplitudes of unit norm."""
 
     amplitudes: np.ndarray
@@ -68,7 +76,7 @@ class KetVector:
 
 
 @dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(_Validated):
     """Trace-one positive-semidefinite Hermitian matrix."""
 
     matrix: np.ndarray
@@ -106,7 +114,7 @@ class DensityOperator:
 
 
 @dataclass(frozen=True)
-class Povm:
+class Povm(_Validated):
     """A finite measurement: PSD effects summing to the identity.
 
     `effects` is one read-only (k, d, d) array; the constructor takes any
@@ -136,7 +144,7 @@ class Povm:
 
 
 @dataclass(frozen=True)
-class Unitary:
+class Unitary(_Validated):
     matrix: np.ndarray
 
     def __post_init__(self):

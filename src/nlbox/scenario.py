@@ -1,8 +1,8 @@
 """Scenario files: parsing, validation, execution, and report emission.
 
-A scenario is a JSON document (conventionally *.scn) describing one box,
-optional preparations, and one protocol with its parameters. Reports are
-deterministic given (scenario, seed) and serialize byte-stably.
+A scenario is a JSON document (conventionally *.scn) describing one box
+and one protocol with its parameters. Reports are deterministic given
+(scenario, seed) and serialize byte-stably.
 """
 
 from __future__ import annotations
@@ -32,14 +32,7 @@ from .errors import (
     ScenarioParseError,
     ValidationError,
 )
-from .preparations import (
-    MembershipPolicy,
-    PolicyKind,
-    Preparation,
-    Provenance,
-    ProvenanceTag,
-    SpacetimeEvent,
-)
+from .preparations import MembershipPolicy, PolicyKind, SpacetimeEvent
 from .protocols import (
     DEFAULT_ALICE_EVENT,
     EVE_STRATEGIES,
@@ -48,7 +41,8 @@ from .protocols import (
     run_signaling_test,
     run_verification,
 )
-from .qcore import COMPUTATIONAL_BASIS, HADAMARD_BASIS, DensityOperator, KetVector, Unitary
+from .qcore import COMPUTATIONAL_BASIS, HADAMARD_BASIS, DensityOperator, KetVector, Povm, Unitary
+from .witness import StatsTable
 
 SCENARIO_SCHEMA = "nlbox-scenario/1"
 REPORT_SCHEMA = "nlbox-report/1"
@@ -60,7 +54,6 @@ MAX_BB84_BITS = 10 ** 8
 @dataclass(frozen=True)
 class ScenarioConfig:
     box: NonlinearBox
-    preparations: dict  # label -> Preparation
     protocol: str
     params: dict
     raw: dict
@@ -167,34 +160,21 @@ def _box_from_json(node) -> NonlinearBox:
         ctc_dim = _int_from_json(node.get("ctc_dim", 2), "box: ctc_dim")
         config = DeutschBoxConfig(unitary=u, ctc_dim=ctc_dim)
     elif kind == "linear":
-        kraus = tuple(_matrix_from_json(k, where) for k in node["kraus"])
-        ancilla = node.get("ancilla", False)
-        if not isinstance(ancilla, bool):
-            raise ValidationError(f"box: ancilla must be true or false, got {ancilla!r}")
-        config = LinearBoxConfig(kraus=kraus, ancilla=ancilla)
+        config = LinearBoxConfig(tuple(_matrix_from_json(k, where) for k in node["kraus"]))
     else:
         raise ValidationError(f"box: unknown kind {kind!r}")
     return NonlinearBox(config=config, box_event=box_event,
                         semantics=semantics, membership=policy)
 
 
-def _preparation_from_json(node, where) -> Preparation:
-    def ensemble(items):
-        out = []
-        for item in items:
-            rho = DensityOperator(_matrix_from_json(item["state"], where))
-            out.append((float(item["weight"]), rho))
-        return tuple(out)
-
-    tag = ProvenanceTag(node["provenance"]["tag"])
-    records = tuple(_event_from_json(e, where) for e in node["provenance"]["records"])
-    return Preparation(
-        ensemble=ensemble(node["ensemble"]),
-        provenance=Provenance(tag, records),
-        label=node["label"],
-        unconditioned=(ensemble(node["unconditioned"])
-                       if "unconditioned" in node else None),
-    )
+def _load_json(path):
+    """The JSON document in a file; text that is not JSON, or not UTF-8,
+    is a ScenarioParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 text
+        raise ScenarioParseError(f"{path}: {exc}") from exc
 
 
 def parse_scenario(path) -> ScenarioConfig:
@@ -204,11 +184,7 @@ def parse_scenario(path) -> ScenarioConfig:
     the first violated constraint otherwise, a missing field or one of the
     wrong type included.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 text
-        raise ScenarioParseError(f"{path}: {exc}") from exc
+    raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ScenarioParseError(f"{path}: scenario must be a JSON object")
     if raw.get("schema", SCENARIO_SCHEMA) != SCENARIO_SCHEMA:
@@ -225,13 +201,6 @@ def parse_scenario(path) -> ScenarioConfig:
 
 def _scenario_from_json(raw) -> ScenarioConfig:
     box = _box_from_json(raw.get("box", {}))
-    preparations = {}
-    for i, node in enumerate(raw.get("preparations", [])):
-        prep = _preparation_from_json(node, f"preparations[{i}]")
-        if prep.label in preparations:
-            raise ValidationError(f"duplicate preparation label {prep.label!r}")
-        preparations[prep.label] = prep
-
     proto = raw.get("protocol", {})
     if not isinstance(proto, dict) or not isinstance(proto.get("name"), str):
         raise ValidationError("scenario 'protocol' needs a 'name'")
@@ -241,11 +210,7 @@ def _scenario_from_json(raw) -> ScenarioConfig:
             f"unknown protocol {name!r}; expected one of {tuple(PROTOCOLS)}")
     params = {k: v for k, v in proto.items() if k != "name"}
     PROTOCOLS[name].parse(params)
-    for label in params.get("use_preparations", ()):
-        if label not in preparations:
-            raise ValidationError(f"protocol references undefined preparation label {label!r}")
-    return ScenarioConfig(box=box, preparations=preparations,
-                          protocol=name, params=params, raw=raw)
+    return ScenarioConfig(box=box, protocol=name, params=params, raw=raw)
 
 
 def _cells_from_json(node, value) -> dict:
@@ -257,19 +222,12 @@ def _cells_from_json(node, value) -> dict:
     return cells
 
 
-def parse_stats(path) -> "StatsTable":
+def parse_stats(path) -> StatsTable:
     """Load a stats table from its JSON form.
 
     Keys of `probabilities`/`sample_counts` are "<prep>|<measurement>".
     """
-    from .qcore import Povm
-    from .witness import StatsTable
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 text
-        raise ScenarioParseError(f"{path}: {exc}") from exc
+    raw = _load_json(path)
     try:
         preps = tuple(
             (node["label"], DensityOperator(_matrix_from_json(node["density"], "stats")))

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import numpy as np
@@ -371,6 +372,10 @@ class TestApplyBox:
         out = apply_box(make_box(KentBoxConfig(brun_config)), p)
         assert trace_distance(out, tensor(KET_I.projector(), KET0.projector())) < 1e-12
 
+    def test_kent_config_needs_a_brun_config(self):
+        with pytest.raises(ConfigurationError):
+            KentBoxConfig(None)
+
     def test_unknown_config_rejected_when_built(self):
         with pytest.raises(ConfigurationError, match="unknown box config"):
             make_box(object())
@@ -399,7 +404,7 @@ def random_box(kind, policy, semantics, rng):
         "brun": lambda: brun,
         "kent": lambda: KentBoxConfig(brun),
         "deutsch": lambda: DeutschBoxConfig(random_unitary(4, rng), 2),
-        "linear": lambda: LinearBoxConfig(random_cptp_kraus(4, rng), ancilla=True),
+        "linear": lambda: LinearBoxConfig(np.array(random_cptp_kraus(4, rng))[:, :, ::2]),
     }[kind]()
     membership = MembershipPolicy(policy, box_event=BOX_EVENT,
                                   labels=frozenset({"local", "mixed"}))
@@ -430,11 +435,25 @@ def test_apply_box_outputs_are_valid_read_only(kind, policy, semantics, seed, i)
         assert not m.flags.writeable
 
 
+def _arrays(value):
+    """Every array held in a box config, its kets, unitary or Kraus list."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
 @pytest.mark.parametrize("kind", ["brun", "kent", "deutsch", "linear"])
 def test_box_pickles(kind):
     box, states = random_box(kind, PolicyKind.NAIVE_PURE, Semantics.DECOMPOSITION,
                              np.random.default_rng(3))
     copy = pickle.loads(pickle.dumps(box))
+    arrays = list(_arrays(copy.config))
+    assert arrays and not any(a.flags.writeable for a in arrays)
     for state in states:
         p = local_prep(state.projector())
         assert np.array_equal(apply_box(copy, p).matrix, apply_box(box, p).matrix)
@@ -446,6 +465,6 @@ class TestLinearBox:
             LinearBoxConfig((np.eye(2) * 0.5,))
 
     def test_ancilla_embedding(self):
-        cfg = LinearBoxConfig((np.eye(4, dtype=complex),), ancilla=True)
+        cfg = LinearBoxConfig(np.eye(4, dtype=complex)[None, :, ::2])
         out = cfg.apply(KET_PLUS.projector())
         assert trace_distance(out, tensor(KET_PLUS.projector(), KET0.projector())) < 1e-12

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BOX_EVENT, make_box
 from nlbox import protocols
@@ -26,10 +28,11 @@ from nlbox.qcore import (
     KET_MINUS,
     KET_PLUS,
     DensityOperator,
+    KetVector,
     Unitary,
     ket,
 )
-from nlbox.rand import random_cptp_kraus
+from nlbox.rand import random_cptp_kraus, random_unitary
 
 SWAPPED_PAIR = (ket(0.6, 0.8), ket(0.8, -0.6))
 
@@ -47,13 +50,19 @@ class TestVerification:
         report = run_verification(make_box(KentBoxConfig(brun_config)))
         assert report.identified
 
-    def test_linear_box_fails_verification(self, brun_config):
-        # An identity channel never lands |+> on the target outcome.
-        box = make_box(LinearBoxConfig((np.eye(4, dtype=complex),), ancilla=True))
-        states = (COMPUTATIONAL_BASIS[0], COMPUTATIONAL_BASIS[1],
-                  KET_PLUS, KET_MINUS)
-        report = run_verification(box, states=states)
+    def test_linear_box_fails_verification(self):
+        # A channel has no domain states to verify the map with.
+        box = make_box(LinearBoxConfig(np.eye(4, dtype=complex)[None, :, ::2]))
+        with pytest.raises(ConfigurationError, match="no discrimination bases"):
+            run_verification(box)
+
+    def test_excluded_verifying_preparations_not_identified(self, brun_config):
+        # Outside the policy's list the box passes |1> through with its
+        # ancilla, to outcome |10> instead of the map's |01>.
+        policy = MembershipPolicy(PolicyKind.EXPLICIT_LIST, labels=frozenset({"other"}))
+        report = run_verification(make_box(brun_config, policy=policy))
         assert not report.identified
+        assert np.allclose(report.table["psi1"], [0, 0, 1, 0], rtol=0, atol=1e-12)
 
 
 class TestSignaling:
@@ -101,6 +110,46 @@ class TestSignaling:
     def test_needs_settings(self, brun_config):
         with pytest.raises(ConfigurationError):
             run_signaling_test(make_box(brun_config), ())
+
+
+# The labels run_signaling_test gives the remote preparations of the
+# settings ("psi", "phi", <basis pair>).
+REMOTE_LABELS = frozenset(f"remote_{name}_{i}" for name in ("psi", "phi", "setting2")
+                          for i in (0, 1))
+
+
+def random_pair(rng):
+    return tuple(KetVector(col) for col in random_unitary(2, rng).matrix.T)
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("policy", list(PolicyKind))
+@pytest.mark.parametrize("square", [True, False], ids=["2to2", "2to4"])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1), admit_remote=st.booleans())
+def test_random_linear_channel_never_signals(square, policy, semantics, seed, admit_remote):
+    # An explicit list names every remote preparation or none of them; see
+    # test_partial_explicit_list_lets_a_linear_channel_signal.
+    rng = np.random.default_rng(seed)
+    kraus = np.array(random_cptp_kraus(2 if square else 4, rng))
+    config = LinearBoxConfig(kraus if square else kraus[:, :, ::2])
+    membership = MembershipPolicy(policy, box_event=BOX_EVENT,
+                                  labels=REMOTE_LABELS if admit_remote else {"local"})
+    box = make_box(config, semantics=semantics, policy=membership)
+    report = run_signaling_test(box, ("psi", "phi", random_pair(rng)))
+    assert report.signaling_metric <= 1e-9
+
+
+def test_partial_explicit_list_lets_a_linear_channel_signal():
+    # Admitting remote_psi_0 but not its partner: the channel then acts on
+    # the heralded state for one outcome and on the unconditioned mixture
+    # for the other, so the policy reads the heralding record.
+    rng = np.random.default_rng(0)
+    config = LinearBoxConfig(random_cptp_kraus(2, rng))
+    membership = MembershipPolicy(PolicyKind.EXPLICIT_LIST, labels=frozenset({"remote_psi_0"}))
+    box = make_box(config, policy=membership)
+    report = run_signaling_test(box, ("psi", "phi", random_pair(rng)))
+    assert abs(report.signaling_metric - 0.0903) < 1e-4
 
 
 class TestPreparationProblem:

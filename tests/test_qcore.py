@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from nlbox.qcore import (
     tensor,
     trace_distance,
 )
-from nlbox.rand import random_density, random_ket, random_unitary
+from nlbox.rand import random_cptp_kraus, random_density, random_ket, random_unitary
 
 
 def singlet_density():
@@ -248,6 +250,27 @@ def test_projector_is_kept_and_read_only(rng):
     assert k.projector() is rho
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 0.0
+
+
+# Each validated type with the name of its one array field.
+PICKLED = {
+    "ket": (lambda rng: random_ket(3, rng), "amplitudes"),
+    "density": (lambda rng: random_density(3, rng), "matrix"),
+    "povm": (lambda rng: basis_povm(tuple(KetVector(c) for c in random_unitary(3, rng).matrix.T)),
+             "effects"),
+    "unitary": (lambda rng: random_unitary(3, rng), "matrix"),
+    "channel": (lambda rng: LinearBoxConfig(np.array(random_cptp_kraus(4, rng))[:, :, ::2]),
+                "kraus"),
+}
+
+
+@pytest.mark.parametrize("make, name", PICKLED.values(), ids=PICKLED.keys())
+def test_unpickled_value_is_equal_and_read_only(rng, make, name):
+    value = make(rng)
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert np.array_equal(getattr(copy, name), getattr(value, name))
+    assert not getattr(copy, name).flags.writeable
 
 
 def test_principal_ket_recovers_pure_state(rng):

@@ -67,12 +67,6 @@ class TestParsing:
         with pytest.raises(ValidationError):
             parse_scenario(write_scenario(tmp_path, doc))
 
-    def test_undefined_preparation_label_rejected(self, tmp_path):
-        doc = dict(MINIMAL)
-        doc["protocol"] = {"name": "verification", "use_preparations": ["psi9"]}
-        with pytest.raises(ValidationError):
-            parse_scenario(write_scenario(tmp_path, doc))
-
     def test_unknown_protocol_rejected(self, tmp_path):
         doc = dict(MINIMAL)
         doc["protocol"] = {"name": "teleportation"}
@@ -122,7 +116,6 @@ MALFORMED = [
     ("linear_without_kraus", "verification", ("box",), {"kind": "linear"}, 3),
     ("ctc_dim_not_number", "verification", ("box",),
      {"kind": "deutsch", "unitary": IDENTITY_4, "ctc_dim": "x"}, 3),
-    ("preparation_not_object", "verification", ("preparations",), [5], 3),
     ("kraus_nan", "verification", ("box",), {"kind": "linear", "kraus": [NAN_IDENTITY_2]}, 3),
     ("psi_basis_nan", "verification", ("box", "psi_basis"), NAN_IDENTITY_2, 3),
     ("unitary_nan", "verification", ("box",),
@@ -132,8 +125,6 @@ MALFORMED = [
     ("box_event_bool", "verification", ("box", "box_event"), [True, False], 3),
     ("labels_string", "verification", ("box", "membership"),
      {"kind": "explicit_list", "labels": "verify_psi0"}, 3),
-    ("ancilla_string", "verification", ("box",),
-     {"kind": "linear", "kraus": [IDENTITY_4], "ancilla": "false"}, 3),
 ]
 
 
@@ -256,6 +247,30 @@ class TestRunning:
         assert a.to_json() == b.to_json()
         assert a.payload["seed"] == 99
         assert c.payload["seed"] == 100
+
+    def test_removed_keys_are_ignored(self, tmp_path):
+        # A preparation list, `use_preparations` and `ancilla` never reached
+        # a run; like any unknown key, they leave the payload as it was.
+        identity_2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        box = {"kind": "linear", "kraus": [identity_2]}
+        path = mutated_scenario(tmp_path, "signaling_naive", ("box",), box)
+        before = run_scenario(parse_scenario(path)).payload
+        doc = json.loads(path.read_text())
+        doc["preparations"] = [5]
+        doc["protocol"]["use_preparations"] = ["psi9"]
+        doc["box"]["ancilla"] = False
+        after = run_scenario(parse_scenario(write_scenario(tmp_path, doc))).payload
+        assert after == before
+
+    def test_square_kraus_with_ancilla_fails_at_run_time(self, tmp_path, capsys):
+        # `ancilla` no longer widens a square channel: the 4 x 4 identity
+        # meets a one-qubit input.
+        box = {"kind": "linear", "kraus": [IDENTITY_4], "ancilla": True}
+        path = mutated_scenario(tmp_path, "signaling_naive", ("box",), box)
+        out = tmp_path / "r.json"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert "channel input dimension mismatch" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
     def test_reports_byte_identical(self, path):

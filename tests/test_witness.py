@@ -261,7 +261,7 @@ REFERENCE_TABLES = {
     "d3": _square(3),
     "d4": _square(4),
     "2to4_ancilla": lambda rng: random_channel_table(
-        LinearBoxConfig(random_cptp_kraus(4, rng), ancilla=True), 2, 4, rng),
+        LinearBoxConfig(np.array(random_cptp_kraus(4, rng))[:, :, ::2]), 2, 4, rng),
     "3to2": lambda rng: random_channel_table(
         LinearBoxConfig(random_isometry_kraus(3, 2, rng)), 3, 2, rng),
     "1to3": lambda rng: random_channel_table(
