@@ -28,6 +28,7 @@ from .preparations import (
     MembershipPolicy,
     Preparation,
     SpacetimeEvent,
+    _enum_member,
     _mix,
     classify_membership,
     effective_density,
@@ -230,6 +231,7 @@ class NonlinearBox:
     membership: MembershipPolicy
 
     def __post_init__(self):
+        object.__setattr__(self, "semantics", _enum_member(Semantics, self.semantics))
         if not isinstance(self.config, (BrunBoxConfig, DeutschBoxConfig,
                                         KentBoxConfig, LinearBoxConfig)):
             raise ConfigurationError(f"unknown box config {type(self.config).__name__}")

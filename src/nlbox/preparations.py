@@ -31,6 +31,14 @@ class SpacetimeEvent:
             raise ValidationError("spacetime coordinates must be finite")
 
 
+def _enum_member(enum, value):
+    """enum(value), or a ConfigurationError if value names no member."""
+    try:
+        return enum(value)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
+
+
 class ProvenanceTag(str, Enum):
     LOCAL_DETERMINISTIC = "local_deterministic"
     LOCAL_ENSEMBLE = "local_ensemble"
@@ -45,6 +53,7 @@ class Provenance:
     records: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "tag", _enum_member(ProvenanceTag, self.tag))
         records = tuple(self.records)
         if len(records) < 1:
             raise ValidationError(f"{self.tag.value} provenance requires >= 1 record event")
@@ -149,13 +158,17 @@ class PolicyKind(str, Enum):
 
 @dataclass(frozen=True)
 class MembershipPolicy:
-    """The rule deciding which preparations exhibit the nonlinear evolution."""
+    """The rule deciding which preparations exhibit the nonlinear evolution.
+
+    An explicit_list naming one outcome of a heralded pair but not its partner
+    reads the heralding record, so even a linear box signals through it."""
 
     kind: PolicyKind
     box_event: SpacetimeEvent | None = None
     labels: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", _enum_member(PolicyKind, self.kind))
         if self.kind is PolicyKind.KENT_LIGHT_CONE and self.box_event is None:
             raise ConfigurationError("kent_light_cone policy requires a box event")
         if self.kind is PolicyKind.EXPLICIT_LIST and not self.labels:
@@ -172,6 +185,4 @@ def classify_membership(p: Preparation, policy: MembershipPolicy) -> bool:
     if policy.kind is PolicyKind.DETERMINISTIC_EXPERIMENTER:
         return (p.provenance.tag is ProvenanceTag.LOCAL_DETERMINISTIC
                 and len(p.ensemble) == 1)
-    if policy.kind is PolicyKind.EXPLICIT_LIST:
-        return p.label in policy.labels
-    raise ConfigurationError(f"unknown policy kind {policy.kind!r}")
+    return p.label in policy.labels  # the one kind left, EXPLICIT_LIST

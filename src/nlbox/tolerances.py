@@ -32,9 +32,6 @@ LOOP_RESIDUAL = 1e-8
 # Singular values of the stacked input densities above this count toward completeness.
 COMPLETENESS_CUT = 1e-8
 
-# Singular values of the fit's trace-preservation constraints at or below this are null.
-CONSTRAINT_NULL_CUT = 1e-10
-
 # Basis overlaps within this of 0 or 1 count as identical bases for the Brun map.
 OVERLAP_CUT = 1e-6
 

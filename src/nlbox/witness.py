@@ -16,7 +16,7 @@ from .boxes import NonlinearBox, apply_box
 from .errors import MisuseError, RankError, ShapeError, ValidationError
 from .preparations import Preparation, classify_membership, linearly_equivalent
 from .qcore import trace_distance
-from .tolerances import ATOL, COMPLETENESS_CUT, CONSTRAINT_NULL_CUT, DTOL
+from .tolerances import ATOL, COMPLETENESS_CUT, DTOL
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,18 @@ class StatsTable:
     sample_counts: dict | None = None
 
     def __post_init__(self):
-        plabels = [l for l, _ in self.preparations]
-        mlabels = [l for l, _ in self.measurements]
-        if len(set(plabels)) != len(plabels) or len(set(mlabels)) != len(mlabels):
+        preps = dict(self.preparations)
+        meas = dict(self.measurements)
+        if len(preps) != len(self.preparations) or len(meas) != len(self.measurements):
             raise ValidationError("duplicate preparation or measurement labels")
-        din = {rho.dim for _, rho in self.preparations}
+        din = {rho.dim for rho in preps.values()}
         if len(din) != 1:
             raise ShapeError("all input densities must share one dimension")
-        dout = {m.dim for _, m in self.measurements}
+        dout = {m.dim for m in meas.values()}
         if len(dout) != 1:
             raise ShapeError("all measurements must share one output dimension")
-        meas = dict(self.measurements)
         for (pl, ml), row in self.probabilities.items():
-            if pl not in dict(self.preparations) or ml not in meas:
+            if pl not in preps or ml not in meas:
                 raise ValidationError(f"probability row references unknown labels ({pl}, {ml})")
             row = tuple(float(x) for x in row)
             if len(row) != meas[ml].n_outcomes:
@@ -68,27 +67,28 @@ class StatsTable:
         return self.sample_counts is not None
 
 
-def _coords(stack: np.ndarray) -> np.ndarray:
-    """Real coordinates of Hermitian matrices (..., n, n) in the orthonormal
-    Hilbert-Schmidt basis: the n diagonal entries, then for each i < j in
-    row-major order sqrt(2) Re m[i, j] and -sqrt(2) Im m[i, j]."""
-    n = stack.shape[-1]
-    iu, ju = np.triu_indices(n, 1)
-    upper = np.sqrt(2.0) * stack[..., iu, ju]
-    off = np.stack([upper.real, -upper.imag], axis=-1).reshape(*stack.shape[:-2], -1)
-    return np.concatenate([np.diagonal(stack, axis1=-2, axis2=-1).real, off], axis=-1)
-
-
 def _from_coords(h: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of _coords: the Hermitian n x n matrices with coordinates h."""
+    """The Hermitian n x n matrices with real coordinates h (..., n * n) in
+    the orthonormal Hilbert-Schmidt basis: the n diagonal entries, then for
+    each i < j in row-major order sqrt(2) Re m[i, j] and -sqrt(2) Im m[i, j]."""
     iu, ju = np.triu_indices(n, 1)
-    off = h[..., n:].reshape(*h.shape[:-1], -1, 2)
+    off = h[..., n:].reshape(*h.shape[:-1], len(iu), 2)
     upper = (off[..., 0] - 1j * off[..., 1]) / np.sqrt(2.0)
     m = np.zeros((*h.shape[:-1], n, n), dtype=complex)
     m[..., np.arange(n), np.arange(n)] = h[..., :n]
     m[..., iu, ju] = upper
     m[..., ju, iu] = upper.conj()
     return m
+
+
+def _traceless_basis(d: int) -> np.ndarray:
+    """An orthonormal basis (d*d - 1, d, d) of the traceless Hermitian d x d
+    matrices: d - 1 diagonal directions orthogonal to I, then the
+    off-diagonal elements of the coordinate basis."""
+    h = np.zeros((d * d - 1, d * d))
+    h[: d - 1, :d] = np.linalg.qr(np.ones((d, 1)), mode="complete")[0][:, 1:].T
+    h[d - 1:, d:] = np.eye(d * d - d)
+    return _from_coords(h, d)
 
 
 @dataclass(frozen=True)
@@ -113,55 +113,43 @@ class LinearFit:
         return np.einsum("aibj,ij->ab", c, rho)
 
 
-def _check_tomographic_completeness(table: StatsTable):
-    din = table.input_dim
-    rows = np.stack([rho.matrix.reshape(-1) for _, rho in table.preparations])
-    svals = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(svals > COMPLETENESS_CUT))
+def fit_linear_map(table: StatsTable) -> LinearFit:
+    """Least-squares trace-preserving linear map explaining the table.
+
+    Every Choi matrix I/d_out + sum_ak z_ak T_a (x) B_k is trace preserving;
+    complete positivity is only reported via the Choi minimum eigenvalue.
+    """
+    din, dout = table.input_dim, table.output_dim
+    n = din * dout
+    meas = dict(table.measurements)
+    index = {label: i for i, (label, _) in enumerate(table.preparations)}
+    out_basis = _traceless_basis(dout)
+    in_basis = _from_coords(np.eye(din * din), din)
+
+    # Real coordinates Tr(B_k rho^T) of every input; their Gram matrix is Tr(rho_p rho_q).
+    x = np.einsum("kij,pij->pk", in_basis,
+                  np.array([rho.matrix for _, rho in table.preparations])).real
+    rank = np.linalg.matrix_rank(x, tol=COMPLETENESS_CUT)
     if rank < din * din:
         raise RankError(
             f"input densities span only {rank} of the {din * din} required "
             "dimensions; the table is tomographically incomplete")
 
-
-def fit_linear_map(table: StatsTable) -> LinearFit:
-    """Least-squares trace-preserving linear map explaining the table.
-
-    Trace preservation is imposed as hard linear constraints; complete
-    positivity is only reported via the Choi minimum eigenvalue.
-    """
-    _check_tomographic_completeness(table)
-    din, dout = table.input_dim, table.output_dim
-    n = din * dout
-    meas = dict(table.measurements)
-    preps = dict(table.preparations)
-
-    # One design row per (cell, outcome): the coordinates of kron(E, rho^T).
+    # One design row per (cell, outcome): Tr(T_a E) Tr(B_k rho^T) for every (a, k).
     cells = sorted(table.probabilities.items())
     effects = np.concatenate([meas[ml].effects for (_, ml), _ in cells])
-    rhos = np.repeat(np.array([preps[pl].matrix for (pl, _), _ in cells]),
-                     [meas[ml].n_outcomes for (_, ml), _ in cells], axis=0)
+    inputs = x[np.repeat([index[pl] for (pl, _), _ in cells],
+                         [meas[ml].n_outcomes for (_, ml), _ in cells])]
+    e = np.einsum("aij,rji->ra", out_basis, effects).real
+    a = np.einsum("ra,rk->rak", e, inputs).reshape(len(effects), -1)
     y = np.array([p for _, probs in cells for p in probs], dtype=float)
-    a = _coords(np.einsum("rab,rji->raibj", effects, rhos).reshape(-1, n, n))
+    y0 = np.trace(effects, axis1=-2, axis2=-1).real / dout
 
-    in_basis = _from_coords(np.eye(din * din), din)
-    c = _coords(np.kron(np.eye(dout), in_basis))
-    b_vec = np.trace(in_basis, axis1=-2, axis2=-1).real
-
-    h0, *_ = np.linalg.lstsq(c, b_vec, rcond=None)
-    # Nullspace of the trace-preservation constraints via SVD.
-    _, svals, vt = np.linalg.svd(c, full_matrices=True)
-    null_mask = np.ones(n * n, dtype=bool)
-    null_mask[: len(svals)] = svals <= CONSTRAINT_NULL_CUT
-    nullspace = vt[null_mask].T
-
-    an = a @ nullspace
-    z, *_ = np.linalg.lstsq(an, y - a @ h0, rcond=None)
-    h = h0 + nullspace @ z
-
-    choi = _from_coords(h, n)
+    z, *_ = np.linalg.lstsq(a, y - y0, rcond=None)
+    choi = np.eye(n) / dout + np.einsum("ak,aij,klm->iljm", z.reshape(-1, din * din),
+                                        out_basis, in_basis).reshape(n, n)
     return LinearFit(choi=choi, input_dim=din, output_dim=dout,
-                     residual=float(np.max(np.abs(a @ h - y))),
+                     residual=float(np.max(np.abs(a @ z + y0 - y))),
                      choi_min_eig=float(np.linalg.eigvalsh(choi)[0]))
 
 

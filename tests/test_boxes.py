@@ -39,6 +39,7 @@ from nlbox.errors import (
 from nlbox.preparations import (
     MembershipPolicy,
     PolicyKind,
+    Provenance,
     ProvenanceTag,
     SpacetimeEvent,
 )
@@ -457,6 +458,23 @@ def test_box_pickles(kind):
     for state in states:
         p = local_prep(state.projector())
         assert np.array_equal(apply_box(copy, p).matrix, apply_box(box, p).matrix)
+
+
+# Each enum field: a builder from the field's value, its reader, and one member.
+ENUM_FIELDS = {
+    "semantics": (lambda v: make_box(LinearBoxConfig((np.eye(2, dtype=complex),)), semantics=v),
+                  lambda box: box.semantics, Semantics.DECOMPOSITION),
+    "policy_kind": (MembershipPolicy, lambda policy: policy.kind, PolicyKind.NAIVE_PURE),
+    "provenance_tag": (lambda v: Provenance(v, (BOX_EVENT,)), lambda prov: prov.tag,
+                       ProvenanceTag.LOCAL_DETERMINISTIC),
+}
+
+
+@pytest.mark.parametrize("build, read, member", ENUM_FIELDS.values(), ids=ENUM_FIELDS.keys())
+def test_enum_field_string_is_coerced_when_built(build, read, member):
+    assert read(build(member.value)) is member
+    with pytest.raises(ConfigurationError):
+        build("banana")
 
 
 class TestLinearBox:

@@ -23,8 +23,8 @@ from nlbox.qcore import (
 from nlbox.rand import random_cptp_kraus, random_density, random_ket, random_unitary
 from nlbox.witness import (
     StatsTable,
-    _coords,
     _from_coords,
+    _traceless_basis,
     affinity_violation,
     fit_linear_map,
     is_linear_explainable,
@@ -234,21 +234,14 @@ class TestCoords:
         for n in (1, 2, 3, 5):
             assert np.array_equal(_from_coords(np.eye(n * n), n), np.array(hermitian_basis(n)))
 
-    def test_round_trip(self, rng):
-        for n in (1, 2, 4, 8):
-            g = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
-            h = g + g.conj().transpose(0, 2, 1)
-            assert np.allclose(_from_coords(_coords(h), n), h, rtol=0, atol=1e-14)
-            assert np.allclose(_from_coords(_coords(h[0]), n), h[0], rtol=0, atol=1e-14)
-
-    def test_coordinates_are_hilbert_schmidt_products(self, rng):
-        n = 6
-        g = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
-        h = g + g.conj().transpose(0, 2, 1)
-        basis = hermitian_basis(n)
-        expected = [[np.trace(b @ m).real for b in basis] for m in h]
-        assert np.allclose(_coords(h), expected, rtol=0, atol=1e-12)
-        assert np.isclose(_coords(h[0]) @ _coords(h[1]), np.trace(h[0] @ h[1]).real)
+    def test_traceless_basis_is_orthonormal(self):
+        for d in range(1, 6):
+            t = _traceless_basis(d)
+            assert t.shape == (d * d - 1, d, d)
+            assert np.allclose(t, t.conj().transpose(0, 2, 1), rtol=0, atol=1e-12)
+            assert np.allclose(np.trace(t, axis1=1, axis2=2), 0, rtol=0, atol=1e-12)
+            assert np.allclose(np.einsum("aij,bji->ab", t, t), np.eye(d * d - 1),
+                               rtol=0, atol=1e-12)
 
 
 def _square(d):
@@ -266,6 +259,8 @@ REFERENCE_TABLES = {
         LinearBoxConfig(random_isometry_kraus(3, 2, rng)), 3, 2, rng),
     "1to3": lambda rng: random_channel_table(
         LinearBoxConfig(random_isometry_kraus(1, 3, rng)), 1, 3, rng),
+    "2to1": lambda rng: random_channel_table(
+        LinearBoxConfig(random_isometry_kraus(2, 1, rng)), 2, 1, rng),
     "brun_matched": lambda rng: brun_matched_table(),
     "d2_output_incomplete": lambda rng: channel_table(random_cptp_kraus(2, rng)),
 }
@@ -281,6 +276,9 @@ class TestFitAgainstReference:
         assert np.max(np.abs(fit.choi - choi)) <= 1e-12
         assert abs(fit.residual - residual) <= 1e-12
         assert abs(fit.choi_min_eig - choi_min_eig) <= 1e-12
+        din, dout = table.input_dim, table.output_dim
+        traced = np.einsum("aiaj->ij", fit.choi.reshape(dout, din, dout, din))
+        assert np.max(np.abs(traced - np.eye(din))) <= 1e-12
 
     @settings(max_examples=20)
     @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
