@@ -41,6 +41,7 @@ from .qcore import (
     KetVector,
     Unitary,
     _freeze,
+    _hermitian_basis,
     _partial_trace_raw,
     _Validated,
     born_probabilities,
@@ -135,9 +136,10 @@ class DeutschBoxConfig:
     def apply(self, rho_in: DensityOperator) -> DensityOperator:
         """System output once the loop state is consistent."""
         star = deutsch_fixed_point(self, rho_in)
-        dc = self.ctc_dim
-        t = self.unitary.matrix.reshape(rho_in.dim, dc, rho_in.dim, dc)
-        out = np.einsum("scxa,xy,ab,tcyb->st", t, rho_in.matrix, star.matrix, t.conj())
+        u, n, ds = self.unitary.matrix, self.unitary.dim, rho_in.dim
+        joint = (rho_in.matrix[:, None, :, None] * star.matrix[None, :, None, :]).reshape(n, n)
+        # Tr_C[U X U^dag][s, t] = sum over (c, j) of (U X)[(s, c), j] conj(U)[(t, c), j].
+        out = (u @ joint).reshape(ds, -1) @ u.conj().reshape(ds, -1).T
         return DensityOperator(0.5 * (out + out.conj().T))
 
 
@@ -145,33 +147,39 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
     """The canonical loop state: the Cesaro-mean limit of the loop map's
     iterates started from the maximally mixed state.
 
-    That limit is the projection of I/dc onto ker(M - I) along ran(M - I),
-    R (L^dag R)^-1 L^dag, where M is the loop superoperator
-    sigma -> Tr_S[U (rho_in (x) sigma) U^dag] and the columns of R and L are
-    the right and left singular vectors of M - I for singular values at most
-    LOOP_FIXED_CUT. Raises ConvergenceError when L^dag R is singular or the
-    result misses the consistency condition by more than LOOP_RESIDUAL.
+    The loop superoperator M: sigma -> Tr_S[U (rho_in (x) sigma) U^dag] preserves
+    Hermiticity, so it is solved in real coordinates, as its real matrix R in the
+    Hermitian basis of `qcore`. The limit projects the coordinates of I/dc onto
+    ker(R - I) along ran(R - I), F (L^T F)^-1 L^T, where the columns of F and L
+    are the right and left singular vectors of R - I for singular values at most
+    LOOP_FIXED_CUT. Raises ConvergenceError when L^T F is singular or the result
+    misses the consistency condition by more than LOOP_RESIDUAL.
     """
     if rho_in.dim != config.system_dim:
         raise ShapeError(f"input dim {rho_in.dim} != system dim {config.system_dim}")
     dc = config.ctc_dim
+    n = dc * dc
     t = config.unitary.matrix.reshape(rho_in.dim, dc, rho_in.dim, dc)
-    m = np.einsum("scxa,xy,sdyb->cdab", t, rho_in.matrix, t.conj()).reshape(dc * dc, dc * dc)
+    # M[(c, d), (a, b)] = sum_sy k[(c, a), (s, y)] conj(t[s, d, y, b]).
+    k = np.einsum("scxa,xy->casy", t, rho_in.matrix).reshape(n, -1)
+    m = (k @ t.conj().transpose(0, 2, 1, 3).reshape(-1, n)).reshape(dc, dc, dc, dc)
+    basis = _hermitian_basis(dc)
+    r = (basis.conj() @ m.transpose(0, 2, 1, 3).reshape(n, n) @ basis.T).real
     try:
-        w, svals, vh = np.linalg.svd(m - np.eye(dc * dc))
+        w, svals, vt = np.linalg.svd(r - np.eye(n))
         fixed = svals <= LOOP_FIXED_CUT
-        l_dag, r = w[:, fixed].conj().T, vh[fixed].conj().T
-        coeffs = np.linalg.solve(l_dag @ r, l_dag @ (np.eye(dc) / dc).reshape(-1))
+        l_t, f = w[:, fixed].T, vt[fixed].T
+        # L^T times (1/dc, ..., 1/dc, 0, ..., 0), the coordinates of I/dc.
+        coeffs = np.linalg.solve(l_t @ f, l_t[:, :dc].sum(axis=1) / dc)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"no loop fixed-point projector: {exc}", residual=np.inf) from exc
-    sigma = (r @ coeffs).reshape(dc, dc)
-    sigma = 0.5 * (sigma + sigma.conj().T)
-    sigma = sigma / np.trace(sigma).real
-    residual = trace_norm((m @ sigma.reshape(-1)).reshape(dc, dc) - sigma)
+    h = f @ coeffs
+    h = h / h[:dc].sum()
+    residual = trace_norm(((r @ h - h) @ basis).reshape(dc, dc))
     if not residual <= LOOP_RESIDUAL:
         raise ConvergenceError(f"fixed-point residual {residual} exceeds {LOOP_RESIDUAL}",
                                residual=residual)
-    return DensityOperator(sigma)
+    return DensityOperator((h @ basis).reshape(dc, dc))
 
 
 @dataclass(frozen=True)

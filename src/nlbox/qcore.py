@@ -226,6 +226,32 @@ def born_probabilities(rho: DensityOperator, m: Povm) -> np.ndarray:
     return probs
 
 
+@cache
+def _hermitian_basis(n: int) -> np.ndarray:
+    """The orthonormal Hermitian basis of n x n matrices as a read-only (n * n, n * n)
+    array B, built once per n. Row k is the flattened H_k: the diagonal units, then
+    for i < j, (E_ij + E_ji)/sqrt(2) and i(E_ji - E_ij)/sqrt(2). h @ B has coordinates h."""
+    b = np.zeros((n * n, n, n), dtype=complex)
+    b[range(n), range(n), range(n)] = 1.0
+    iu, ju = np.triu_indices(n, 1)
+    k = np.arange(n, n * n, 2)
+    b[k, iu, ju] = b[k, ju, iu] = 1.0 / np.sqrt(2.0)
+    b[k + 1, iu, ju], b[k + 1, ju, iu] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
+    b = b.reshape(n * n, n * n)
+    b.setflags(write=False)
+    return b
+
+
+def _traceless_basis(d: int) -> np.ndarray:
+    """An orthonormal basis (d*d - 1, d, d) of the traceless Hermitian d x d
+    matrices: d - 1 diagonal directions orthogonal to I, then the
+    off-diagonal elements of the coordinate basis."""
+    h = np.zeros((d * d - 1, d * d))
+    h[: d - 1, :d] = np.linalg.qr(np.ones((d, 1)), mode="complete")[0][:, 1:].T
+    h[d - 1:, d:] = np.eye(d * d - d)
+    return (h @ _hermitian_basis(d)).reshape(-1, d, d)
+
+
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """(1/2) ||a - b||_1 via the eigenvalues of the difference."""
     if a.dim != b.dim:

@@ -23,7 +23,6 @@ from .boxes import (
     KentBoxConfig,
     LinearBoxConfig,
     NonlinearBox,
-    Semantics,
 )
 from .errors import (
     CapacityError,
@@ -128,14 +127,14 @@ def _float_from_json(value, where) -> float:
 def _policy_from_json(node, box_event, where) -> MembershipPolicy:
     if not isinstance(node, dict) or "kind" not in node:
         raise ValidationError(f"{where}: membership policy needs a 'kind'")
-    kind = PolicyKind(node["kind"])
+    kind = node["kind"]
     event = _event_from_json(node["box_event"], where) if "box_event" in node else box_event
     labels = node.get("labels", [])
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise ValidationError(f"{where}: membership labels must be a list of strings")
-    if kind is PolicyKind.KENT_LIGHT_CONE:
+    if kind == PolicyKind.KENT_LIGHT_CONE:
         return MembershipPolicy(kind, box_event=event)
-    if kind is PolicyKind.EXPLICIT_LIST:
+    if kind == PolicyKind.EXPLICIT_LIST:
         return MembershipPolicy(kind, labels=frozenset(labels))
     return MembershipPolicy(kind)
 
@@ -146,7 +145,6 @@ def _box_from_json(node) -> NonlinearBox:
         raise ValidationError("scenario 'box' must be an object")
     kind = node.get("kind")
     box_event = _event_from_json(node.get("box_event", [1.0, 0.0]), where)
-    semantics = Semantics(node.get("semantics", "decomposition"))
     policy = _policy_from_json(node.get("membership", {"kind": "naive_pure"}),
                                box_event, where)
     if kind in ("brun", "kent"):
@@ -164,7 +162,7 @@ def _box_from_json(node) -> NonlinearBox:
     else:
         raise ValidationError(f"box: unknown kind {kind!r}")
     return NonlinearBox(config=config, box_event=box_event,
-                        semantics=semantics, membership=policy)
+                        semantics=node.get("semantics", "decomposition"), membership=policy)
 
 
 def _load_json(path):

@@ -15,7 +15,7 @@ import numpy as np
 from .boxes import NonlinearBox, apply_box
 from .errors import MisuseError, RankError, ShapeError, ValidationError
 from .preparations import Preparation, classify_membership, linearly_equivalent
-from .qcore import trace_distance
+from .qcore import _hermitian_basis, _traceless_basis, trace_distance
 from .tolerances import ATOL, COMPLETENESS_CUT, DTOL
 
 
@@ -46,6 +46,8 @@ class StatsTable:
         dout = {m.dim for m in meas.values()}
         if len(dout) != 1:
             raise ShapeError("all measurements must share one output dimension")
+        if not self.probabilities:
+            raise ValidationError("stats table has no probability rows")
         for (pl, ml), row in self.probabilities.items():
             if pl not in preps or ml not in meas:
                 raise ValidationError(f"probability row references unknown labels ({pl}, {ml})")
@@ -65,30 +67,6 @@ class StatsTable:
 
     def is_sampled(self) -> bool:
         return self.sample_counts is not None
-
-
-def _from_coords(h: np.ndarray, n: int) -> np.ndarray:
-    """The Hermitian n x n matrices with real coordinates h (..., n * n) in
-    the orthonormal Hilbert-Schmidt basis: the n diagonal entries, then for
-    each i < j in row-major order sqrt(2) Re m[i, j] and -sqrt(2) Im m[i, j]."""
-    iu, ju = np.triu_indices(n, 1)
-    off = h[..., n:].reshape(*h.shape[:-1], len(iu), 2)
-    upper = (off[..., 0] - 1j * off[..., 1]) / np.sqrt(2.0)
-    m = np.zeros((*h.shape[:-1], n, n), dtype=complex)
-    m[..., np.arange(n), np.arange(n)] = h[..., :n]
-    m[..., iu, ju] = upper
-    m[..., ju, iu] = upper.conj()
-    return m
-
-
-def _traceless_basis(d: int) -> np.ndarray:
-    """An orthonormal basis (d*d - 1, d, d) of the traceless Hermitian d x d
-    matrices: d - 1 diagonal directions orthogonal to I, then the
-    off-diagonal elements of the coordinate basis."""
-    h = np.zeros((d * d - 1, d * d))
-    h[: d - 1, :d] = np.linalg.qr(np.ones((d, 1)), mode="complete")[0][:, 1:].T
-    h[d - 1:, d:] = np.eye(d * d - d)
-    return _from_coords(h, d)
 
 
 @dataclass(frozen=True)
@@ -124,7 +102,7 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
     meas = dict(table.measurements)
     index = {label: i for i, (label, _) in enumerate(table.preparations)}
     out_basis = _traceless_basis(dout)
-    in_basis = _from_coords(np.eye(din * din), din)
+    in_basis = _hermitian_basis(din).reshape(din * din, din, din)
 
     # Real coordinates Tr(B_k rho^T) of every input; their Gram matrix is Tr(rho_p rho_q).
     x = np.einsum("kij,pij->pk", in_basis,

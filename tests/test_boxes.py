@@ -256,6 +256,28 @@ class TestDeutsch:
         assert_density(star.matrix)
         assert_density(out.matrix)
 
+    @settings(max_examples=60)
+    @given(d_sys=st.sampled_from([2, 3]), d_ctc=st.sampled_from([2, 3, 4]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_and_is_exactly_hermitian(self, d_sys, d_ctc, seed):
+        rng = np.random.default_rng(seed)
+        u = random_unitary(d_sys * d_ctc, rng).matrix
+        rho = random_density(d_sys, rng)
+        star = deutsch_fixed_point(DeutschBoxConfig(Unitary(u), d_ctc), rho)
+        assert np.max(np.abs(star.matrix - reference_fixed_point(u, rho.matrix, d_ctc)[0])) <= 1e-10
+        assert np.array_equal(star.matrix, star.matrix.conj().T)
+
+    def test_solves_in_real_coordinates(self, monkeypatch):
+        seen, svd = [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            seen.append(np.asarray(a).dtype)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        deutsch_fixed_point(DeutschBoxConfig(Unitary(CNOT @ SWAP), 2), KET_PLUS.projector())
+        assert seen == [np.float64]
+
     def test_residual_above_tolerance_raises(self, monkeypatch):
         cfg = DeutschBoxConfig(Unitary(CNOT @ SWAP), 2)
         monkeypatch.setattr(boxes, "LOOP_RESIDUAL", -1.0)

@@ -18,6 +18,7 @@ from nlbox.qcore import (
     KetVector,
     Povm,
     Unitary,
+    _hermitian_basis,
     basis_povm,
     born_probabilities,
     computational_povm,
@@ -277,3 +278,16 @@ def test_principal_ket_recovers_pure_state(rng):
     for _ in range(10):
         k = random_ket(3, rng)
         assert k.fidelity(k.projector().principal_ket()) > 1 - 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_hermitian_basis_is_orthonormal_shared_and_read_only(n):
+    basis = _hermitian_basis(n)
+    assert _hermitian_basis(n) is basis
+    assert basis.shape == (n * n, n * n)
+    h = basis.reshape(n * n, n, n)
+    assert np.array_equal(h, h.conj().transpose(0, 2, 1))
+    # Tr(H_j H_k) = delta_jk.
+    assert np.allclose(np.einsum("jab,kba->jk", h, h), np.eye(n * n), rtol=0, atol=1e-15)
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0

@@ -14,6 +14,8 @@ from nlbox.qcore import (
     KET_PLUS,
     DensityOperator,
     Povm,
+    _hermitian_basis,
+    _traceless_basis,
     basis_povm,
     born_probabilities,
     computational_povm,
@@ -23,8 +25,6 @@ from nlbox.qcore import (
 from nlbox.rand import random_cptp_kraus, random_density, random_ket, random_unitary
 from nlbox.witness import (
     StatsTable,
-    _from_coords,
-    _traceless_basis,
     affinity_violation,
     fit_linear_map,
     is_linear_explainable,
@@ -232,7 +232,8 @@ class TestFit:
 class TestCoords:
     def test_unit_coordinates_are_the_basis(self):
         for n in (1, 2, 3, 5):
-            assert np.array_equal(_from_coords(np.eye(n * n), n), np.array(hermitian_basis(n)))
+            assert np.array_equal(_hermitian_basis(n).reshape(n * n, n, n),
+                                  np.array(hermitian_basis(n)))
 
     def test_traceless_basis_is_orthonormal(self):
         for d in range(1, 6):
