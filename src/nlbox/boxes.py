@@ -33,7 +33,6 @@ from .preparations import (
     classify_membership,
     effective_density,
     in_past_light_cone,
-    unconditioned_density,
 )
 from .qcore import (
     QUBIT0,
@@ -251,11 +250,11 @@ def kent_readout(p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
     If every provenance record lies in the box's past light cone the
     realized identity is knowable and the readout is the effective
     density (the realized member, for singleton ensembles). Otherwise the
-    readout is the unconditioned mixture: heralded states prepared from
-    outside the light cone appear mixed.
+    readout is the unconditioned state: heralded states prepared from
+    outside the light cone appear as the marginal they were steered from.
     """
     knowable = all(in_past_light_cone(e, box_event) for e in p.provenance.records)
-    return effective_density(p) if knowable else unconditioned_density(p)
+    return effective_density(p) if knowable else p.unconditioned
 
 
 def apply_box(box: NonlinearBox, p: Preparation) -> DensityOperator:
@@ -274,12 +273,11 @@ def apply_box(box: NonlinearBox, p: Preparation) -> DensityOperator:
         if isinstance(cfg, KentBoxConfig):
             return cfg.apply(kent_readout(p, box.box_event))
         # Excluded heralded preparations present their unconditioned
-        # mixture: the heralding record is exactly the information the
+        # state: the heralding record is exactly the information the
         # policy says is not available to the box.
-        rho = unconditioned_density(p)
         if isinstance(cfg, BrunBoxConfig):
-            return tensor(rho, QUBIT0)
-        return cfg.apply(rho)
+            return tensor(p.unconditioned, QUBIT0)
+        return cfg.apply(p.unconditioned)
 
     if box.semantics is Semantics.DECOMPOSITION:
         return _mix([(w, cfg.apply(state)) for w, state in p.ensemble])

@@ -100,26 +100,28 @@ class Preparation:
     """An operational preparation procedure.
 
     `ensemble` is the realized (possibly post-selected) decomposition the
-    procedure delivers. For heralded preparations, `unconditioned` holds
-    the full outcome ensemble an observer without the heralding record
-    would assign; it defaults to the realized ensemble.
+    procedure delivers. `unconditioned` is the density an observer without
+    the heralding record assigns: for a remotely steered preparation, the
+    receiver's marginal of the shared state. It defaults to the realized
+    mixture.
     """
 
     ensemble: tuple
     provenance: Provenance
     label: str
-    unconditioned: tuple | None = None
+    unconditioned: DensityOperator | None = None
     _mixture: DensityOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         members = _normalize_ensemble(self.ensemble, "ensemble")
         object.__setattr__(self, "ensemble", members)
         object.__setattr__(self, "_mixture", _mix(members))  # checked once, then shared
-        if self.unconditioned is not None:
-            unc = _normalize_ensemble(self.unconditioned, "unconditioned ensemble")
-            if unc[0][1].dim != members[0][1].dim:
-                raise ShapeError("unconditioned ensemble dimension mismatch")
-            object.__setattr__(self, "unconditioned", unc)
+        if self.unconditioned is None:
+            object.__setattr__(self, "unconditioned", self._mixture)
+        elif not isinstance(self.unconditioned, DensityOperator):
+            raise ValidationError("the unconditioned state must be a DensityOperator")
+        elif self.unconditioned.dim != self.dim:
+            raise ShapeError("unconditioned state dimension mismatch")
 
     @property
     def dim(self) -> int:
@@ -129,11 +131,6 @@ class Preparation:
 def effective_density(p: Preparation) -> DensityOperator:
     """The weighted average of the ensemble: the linear-theory state."""
     return p._mixture
-
-
-def unconditioned_density(p: Preparation) -> DensityOperator:
-    """The state assigned without access to any heralding record."""
-    return _mix(p.unconditioned) if p.unconditioned is not None else p._mixture
 
 
 def linearly_equivalent(p1: Preparation, p2: Preparation) -> bool:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .qcore import (
     basis_povm,
     born_probabilities,
     computational_povm,
+    partial_trace,
     trace_distance,
 )
 from .steering import assemblage_from
@@ -50,8 +52,10 @@ EVE_STRATEGIES = ("identify", "fixed_basis")
 _BB84_BATCH = 1 << 16
 
 
-# The sender's and receiver's shared singlet, built and validated once.
+# The sender's and receiver's shared singlet, built and validated once, and
+# the receiver's half of it: the state assigned without the heralding record.
 SINGLET = KetVector(np.array([0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0], dtype=complex)).projector()
+SINGLET_MARGINAL = partial_trace(SINGLET, (2, 2), [1])
 
 
 def _brun(box: NonlinearBox) -> BrunBoxConfig | None:
@@ -74,6 +78,19 @@ def _local_prep(state: KetVector, label: str, record: SpacetimeEvent) -> Prepara
         provenance=Provenance(ProvenanceTag.LOCAL_DETERMINISTIC, (record,)),
         label=label,
     )
+
+
+def _steered(basis, alice_event: SpacetimeEvent, labels):
+    """(probability, Preparation) for each outcome of the sender measuring
+    her half of the singlet in `basis` at `alice_event`, one label each.
+
+    The singlet heralds the state orthogonal to the sender's outcome.
+    """
+    provenance = Provenance(ProvenanceTag.REMOTE_STEERED, (alice_event,))
+    assemblage = assemblage_from(SINGLET, 2, 2, basis_povm(basis))
+    return [(p_i, Preparation(ensemble=((1.0, heralded),), provenance=provenance,
+                              label=label, unconditioned=SINGLET_MARGINAL))
+            for (p_i, heralded), label in zip(assemblage.heralded, labels)]
 
 
 @dataclass(frozen=True)
@@ -138,29 +155,15 @@ def run_signaling_test(box: NonlinearBox, settings,
         raise ConfigurationError("signaling test needs at least one setting")
     distributions = {}
     for idx, setting in enumerate(settings):
-        name, (b0, b1) = _resolve_setting(box, setting)
+        name, basis = _resolve_setting(box, setting)
         name = name or f"setting{idx}"
-        assemblage = assemblage_from(SINGLET, 2, 2, basis_povm((b0, b1)))
         q = np.zeros(2)
-        for i in range(assemblage.n_outcomes):
-            p_i, heralded = assemblage.heralded[i]
-            prep = Preparation(
-                ensemble=((1.0, heralded),),
-                provenance=Provenance(ProvenanceTag.REMOTE_STEERED, (alice_event,)),
-                label=f"remote_{name}_{i}",
-                unconditioned=tuple(assemblage.heralded),
-            )
-            out = apply_box(box, prep)
-            q += p_i * box_output_qubit_distribution(out)
+        for p_i, prep in _steered(basis, alice_event, (f"remote_{name}_0", f"remote_{name}_1")):
+            q += p_i * box_output_qubit_distribution(apply_box(box, prep))
         distributions[name] = [float(x) for x in q]
 
-    labels = list(distributions)
-    metric = 0.0
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            a = np.array(distributions[labels[i]])
-            b = np.array(distributions[labels[j]])
-            metric = max(metric, 0.5 * float(np.sum(np.abs(a - b))))
+    metric = max((0.5 * float(np.sum(np.abs(np.subtract(a, b))))
+                  for a, b in combinations(distributions.values(), 2)), default=0.0)
     return SignalingReport(
         distributions=distributions,
         signaling_metric=metric,
@@ -185,18 +188,12 @@ def run_preparation_problem_demo(box: NonlinearBox,
     demo reports a signaling hazard instead of a split.
     """
     states = _domain_states(box)
-    partners = (1, 0, 3, 2)  # the basis partner of each domain state
-    pairs = []
-    for i, (name, state) in enumerate(zip(_STATE_NAMES, states)):
-        local = _local_prep(state, f"local_{name}", box.box_event)
-        partner = states[partners[i]]
-        remote = Preparation(
-            ensemble=((1.0, state.projector()),),
-            provenance=Provenance(ProvenanceTag.REMOTE_STEERED, (alice_event,)),
-            label=f"remote_{name}",
-            unconditioned=((0.5, state.projector()), (0.5, partner.projector())),
-        )
-        pairs.append((name, local, remote))
+    remotes = []
+    for k in (0, 2):  # measured in reverse order, a basis heralds its own states in order
+        labels = [f"remote_{name}" for name in _STATE_NAMES[k:k + 2]]
+        remotes += [prep for _, prep in _steered((states[k + 1], states[k]), alice_event, labels)]
+    pairs = [(name, _local_prep(state, f"local_{name}", box.box_event), remote)
+             for name, state, remote in zip(_STATE_NAMES, states, remotes)]
 
     hazard = any(classify_membership(remote, box.membership) for _, _, remote in pairs)
     entries = []

@@ -180,7 +180,7 @@ def parse_scenario(path) -> ScenarioConfig:
 
     Raises ScenarioParseError for malformed text and ValidationError with
     the first violated constraint otherwise, a missing field or one of the
-    wrong type included.
+    wrong type included. Every error names the path.
     """
     raw = _load_json(path)
     if not isinstance(raw, dict):
@@ -190,7 +190,8 @@ def parse_scenario(path) -> ScenarioConfig:
 
     try:
         return _scenario_from_json(raw)
-    except NlboxError:
+    except NlboxError as exc:
+        exc.args = (f"{path}: {exc}",)
         raise
     except (LookupError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import NonlinearBox, apply_box
-from .errors import MisuseError, RankError, ShapeError, ValidationError
+from .errors import ConfigurationError, MisuseError, RankError, ShapeError, ValidationError
 from .preparations import Preparation, classify_membership, linearly_equivalent
 from .qcore import _hermitian_basis, _traceless_basis, trace_distance
 from .tolerances import ATOL, COMPLETENESS_CUT, DTOL
@@ -163,9 +163,12 @@ def sampled_tolerance(table: StatsTable) -> float:
 
 def linearity_verdict(table: StatsTable, tol: float | None = None):
     """(fit, tol, verdict) for the table. The default tol is the sampled
-    tolerance for an empirical table and DTOL for an exact one."""
+    tolerance for an empirical table and DTOL for an exact one; an explicit
+    tol that is negative or not finite is a ConfigurationError."""
     if tol is None:
         tol = sampled_tolerance(table) if table.is_sampled() else DTOL
+    elif not 0 <= tol < math.inf:
+        raise ConfigurationError(f"tol must be a finite non-negative number, got {tol!r}")
     fit = fit_linear_map(table)
     return fit, tol, fit.residual <= tol and fit.choi_min_eig >= -tol
 

@@ -11,7 +11,7 @@ from nlbox.preparations import (
     ProvenanceTag,
     SpacetimeEvent,
 )
-from nlbox.qcore import COMPUTATIONAL_BASIS, HADAMARD_BASIS
+from nlbox.qcore import COMPUTATIONAL_BASIS, HADAMARD_BASIS, DensityOperator
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a tier-1 failure reproduces; examples have no deadline.
@@ -63,7 +63,9 @@ def ensemble_prep(members, label="p", record=BOX_EVENT,
 
 
 def remote_prep(state_density, unconditioned, label="r", record=FAR_EVENT):
+    """A heralded preparation whose unconditioned state is the mixture of
+    the (weight, density) pairs in `unconditioned`."""
     return Preparation(ensemble=((1.0, state_density),),
                        provenance=Provenance(ProvenanceTag.REMOTE_STEERED, (record,)),
                        label=label,
-                       unconditioned=tuple(unconditioned))
+                       unconditioned=DensityOperator(sum(w * s.matrix for w, s in unconditioned)))

@@ -16,7 +16,6 @@ from nlbox.preparations import (
     effective_density,
     in_past_light_cone,
     linearly_equivalent,
-    unconditioned_density,
 )
 from nlbox.qcore import (
     KET0,
@@ -205,14 +204,26 @@ class TestMembership:
         assert classify_membership(local, policy) != classify_membership(remote, policy)
 
 
-def test_unconditioned_density_defaults_to_effective():
+def test_unconditioned_defaults_to_the_mixture():
     p = local_prep(KET0.projector())
-    assert trace_distance(unconditioned_density(p), effective_density(p)) < 1e-12
+    assert p.unconditioned is effective_density(p)
     p = ensemble_prep([(0.5, KET0.projector()), (0.5, KET_MINUS.projector())])
-    assert unconditioned_density(p) is effective_density(p)
+    assert p.unconditioned is effective_density(p)
 
 
-def test_unconditioned_density_for_remote():
+def test_unconditioned_for_remote():
     p = remote_prep(KET0.projector(), [(0.5, KET0.projector()), (0.5, KET1.projector())])
-    assert trace_distance(unconditioned_density(p), maximally_mixed(2)) < 1e-12
+    assert trace_distance(p.unconditioned, maximally_mixed(2)) < 1e-12
     assert trace_distance(effective_density(p), KET0.projector()) < 1e-12
+
+
+@pytest.mark.parametrize("unconditioned,error", [
+    (((1.0, KET0.projector()),), ValidationError),
+    (np.eye(2) / 2, ValidationError),
+    (maximally_mixed(3), ShapeError),
+])
+def test_unconditioned_must_be_a_density_of_the_ensemble_dim(unconditioned, error):
+    with pytest.raises(error):
+        Preparation(ensemble=((1.0, KET0.projector()),),
+                    provenance=Provenance(ProvenanceTag.REMOTE_STEERED, (FAR_EVENT,)),
+                    label="r", unconditioned=unconditioned)

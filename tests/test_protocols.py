@@ -13,7 +13,12 @@ from nlbox.boxes import (
     Semantics,
 )
 from nlbox.errors import ConfigurationError
-from nlbox.preparations import MembershipPolicy, PolicyKind, classify_membership
+from nlbox.preparations import (
+    MembershipPolicy,
+    PolicyKind,
+    classify_membership,
+    effective_density,
+)
 from nlbox.protocols import (
     _inverse_cdf,
     run_bb84_attack,
@@ -31,8 +36,10 @@ from nlbox.qcore import (
     KetVector,
     Unitary,
     ket,
+    trace_distance,
 )
 from nlbox.rand import random_cptp_kraus, random_unitary
+from nlbox.tolerances import ATOL, DTOL, PURITY_MIN
 
 SWAPPED_PAIR = (ket(0.6, 0.8), ket(0.8, -0.6))
 
@@ -150,6 +157,71 @@ def test_partial_explicit_list_lets_a_linear_channel_signal():
     box = make_box(config, policy=membership)
     report = run_signaling_test(box, ("psi", "phi", random_pair(rng)))
     assert abs(report.signaling_metric - 0.0903) < 1e-4
+
+
+def random_brun(rng):
+    """A Brun config on a random non-identical pair of bases."""
+    return BrunBoxConfig(random_pair(rng), random_pair(rng))
+
+
+VERIFY_AND_LOCAL = frozenset(f"{kind}_{name}" for kind in ("verify", "local")
+                             for name in ("psi0", "psi1", "phi0", "phi1"))
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("policy", list(PolicyKind))
+@pytest.mark.parametrize("kind", ["brun", "kent"])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_verification_without_signaling_splits_the_classes(kind, policy, semantics, seed):
+    # The dichotomy: a box that reveals its map either lets the remote
+    # sender signal, or its policy splits linearly equivalent preparations.
+    tol = 1e-6
+    brun = random_brun(np.random.default_rng(seed))
+    membership = MembershipPolicy(policy, box_event=BOX_EVENT, labels=VERIFY_AND_LOCAL)
+    box = make_box(brun if kind == "brun" else KentBoxConfig(brun),
+                   semantics=semantics, policy=membership)
+    assert run_verification(box, tol).identified
+    metric = run_signaling_test(box, ("psi", "phi")).signaling_metric
+    if policy is PolicyKind.NAIVE_PURE:
+        assert metric >= 1 - tol
+    if metric <= tol:
+        report = run_preparation_problem_demo(box)
+        assert not report.hazard
+        for entry in report.entries:
+            assert entry["linearly_equivalent"]
+            assert entry["output_distance"] > tol
+
+
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_steered_outcomes_average_to_the_singlet_marginal(seed):
+    rng = np.random.default_rng(seed)
+    outcomes = protocols._steered(random_pair(rng), BOX_EVENT, ("a", "b"))
+    assert abs(sum(p for p, _ in outcomes) - 1) <= ATOL
+    average = DensityOperator(sum(p * effective_density(prep).matrix for p, prep in outcomes))
+    assert trace_distance(average, protocols.SINGLET_MARGINAL) <= DTOL
+    assert all(prep.unconditioned is protocols.SINGLET_MARGINAL for _, prep in outcomes)
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_demo_heralds_each_domain_state(seed):
+    # The singlet heralds the state orthogonal to the sender's outcome, so
+    # a basis measured in the wrong order would herald each state's partner.
+    brun = random_brun(np.random.default_rng(seed))
+    seen = {}
+
+    def spy(p, policy):
+        seen[p.label] = effective_density(p)
+        return classify_membership(p, policy)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocols, "classify_membership", spy)
+        run_preparation_problem_demo(make_box(brun))
+    for name, state in zip(("psi0", "psi1", "phi0", "phi1"), brun.domain_states):
+        rho = seen[f"remote_{name}"].matrix
+        assert np.vdot(state.amplitudes, rho @ state.amplitudes).real >= PURITY_MIN
 
 
 class TestPreparationProblem:
@@ -332,8 +404,9 @@ class TestValidationCount:
         assert len(calls) <= 4
 
     def test_preparation_demo_builds_only_new_values(self, monkeypatch):
-        # 4 projectors, then per remote preparation its unconditioned
-        # mixture and that mixture with the ancilla appended.
+        # 4 projectors, then per basis the 2 states the singlet heralds,
+        # and per excluded remote preparation the singlet marginal with the
+        # ancilla appended. The marginal is a module constant.
         policy = MembershipPolicy(PolicyKind.KENT_LIGHT_CONE, box_event=BOX_EVENT)
         box = self.fresh_box(policy=policy)
         calls = self.count_validations(monkeypatch)
@@ -342,14 +415,14 @@ class TestValidationCount:
         assert len(calls) <= 12
 
     @pytest.mark.parametrize("kind,bound", [
-        (PolicyKind.KENT_LIGHT_CONE, 16),
+        (PolicyKind.KENT_LIGHT_CONE, 12),
         (PolicyKind.NAIVE_PURE, 8),
     ])
     def test_signaling_reuses_the_singlet(self, monkeypatch, kind, bound):
         # Per outcome: its heralded state and the box output's first-qubit
         # marginal; under kent_light_cone the excluded outcome also builds
-        # its unconditioned mixture and that mixture with the ancilla
-        # appended. The singlet is a module constant, built before counting.
+        # the singlet marginal with the ancilla appended. The singlet and
+        # its marginal are module constants, built before counting.
         box = self.fresh_box(policy=MembershipPolicy(kind, box_event=BOX_EVENT))
         calls = self.count_validations(monkeypatch)
         report = run_signaling_test(box, ("psi", "phi"))

@@ -162,7 +162,7 @@ class TestMalformedCorpus:
             parse_scenario(path)
         out = tmp_path / "r.json"
         assert main(["run", str(path), "--out", str(out)]) == code
-        assert capsys.readouterr().err.startswith("validation error: ")
+        assert capsys.readouterr().err.startswith(f"validation error: {path}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [
@@ -308,7 +308,9 @@ class TestEmission:
         tag = "default" if seed is None else f"seed{seed}"
         golden = (GOLDEN_DIR / f"{path.stem}.{tag}.{fmt}").read_bytes()
         report = run_scenario(parse_scenario(path), seed=seed)
-        assert emit_table(report, fmt).encode("utf-8") == golden
+        # A strict decode is exact, so this stays byte for byte, and a
+        # mismatch is reported line by line.
+        assert emit_table(report, fmt) == golden.decode("utf-8")
 
     def test_csv_deterministic(self):
         config = parse_scenario(SCENARIO_DIR / "signaling_naive.scn")
@@ -529,6 +531,23 @@ class TestCli:
         assert exc.value.code == 0
         assert capsys.readouterr().out == "nlbox 0.1.0\n"
 
+    @pytest.mark.parametrize("where,value", [
+        (("box", "kind"), "oracle"),
+        (("box", "semantics"), "bogus"),
+        (("protocol", "tol"), -1),
+    ], ids=["kind", "semantics", "tol"])
+    def test_batch_names_the_invalid_file(self, tmp_path, monkeypatch, capsys, where, value):
+        monkeypatch.setenv("NLBOX_OUT_DIR", str(tmp_path / "out"))
+        (tmp_path / "out").mkdir()
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        (scenarios / "a_valid.scn").write_bytes((SCENARIO_DIR / "verification.scn").read_bytes())
+        bad = mutated_scenario(tmp_path, "verification", where, value).rename(
+            scenarios / "b_invalid.scn")
+        assert main(["batch", str(scenarios)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {bad}: ")
+
     def test_batch_empty_directory(self, tmp_path):
         assert main(["batch", str(tmp_path)]) == 3
 
@@ -549,6 +568,15 @@ class TestCli:
         # Three binomial sigmas at p = 1/2 and 100 shots.
         assert fields["tol"] == repr(3 * 0.05)
         assert fields["linear_explainable"] == "True"
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_witness_rejects_bad_tol(self, tmp_path, capsys, tol):
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(stats_doc()))
+        assert main(["witness", str(path), "--tol", tol]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: tol must be")
 
     @pytest.mark.parametrize("flag,value", [("--format", "csv"), ("--out", "w.json")])
     def test_witness_rejects_report_flags(self, tmp_path, monkeypatch, flag, value):
