@@ -195,19 +195,16 @@ def run_preparation_problem_demo(box: NonlinearBox,
     pairs = [(name, _local_prep(state, f"local_{name}", box.box_event), remote)
              for name, state, remote in zip(_STATE_NAMES, states, remotes)]
 
-    hazard = any(classify_membership(remote, box.membership) for _, _, remote in pairs)
-    entries = []
-    for name, local, remote in pairs:
-        entry = {
-            "state": name,
-            "linearly_equivalent": linearly_equivalent(local, remote),
-            "local_member": classify_membership(local, box.membership),
-            "remote_member": classify_membership(remote, box.membership),
-        }
-        if not hazard:
+    entries = [{"state": name,
+                "linearly_equivalent": linearly_equivalent(local, remote),
+                "local_member": classify_membership(local, box.membership),
+                "remote_member": classify_membership(remote, box.membership)}
+               for name, local, remote in pairs]
+    hazard = any(entry["remote_member"] for entry in entries)
+    if not hazard:
+        for entry, (_, local, remote) in zip(entries, pairs):
             entry["output_distance"] = trace_distance(
                 apply_box(box, local), apply_box(box, remote))
-        entries.append(entry)
     return ClassSplitReport(entries=entries, hazard=hazard)
 
 

@@ -8,20 +8,13 @@ the heralded states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DecompositionError, MisuseError, ShapeError, ValidationError
 from .preparations import _normalize_ensemble
-from .qcore import (
-    DensityOperator,
-    KetVector,
-    Povm,
-    _partial_trace_raw,
-    _phase_fix,
-    trace_norm,
-)
+from .qcore import DensityOperator, KetVector, Povm, _phase_fix, trace_norm
 from .tolerances import DTOL, EIG_TIE_DIGITS, RANK_CUT, ZERO_PROB
 
 # Decompositions beyond this many members are rejected.
@@ -36,6 +29,8 @@ class EnsembleDecomposition:
     members: tuple
 
     def __post_init__(self):
+        if not isinstance(self.sigma_b, DensityOperator):
+            raise DecompositionError("sigma_B must be a DensityOperator")
         members = _normalize_ensemble(self.members, "decomposition")
         if members[0][1].dim != self.sigma_b.dim:
             raise ShapeError("member dimension differs from sigma_B")
@@ -53,26 +48,43 @@ class EnsembleDecomposition:
 
 @dataclass(frozen=True)
 class SteeringAssemblage:
-    """A bipartite state plus a measurement on A heralding a decomposition."""
+    """A bipartite state, a measurement on A, and what each outcome heralds on B.
+
+    The constructor is where nlbox conditions a bipartite state: it
+    conditions on every effect at once and keeps the result. `outcomes[i]`
+    is outcome i's (probability, heralded DensityOperator), or None when
+    its probability is below ZERO_PROB and it heralds no state; `heralded`
+    lists the outcomes that do, in order. The effects of a validated Povm
+    sum to the identity, so the heralded set averages to the B marginal by
+    construction and is not checked again.
+    """
 
     state_ab: DensityOperator
     dim_a: int
     dim_b: int
     povm_a: Povm
-    heralded: tuple
+    outcomes: tuple = field(init=False, repr=False)
+    heralded: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.state_ab, DensityOperator):
+            raise ValidationError("state_ab must be a DensityOperator")
+        if not isinstance(self.povm_a, Povm):
+            raise ValidationError("povm_a must be a Povm")
         if self.dim_a * self.dim_b != self.state_ab.dim:
             raise ShapeError("dim_a * dim_b must equal the bipartite dimension")
         if self.povm_a.dim != self.dim_a:
             raise ShapeError("POVM acts on A, dimensions differ")
-        marginal = _partial_trace_raw(self.state_ab.matrix, (self.dim_a, self.dim_b), [1])
-        avg = sum(w * s.matrix for w, s in self.heralded)
-        gap = 0.5 * trace_norm(avg - marginal)
-        if not gap <= DTOL:
-            raise ValidationError(
-                f"heralded ensemble averages {gap} away from the B marginal")
-        object.__setattr__(self, "heralded", tuple(self.heralded))
+        t = self.state_ab.matrix.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
+        blocks = np.einsum("kxa,ajxc->kjc", self.povm_a.effects, t)
+        probs = np.einsum("kjj->k", blocks).real
+        heralds = probs >= ZERO_PROB
+        conds = blocks / np.where(heralds, probs, 1.0)[:, None, None]
+        conds = 0.5 * (conds + conds.conj().transpose(0, 2, 1))
+        outcomes = tuple((float(p), DensityOperator(c)) if h else None
+                         for p, h, c in zip(probs, heralds, conds))
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "heralded", tuple(o for o in outcomes if o is not None))
 
     @property
     def n_outcomes(self) -> int:
@@ -83,14 +95,11 @@ def _sorted_eig(sigma: DensityOperator):
     """Eigendecomposition with eigenvalues descending, phase-fixed vectors,
     and lexicographic tie-breaking within degenerate eigenvalues."""
     evals, evecs = np.linalg.eigh(sigma.matrix)
-    vecs = [_phase_fix(v) for v in evecs.T]
-
-    def key(k):
-        parts = (-float(evals[k]),) + tuple(x for a in vecs[k] for x in (a.real, a.imag))
-        return tuple(round(x, EIG_TIE_DIGITS) for x in parts)
-
-    order = sorted(range(len(evals)), key=key)
-    return evals[order], np.column_stack([vecs[k] for k in order])
+    vecs = np.array([_phase_fix(v) for v in evecs.T])
+    # One row of keys per vector: -eigenvalue, then Re and Im of each amplitude.
+    keys = np.round(np.column_stack([-evals, vecs.view(float)]), EIG_TIE_DIGITS)
+    order = np.lexsort(keys.T[::-1])
+    return evals[order], vecs[order].T
 
 
 def _rank_space(sigma: DensityOperator):
@@ -147,33 +156,19 @@ def hjw_assemblage(d: EnsembleDecomposition) -> SteeringAssemblage:
     a = _hjw_povm_vectors(lams, vecs, weights, padded)
     r = len(lams)
     effects = np.einsum("ia,ib,xy->iaxby", a, a.conj(), np.eye(m)).reshape(-1, r * m, r * m)
-    return SteeringAssemblage(KetVector(psi).projector(), r * m, dim_b, Povm(effects),
-                              d.members)
-
-
-def _condition(state_ab: DensityOperator, dim_a: int, dim_b: int, effects: np.ndarray):
-    """For each effect of a (k, dim_a, dim_a) stack on A, (probability,
-    heralded DensityOperator), or None when the effect has zero probability
-    and no conditional state."""
-    t = state_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-    blocks = np.einsum("kxa,ajxc->kjc", effects, t)
-    probs = np.einsum("kjj->k", blocks).real
-    heralds = probs >= ZERO_PROB
-    conds = blocks / np.where(heralds, probs, 1.0)[:, None, None]
-    conds = 0.5 * (conds + conds.conj().transpose(0, 2, 1))
-    return [(float(p), DensityOperator(c)) if h else None
-            for p, h, c in zip(probs, heralds, conds)]
+    return assemblage_from(KetVector(psi).projector(), r * m, dim_b, Povm(effects))
 
 
 def steer(assemblage: SteeringAssemblage, outcome: int):
-    """Condition B on an outcome of the A measurement.
+    """The (probability, heralded DensityOperator) that the assemblage's
+    constructor computed for one outcome of the A measurement.
 
-    Returns (probability, heralded DensityOperator).
+    MisuseError for an outcome that is not an index of the measurement, or
+    whose probability is zero so that no conditional state exists.
     """
-    if not 0 <= outcome < assemblage.n_outcomes:
-        raise MisuseError(f"outcome {outcome} out of range")
-    result = _condition(assemblage.state_ab, assemblage.dim_a, assemblage.dim_b,
-                        assemblage.povm_a.effects[outcome:outcome + 1])[0]
+    if not isinstance(outcome, (int, np.integer)) or not 0 <= outcome < assemblage.n_outcomes:
+        raise MisuseError(f"outcome {outcome!r} out of range")
+    result = assemblage.outcomes[outcome]
     if result is None:
         raise MisuseError(f"outcome {outcome} has zero probability; conditional undefined")
     return result
@@ -181,11 +176,7 @@ def steer(assemblage: SteeringAssemblage, outcome: int):
 
 def assemblage_from(state_ab: DensityOperator, dim_a: int, dim_b: int,
                     povm_a: Povm) -> SteeringAssemblage:
-    """Wrap an explicit state and measurement, computing the heralded set.
-
-    Zero-probability outcomes contribute nothing to the marginal and are
-    left out of the heralded set.
-    """
-    conditioned = _condition(state_ab, dim_a, dim_b, povm_a.effects)
-    heralded = tuple(c for c in conditioned if c is not None)
-    return SteeringAssemblage(state_ab, dim_a, dim_b, povm_a, heralded)
+    """The assemblage of an explicit state and measurement on A; its
+    constructor computes what each outcome heralds, and outcomes with
+    probability below ZERO_PROB are left out of the heralded set."""
+    return SteeringAssemblage(state_ab, dim_a, dim_b, povm_a)

@@ -26,8 +26,8 @@ class StatsTable:
     preparations: tuple of (label, input DensityOperator)
     measurements: tuple of (label, Povm on the output space)
     probabilities: dict (prep label, meas label) -> tuple of outcome probs
-    sample_counts: optional dict with the same keys; presence marks the
-        table as empirical frequencies rather than exact probabilities.
+    sample_counts: optional dict, row key -> shot count >= 1; presence
+        marks the table as empirical frequencies, not exact probabilities.
     """
 
     preparations: tuple
@@ -56,6 +56,13 @@ class StatsTable:
                 raise ShapeError(f"row ({pl}, {ml}) has wrong outcome count")
             if any(not x >= -ATOL for x in row) or not abs(sum(row) - 1.0) <= ATOL:
                 raise ValidationError(f"row ({pl}, {ml}) is not a probability distribution")
+        if self.sample_counts is not None and not self.sample_counts:
+            raise ValidationError("sample_counts is empty")
+        for cell, n in (self.sample_counts or {}).items():
+            if cell not in self.probabilities:
+                raise ValidationError(f"sample count for {cell} has no probability row")
+            if not n >= 1:
+                raise ValidationError(f"sample count for {cell} must be at least 1, got {n}")
 
     @property
     def input_dim(self) -> int:
@@ -133,7 +140,10 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
 
 def sample_table(table: StatsTable, n: int, rng: np.random.Generator) -> StatsTable:
     """Replace exact probabilities with multinomial frequencies at n shots
-    per (preparation, measurement) cell."""
+    per (preparation, measurement) cell; ConfigurationError unless n is an
+    integer of at least 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ConfigurationError(f"n must be an integer of at least 1 shot, got {n!r}")
     probs = {}
     counts = {}
     for key, row in sorted(table.probabilities.items()):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import local_prep, make_box
-from nlbox import boxes
+from nlbox import boxes, steering
 from nlbox.boxes import (
     BrunBoxConfig,
     DeutschBoxConfig,
@@ -21,7 +21,7 @@ from nlbox.boxes import (
     Semantics,
     apply_box,
 )
-from nlbox.qcore import COMPUTATIONAL_BASIS, HADAMARD_BASIS, KET0, Unitary
+from nlbox.qcore import COMPUTATIONAL_BASIS, HADAMARD_BASIS, KET0, KET1, Unitary, maximally_mixed
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -58,3 +58,18 @@ def test_box_kinds_name_every_config_class():
     configs = {name for name, obj in inspect.getmembers(boxes, inspect.isclass)
                if obj.__module__ == boxes.__name__ and name.endswith("BoxConfig")}
     assert configs == set(tracer._BOX_KINDS)
+
+
+def test_tracer_nests_assemblage_from_under_hjw_assemblage():
+    # hjw_assemblage builds through the module-global assemblage_from, so a
+    # traced run shows that span as its child.
+    tracer = load_tracer()
+    d = steering.EnsembleDecomposition(
+        maximally_mixed(2), ((0.5, KET0.projector()), (0.5, KET1.projector())))
+    with tracer.Tracer() as t:
+        asm = steering.hjw_assemblage(d)
+        steering.steer(asm, 0)
+    names = [span[0] for span in t.spans]
+    hjw = names.index("steering.hjw_assemblage")
+    assert [span[3] for span in t.spans if span[0] == "steering.assemblage_from"] == [hjw]
+    assert names.count("steering.steer") == 1

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BOX_EVENT, make_box
-from nlbox import protocols
+from nlbox import boxes, protocols
 from nlbox.boxes import (
     BrunBoxConfig,
     DeutschBoxConfig,
@@ -245,6 +245,27 @@ class TestPreparationProblem:
         report = run_preparation_problem_demo(make_box(brun_config))
         assert report.hazard
         assert all("output_distance" not in e for e in report.entries)
+
+    @pytest.mark.parametrize("kind,calls", [
+        (PolicyKind.KENT_LIGHT_CONE, 16),
+        (PolicyKind.DETERMINISTIC_EXPERIMENTER, 16),
+        (PolicyKind.NAIVE_PURE, 8),
+    ])
+    def test_decides_each_membership_once(self, brun_config, monkeypatch, kind, calls):
+        # Each of the 8 preparations is classified once for its entry and,
+        # without a hazard, once more inside apply_box.
+        seen = []
+
+        def spy(p, policy):
+            seen.append(p.label)
+            return classify_membership(p, policy)
+
+        monkeypatch.setattr(protocols, "classify_membership", spy)
+        monkeypatch.setattr(boxes, "classify_membership", spy)
+        policy = MembershipPolicy(kind, box_event=BOX_EVENT)
+        run_preparation_problem_demo(make_box(brun_config, policy=policy))
+        assert len(seen) == calls
+        assert all(seen.count(label) == calls // 8 for label in seen)
 
     def test_membership_matches_policy_invariant(self, brun_config):
         # Report entries must agree with classify_membership on the same

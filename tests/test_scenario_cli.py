@@ -138,6 +138,9 @@ MALFORMED_STATS = [
     ("sample_count_fraction", ("sample_counts",), {"zero|comp": 100.7}, 3),
     ("sample_count_bool", ("sample_counts",), {"zero|comp": True}, 3),
     ("sample_count_negative", ("sample_counts",), {"zero|comp": -1}, 3),
+    ("sample_counts_empty", ("sample_counts",), {}, 3),
+    ("sample_count_zero", ("sample_counts",), {"zero|comp": 0}, 3),
+    ("sample_count_unknown_cell", ("sample_counts",), {"nope|Q": 100}, 3),
     ("probability_nan", ("probabilities", "zero|comp"), [1.0, math.nan], 3),
     ("probability_huge_int", ("probabilities", "zero|comp"), [HUGE, 0.0], 2),
     ("probabilities_empty", ("probabilities",), {}, 3),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlbox.errors import DecompositionError, MisuseError
+from nlbox.errors import DecompositionError, MisuseError, ValidationError
 from nlbox.qcore import (
     KET0,
     KET1,
@@ -17,6 +17,7 @@ from nlbox.qcore import (
     ket,
     maximally_mixed,
     trace_distance,
+    trace_norm,
 )
 from nlbox.rand import random_density, random_ket, random_unitary
 from nlbox.steering import (
@@ -27,7 +28,7 @@ from nlbox.steering import (
     purify,
     steer,
 )
-from nlbox.tolerances import RANK_CUT
+from nlbox.tolerances import DTOL, RANK_CUT
 
 
 def singlet():
@@ -60,6 +61,16 @@ def reference_condition(state_ab, dim_a, dim_b, effect):
     weighted = np.kron(effect, np.eye(dim_b)) @ state_ab.matrix
     prob = float(np.trace(weighted).real)
     return prob, _partial_trace_raw(weighted, (dim_a, dim_b), [1]) / prob
+
+
+def random_member(dim, rng, support=None):
+    """A density of random rank on `support` (orthonormal columns), by
+    default on a random subspace of random dimension, often a proper one."""
+    if support is None:
+        support = random_unitary(dim, rng).matrix[:, :int(rng.integers(1, dim + 1))]
+    k = support.shape[1]
+    rho = random_density(k, rng, rank=int(rng.integers(1, k + 1))).matrix
+    return DensityOperator(support @ rho @ support.conj().T)
 
 
 def pure_decomposition(kets, weights):
@@ -141,6 +152,10 @@ class TestDecomposition:
         # AttributeError from a missing .dim.
         with pytest.raises(DecompositionError):
             EnsembleDecomposition(maximally_mixed(2), ((1.0, np.eye(2) / 2),))
+
+    def test_rejects_raw_array_sigma_b(self):
+        with pytest.raises(DecompositionError):
+            EnsembleDecomposition(np.eye(2) / 2, ((1.0, maximally_mixed(2)),))
 
     def test_rejects_too_many_members(self):
         members = tuple((1 / 32, maximally_mixed(2)) for _ in range(32))
@@ -237,6 +252,26 @@ class TestHjw:
                     assert abs(p - w[i]) < 1e-8
                     assert trace_distance(rho, kets[i].projector()) < 1e-8
 
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 3), n=st.integers(1, 4),
+           deficient=st.booleans())
+    def test_mixed_roundtrip_property(self, seed, dim, n, deficient):
+        # Members of random rank, some on a random proper subspace; when
+        # `deficient`, all on one, so sigma_B is rank deficient.
+        rng = np.random.default_rng(seed)
+        shared = random_unitary(dim, rng).matrix[:, :int(rng.integers(1, dim))]
+        members = [random_member(dim, rng, shared if deficient else None) for _ in range(n)]
+        w = rng.dirichlet(np.ones(n))
+        sigma = DensityOperator(sum(wi * m.matrix for wi, m in zip(w, members)))
+        if deficient:
+            assert np.linalg.eigvalsh(sigma.matrix)[0] <= RANK_CUT
+        d = EnsembleDecomposition(sigma, tuple(zip(w.tolist(), members)))
+        asm = hjw_assemblage(d)
+        for i, member in enumerate(members):
+            p, rho = steer(asm, i)
+            assert abs(p - w[i]) <= 1e-8
+            assert trace_distance(rho, member) <= 1e-8
+
 
 class TestHjwAgainstPureReference:
     @pytest.mark.parametrize("name", sorted(DEGENERATE_PURE))
@@ -298,6 +333,20 @@ class TestSteer:
         with pytest.raises(MisuseError):
             steer(asm, 5)
 
+    @pytest.mark.parametrize("outcome", [-1, 1.5, "0"])
+    def test_outcome_not_an_index(self, outcome):
+        asm = assemblage_from(singlet().projector(), 2, 2, basis_povm((KET0, KET1)))
+        with pytest.raises(MisuseError):
+            steer(asm, outcome)
+
+    def test_rejects_raw_array_state(self):
+        with pytest.raises(ValidationError):
+            assemblage_from(np.eye(4) / 4, 2, 2, basis_povm((KET0, KET1)))
+
+    def test_rejects_raw_array_povm(self):
+        with pytest.raises(ValidationError):
+            assemblage_from(singlet().projector(), 2, 2, np.eye(2))
+
     def test_zero_probability_outcome(self):
         state = KetVector(np.kron(KET0.amplitudes, KET0.amplitudes)).projector()
         asm = assemblage_from(state, 2, 2, basis_povm((KET0, KET1)))
@@ -323,7 +372,29 @@ class TestSteer:
             povm = basis_povm(tuple(KetVector(u[:, j]) for j in range(dim_a)))
             asm = assemblage_from(state, dim_a, dim_b, povm)
             assert len(asm.heralded) == dim_a
-            for effect, (p, rho) in zip(povm.effects, asm.heralded):
+            for i, (effect, (p, rho)) in enumerate(zip(povm.effects, asm.heralded)):
                 ref_p, ref_rho = reference_condition(state, dim_a, dim_b, effect)
                 assert abs(p - ref_p) < 1e-12
                 assert np.max(np.abs(rho.matrix - ref_rho)) < 1e-12
+                assert steer(asm, i) is asm.outcomes[i]
+            # The constructor relies on this without checking it: the
+            # heralded set averages to the B marginal.
+            average = sum(p * rho.matrix for p, rho in asm.heralded)
+            marginal = b_marginal(state, dim_a, dim_b).matrix
+            assert 0.5 * trace_norm(average - marginal) <= DTOL
+
+    def test_steer_validates_no_density(self, monkeypatch):
+        # The constructor builds each heralded state once; steer looks it up.
+        state, povm = singlet().projector(), basis_povm((KET0, KET1))
+        calls = []
+        validate = DensityOperator.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counting)
+        asm = assemblage_from(state, 2, 2, povm)
+        steer(asm, 0)
+        steer(asm, 1)
+        assert len(calls) == 2

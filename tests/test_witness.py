@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import BOX_EVENT, ensemble_prep, local_prep, make_box
 from nlbox.boxes import LinearBoxConfig, Semantics, apply_box
-from nlbox.errors import MisuseError, RankError, ValidationError
+from nlbox.errors import ConfigurationError, MisuseError, RankError, ValidationError
 from nlbox.qcore import (
     COMPUTATIONAL_BASIS,
     KET0,
@@ -301,6 +301,13 @@ class TestSampled:
         table = channel_table([np.eye(2, dtype=complex)])
         with pytest.raises(MisuseError):
             sampled_tolerance(table)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_sample_table_needs_a_shot(self, rng, n):
+        # 0 divides by zero, -1 is a numpy ValueError, and 2.5 draws 2 shots
+        # but divides by 2.5, so the row no longer sums to 1.
+        with pytest.raises(ConfigurationError, match="at least 1 shot"):
+            sample_table(channel_table([np.eye(2, dtype=complex)]), n, rng)
 
     def test_linear_channel_stays_explainable_when_sampled(self, rng):
         table = channel_table([np.eye(2, dtype=complex)])
