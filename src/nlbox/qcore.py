@@ -242,14 +242,17 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return b
 
 
+@cache
 def _traceless_basis(d: int) -> np.ndarray:
-    """An orthonormal basis (d*d - 1, d, d) of the traceless Hermitian d x d
-    matrices: d - 1 diagonal directions orthogonal to I, then the
-    off-diagonal elements of the coordinate basis."""
+    """An orthonormal basis of the traceless Hermitian d x d matrices as a read-only
+    (d*d - 1, d, d) array, built once per d: d - 1 diagonal directions orthogonal
+    to I, then the off-diagonal elements of the coordinate basis."""
     h = np.zeros((d * d - 1, d * d))
     h[: d - 1, :d] = np.linalg.qr(np.ones((d, 1)), mode="complete")[0][:, 1:].T
     h[d - 1:, d:] = np.eye(d * d - d)
-    return (h @ _hermitian_basis(d)).reshape(-1, d, d)
+    t = (h @ _hermitian_basis(d)).reshape(-1, d, d)
+    t.setflags(write=False)
+    return t
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

@@ -8,6 +8,7 @@ different outputs, which is exactly what no linear map can reproduce.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,10 @@ class StatsTable:
 
     preparations: tuple of (label, input DensityOperator)
     measurements: tuple of (label, Povm on the output space)
-    probabilities: dict (prep label, meas label) -> tuple of outcome probs
-    sample_counts: optional dict, row key -> shot count >= 1; presence
+    probabilities: dict (prep label, meas label) -> tuple of outcome probs,
+        one row for every pair, so the fit's design is a Kronecker product
+        (see fit_linear_map); a missing row is a ValidationError
+    sample_counts: optional dict, row key -> integer shot count >= 1; presence
         marks the table as empirical frequencies, not exact probabilities.
     """
 
@@ -46,8 +49,6 @@ class StatsTable:
         dout = {m.dim for m in meas.values()}
         if len(dout) != 1:
             raise ShapeError("all measurements must share one output dimension")
-        if not self.probabilities:
-            raise ValidationError("stats table has no probability rows")
         for (pl, ml), row in self.probabilities.items():
             if pl not in preps or ml not in meas:
                 raise ValidationError(f"probability row references unknown labels ({pl}, {ml})")
@@ -56,13 +57,17 @@ class StatsTable:
                 raise ShapeError(f"row ({pl}, {ml}) has wrong outcome count")
             if any(not x >= -ATOL for x in row) or not abs(sum(row) - 1.0) <= ATOL:
                 raise ValidationError(f"row ({pl}, {ml}) is not a probability distribution")
+        missing = [(pl, ml) for pl in preps for ml in meas if (pl, ml) not in self.probabilities]
+        if missing:
+            raise ValidationError(f"no probability row for {missing[0]}; a table needs one "
+                                  "for every preparation x measurement")
         if self.sample_counts is not None and not self.sample_counts:
             raise ValidationError("sample_counts is empty")
         for cell, n in (self.sample_counts or {}).items():
             if cell not in self.probabilities:
                 raise ValidationError(f"sample count for {cell} has no probability row")
-            if not n >= 1:
-                raise ValidationError(f"sample count for {cell} must be at least 1, got {n}")
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ValidationError(f"sample count for {cell} must be an integer >= 1, got {n!r}")
 
     @property
     def input_dim(self) -> int:
@@ -103,11 +108,14 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
 
     Every Choi matrix I/d_out + sum_ak z_ak T_a (x) B_k is trace preserving;
     complete positivity is only reported via the Choi minimum eigenvalue.
+
+    The fit predicts y0_r + (E Z X^T)_rp for effect r on preparation p, with
+    X_pk = Tr(B_k rho_p^T) and E_ra = Tr(T_a E_r). A full table makes the
+    design matrix X (x) E, and pinv(X (x) E) = pinv(X) (x) pinv(E), so its
+    minimum-norm solution is Z = pinv(E) (Y - y0) pinv(X)^T: two small solves.
     """
     din, dout = table.input_dim, table.output_dim
     n = din * dout
-    meas = dict(table.measurements)
-    index = {label: i for i, (label, _) in enumerate(table.preparations)}
     out_basis = _traceless_basis(dout)
     in_basis = _hermitian_basis(din).reshape(din * din, din, din)
 
@@ -120,21 +128,18 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
             f"input densities span only {rank} of the {din * din} required "
             "dimensions; the table is tomographically incomplete")
 
-    # One design row per (cell, outcome): Tr(T_a E) Tr(B_k rho^T) for every (a, k).
-    cells = sorted(table.probabilities.items())
-    effects = np.concatenate([meas[ml].effects for (_, ml), _ in cells])
-    inputs = x[np.repeat([index[pl] for (pl, _), _ in cells],
-                         [meas[ml].n_outcomes for (_, ml), _ in cells])]
+    effects = np.concatenate([m.effects for _, m in table.measurements])
     e = np.einsum("aij,rji->ra", out_basis, effects).real
-    a = np.einsum("ra,rk->rak", e, inputs).reshape(len(effects), -1)
-    y = np.array([p for _, probs in cells for p in probs], dtype=float)
     y0 = np.trace(effects, axis1=-2, axis2=-1).real / dout
+    y = np.array([[p for ml, _ in table.measurements for p in table.probabilities[pl, ml]]
+                  for pl, _ in table.preparations], dtype=float).T - y0[:, None]
 
-    z, *_ = np.linalg.lstsq(a, y - y0, rcond=None)
-    choi = np.eye(n) / dout + np.einsum("ak,aij,klm->iljm", z.reshape(-1, din * din),
-                                        out_basis, in_basis).reshape(n, n)
+    w, *_ = np.linalg.lstsq(e, y, rcond=None)
+    z = np.linalg.lstsq(x, w.T, rcond=None)[0].T
+    choi = np.eye(n) / dout + np.einsum("ak,aij,klm->iljm", z, out_basis,
+                                        in_basis).reshape(n, n)
     return LinearFit(choi=choi, input_dim=din, output_dim=dout,
-                     residual=float(np.max(np.abs(a @ z + y0 - y))),
+                     residual=float(np.max(np.abs(e @ z @ x.T - y))),
                      choi_min_eig=float(np.linalg.eigvalsh(choi)[0]))
 
 
@@ -142,33 +147,25 @@ def sample_table(table: StatsTable, n: int, rng: np.random.Generator) -> StatsTa
     """Replace exact probabilities with multinomial frequencies at n shots
     per (preparation, measurement) cell; ConfigurationError unless n is an
     integer of at least 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ConfigurationError(f"n must be an integer of at least 1 shot, got {n!r}")
     probs = {}
-    counts = {}
     for key, row in sorted(table.probabilities.items()):
         p = np.clip(np.array(row, dtype=float), 0.0, None)
         p = p / p.sum()
         freq = rng.multinomial(n, p) / n
         probs[key] = tuple(float(x) for x in freq)
-        counts[key] = n
     return StatsTable(preparations=table.preparations,
                       measurements=table.measurements,
-                      probabilities=probs, sample_counts=counts)
+                      probabilities=probs, sample_counts=dict.fromkeys(probs, n))
 
 
 def sampled_tolerance(table: StatsTable) -> float:
     """Three-sigma binomial tolerance for an empirical table."""
     if not table.is_sampled():
         raise MisuseError("table carries no sample counts")
-    worst = 0.0
-    for key, probs in table.probabilities.items():
-        n = table.sample_counts.get(key)
-        if not n:
-            continue
-        for p in probs:
-            worst = max(worst, 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n))
-    return worst
+    return max(3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+               for key, n in table.sample_counts.items() for p in table.probabilities[key])
 
 
 def linearity_verdict(table: StatsTable, tol: float | None = None):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import local_prep, make_box
-from nlbox import boxes, steering
+from nlbox import boxes, steering, witness
 from nlbox.boxes import (
     BrunBoxConfig,
     DeutschBoxConfig,
@@ -22,6 +22,7 @@ from nlbox.boxes import (
     apply_box,
 )
 from nlbox.qcore import COMPUTATIONAL_BASIS, HADAMARD_BASIS, KET0, KET1, Unitary, maximally_mixed
+from test_witness import channel_table
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -73,3 +74,16 @@ def test_tracer_nests_assemblage_from_under_hjw_assemblage():
     hjw = names.index("steering.hjw_assemblage")
     assert [span[3] for span in t.spans if span[0] == "steering.assemblage_from"] == [hjw]
     assert names.count("steering.steer") == 1
+
+
+def test_tracer_counts_the_rows_of_one_fit():
+    # linearity_verdict fits through the module-global fit_linear_map, so a
+    # traced verdict shows one fit span carrying every probability as a row.
+    tracer = load_tracer()
+    table = channel_table([np.eye(2, dtype=complex)])
+    with tracer.Tracer() as t:
+        assert witness.is_linear_explainable(table)
+    metrics = tracer.layer_metrics(t.spans)
+    probabilities = sum(len(row) for row in table.probabilities.values())
+    assert metrics["witness.fit_linear_map.d2.calls"] == (1, "count")
+    assert metrics["witness.fit_linear_map.d2.rows"] == (probabilities, "count")

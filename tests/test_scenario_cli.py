@@ -128,8 +128,19 @@ MALFORMED = [
 ]
 
 
+def gap_in_the_grid(doc):
+    """Add a Hadamard measurement with rows for every input but iplus. The
+    inputs stay tomographically complete; only one (prep, meas) row is missing."""
+    plus = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+    minus = [[[0.5, 0.0], [-0.5, 0.0]], [[-0.5, 0.0], [0.5, 0.0]]]
+    doc["measurements"].append({"label": "had", "effects": [plus, minus]})
+    doc["probabilities"].update(
+        {"zero|had": [0.5, 0.5], "one|had": [0.5, 0.5], "plus|had": [1.0, 0.0]})
+
+
 # Malformed stats tables for `nlbox witness`: (id, path of the replaced
-# field in stats_doc(), new value, exit code).
+# field in stats_doc(), new value, exit code); an empty path means the value
+# edits the document in place.
 MALFORMED_STATS = [
     ("probability_not_number", ("probabilities", "zero|comp"), [1.0, "x"], 2),
     ("key_without_bar", ("probabilities",), {"zero": [1.0, 0.0]}, 2),
@@ -144,6 +155,7 @@ MALFORMED_STATS = [
     ("probability_nan", ("probabilities", "zero|comp"), [1.0, math.nan], 3),
     ("probability_huge_int", ("probabilities", "zero|comp"), [HUGE, 0.0], 2),
     ("probabilities_empty", ("probabilities",), {}, 3),
+    ("probability_row_missing", (), gap_in_the_grid, 3),
 ]
 
 
@@ -191,10 +203,13 @@ class TestMalformedCorpus:
                              ids=[case[0] for case in MALFORMED_STATS])
     def test_stats_exit_code(self, tmp_path, capsys, where, value, code):
         doc = stats_doc()
-        node = doc
-        for key in where[:-1]:
-            node = node[key]
-        node[where[-1]] = value
+        if where:
+            node = doc
+            for key in where[:-1]:
+                node = node[key]
+            node[where[-1]] = value
+        else:
+            value(doc)
         path = tmp_path / "stats.json"
         path.write_text(json.dumps(doc))
         assert main(["witness", str(path)]) == code

@@ -100,7 +100,9 @@ def hermitian_basis(n):
 
 def reference_fit(table):
     """fit_linear_map computed with one trace(b @ op) per basis element:
-    (choi, residual, choi_min_eig)."""
+    (choi, residual, choi_min_eig, cond), cond being the condition number of
+    the design restricted to trace-preserving maps, over its nonzero
+    singular values."""
     din, dout = table.input_dim, table.output_dim
     basis = hermitian_basis(din * dout)
     meas = dict(table.measurements)
@@ -127,7 +129,10 @@ def reference_fit(table):
     z, *_ = np.linalg.lstsq(a @ nullspace, y - a @ h0, rcond=None)
     h = h0 + nullspace @ z
     choi = sum(h_a * b for h_a, b in zip(h, basis))
-    return choi, float(np.max(np.abs(a @ h - y))), float(np.linalg.eigvalsh(choi)[0])
+    s = np.linalg.svd(a @ nullspace, compute_uv=False)
+    s = s[s > 1e-10 * s.max(initial=0.0)]
+    return (choi, float(np.max(np.abs(a @ h - y))), float(np.linalg.eigvalsh(choi)[0]),
+            s.max(initial=1.0) / s.min(initial=1.0))
 
 
 def brun_matched_table():
@@ -174,6 +179,29 @@ class TestStatsTable:
             StatsTable(preparations=(("a", KET0.projector()),),
                        measurements=(("m", computational_povm(2)),),
                        probabilities={("b", "m"): (1.0, 0.0)})
+
+    def test_rejects_a_missing_row(self):
+        table = channel_table([np.eye(2, dtype=complex)])
+        probs = dict(table.probabilities)
+        del probs["plus", "comp"]
+        with pytest.raises(ValidationError, match=r"no probability row for \('plus', 'comp'\)"):
+            StatsTable(preparations=table.preparations, measurements=table.measurements,
+                       probabilities=probs)
+
+    @pytest.mark.parametrize("n", [2.5, True, 100.0])
+    def test_rejects_a_count_that_is_not_a_positive_integer(self, n):
+        # 2.5 would make sampled_tolerance divide by 2.5, and True by 1.
+        with pytest.raises(ValidationError, match="integer >= 1"):
+            StatsTable(preparations=(("a", KET0.projector()),),
+                       measurements=(("m", computational_povm(2)),),
+                       probabilities={("a", "m"): (1.0, 0.0)}, sample_counts={("a", "m"): n})
+
+    def test_accepts_a_numpy_integer_count(self):
+        table = StatsTable(preparations=(("a", KET0.projector()),),
+                           measurements=(("m", computational_povm(2)),),
+                           probabilities={("a", "m"): (0.5, 0.5)},
+                           sample_counts={("a", "m"): np.int64(100)})
+        assert sampled_tolerance(table) == 3 * 0.05
 
 
 class TestFit:
@@ -228,6 +256,22 @@ class TestFit:
         assert fit.residual >= 0.49
         assert not is_linear_explainable(brun_matched_table())
 
+    def test_solves_only_factor_sized_systems(self, rng, monkeypatch):
+        # d = 4: 18 preparations x 5 four-outcome POVMs. The full design
+        # matrix would have 360 rows; its Kronecker factors have 18 and 20.
+        table = _square(4)(rng)
+        rows = []
+        lstsq = np.linalg.lstsq
+
+        def spy(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return lstsq(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        fit_linear_map(table)
+        outcomes = sum(m.n_outcomes for _, m in table.measurements)
+        assert rows and max(rows) <= max(len(table.preparations), outcomes)
+
 
 class TestCoords:
     def test_unit_coordinates_are_the_basis(self):
@@ -238,6 +282,8 @@ class TestCoords:
     def test_traceless_basis_is_orthonormal(self):
         for d in range(1, 6):
             t = _traceless_basis(d)
+            assert _traceless_basis(d) is t
+            assert not t.flags.writeable
             assert t.shape == (d * d - 1, d, d)
             assert np.allclose(t, t.conj().transpose(0, 2, 1), rtol=0, atol=1e-12)
             assert np.allclose(np.trace(t, axis1=1, axis2=2), 0, rtol=0, atol=1e-12)
@@ -264,6 +310,11 @@ REFERENCE_TABLES = {
         LinearBoxConfig(random_isometry_kraus(2, 1, rng)), 2, 1, rng),
     "brun_matched": lambda rng: brun_matched_table(),
     "d2_output_incomplete": lambda rng: channel_table(random_cptp_kraus(2, rng)),
+    # Sampled, so Y leaves the range of the design; the second also has E
+    # rank deficient, so pinv(E) cuts singular values.
+    "d3_sampled_100": lambda rng: sample_table(_square(3)(rng), 100, rng),
+    "d2_output_incomplete_sampled_1000": lambda rng: sample_table(
+        channel_table(random_cptp_kraus(2, rng)), 1000, rng),
 }
 
 
@@ -271,12 +322,19 @@ class TestFitAgainstReference:
     @pytest.mark.parametrize("make", REFERENCE_TABLES.values(), ids=REFERENCE_TABLES.keys())
     def test_matches_per_basis_fit(self, rng, make):
         table = make(rng)
-        choi, residual, choi_min_eig = reference_fit(table)
+        choi, residual, choi_min_eig, cond = reference_fit(table)
         fit = fit_linear_map(table)
+        bound = 1e-12
+        if table.is_sampled():
+            # Sampled rows leave the range of the design. Rounding then moves
+            # any float64 least-squares solution by up to about
+            # eps * cond^2 * residual (Golub & Van Loan, Matrix Computations,
+            # sec. 5.3), so two correct solvers may differ that much.
+            bound += np.finfo(float).eps * cond**2 * residual
         assert fit.choi.shape == choi.shape
-        assert np.max(np.abs(fit.choi - choi)) <= 1e-12
-        assert abs(fit.residual - residual) <= 1e-12
-        assert abs(fit.choi_min_eig - choi_min_eig) <= 1e-12
+        assert np.max(np.abs(fit.choi - choi)) <= bound
+        assert abs(fit.residual - residual) <= bound
+        assert abs(fit.choi_min_eig - choi_min_eig) <= bound
         din, dout = table.input_dim, table.output_dim
         traced = np.einsum("aiaj->ij", fit.choi.reshape(dout, din, dout, din))
         assert np.max(np.abs(traced - np.eye(din))) <= 1e-12
@@ -302,10 +360,11 @@ class TestSampled:
         with pytest.raises(MisuseError):
             sampled_tolerance(table)
 
-    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True])
     def test_sample_table_needs_a_shot(self, rng, n):
-        # 0 divides by zero, -1 is a numpy ValueError, and 2.5 draws 2 shots
-        # but divides by 2.5, so the row no longer sums to 1.
+        # 0 divides by zero, -1 is a numpy ValueError, 2.5 draws 2 shots
+        # but divides by 2.5, so the row no longer sums to 1, and True is
+        # not a shot count.
         with pytest.raises(ConfigurationError, match="at least 1 shot"):
             sample_table(channel_table([np.eye(2, dtype=complex)]), n, rng)
 
