@@ -150,9 +150,11 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
     Hermiticity, so it is solved in real coordinates, as its real matrix R in the
     Hermitian basis of `qcore`. The limit projects the coordinates of I/dc onto
     ker(R - I) along ran(R - I), F (L^T F)^-1 L^T, where the columns of F and L
-    are the right and left singular vectors of R - I for singular values at most
-    LOOP_FIXED_CUT. Raises ConvergenceError when L^T F is singular or the result
-    misses the consistency condition by more than LOOP_RESIDUAL.
+    are the right and left singular vectors of R - I for its f singular values at
+    most LOOP_FIXED_CUT. Only f > 1 needs those vectors (a full SVD). For f = 1, L
+    is the trace row t, as t^T (R - I) = 0, and [[R - I, t], [t^T, 0]] [h; 0] =
+    [0; 1] gives the fixed point h of trace 1. Raises ConvergenceError when f = 0,
+    a solve is singular, or h misses consistency by more than LOOP_RESIDUAL.
     """
     if rho_in.dim != config.system_dim:
         raise ShapeError(f"input dim {rho_in.dim} != system dim {config.system_dim}")
@@ -163,18 +165,27 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
     k = np.einsum("scxa,xy->casy", t, rho_in.matrix).reshape(n, -1)
     m = (k @ t.conj().transpose(0, 2, 1, 3).reshape(-1, n)).reshape(dc, dc, dc, dc)
     basis = _hermitian_basis(dc)
-    r = (basis.conj() @ m.transpose(0, 2, 1, 3).reshape(n, n) @ basis.T).real
+    a = (basis.conj() @ m.transpose(0, 2, 1, 3).reshape(n, n) @ basis.T).real - np.eye(n)
     try:
-        w, svals, vt = np.linalg.svd(r - np.eye(n))
-        fixed = svals <= LOOP_FIXED_CUT
-        l_t, f = w[:, fixed].T, vt[fixed].T
-        # L^T times (1/dc, ..., 1/dc, 0, ..., 0), the coordinates of I/dc.
-        coeffs = np.linalg.solve(l_t @ f, l_t[:, :dc].sum(axis=1) / dc)
+        svals = np.linalg.svd(a, compute_uv=False)
+        n_fixed = np.count_nonzero(svals <= LOOP_FIXED_CUT)
+        if n_fixed == 0:
+            raise ConvergenceError(f"no loop fixed point: smallest singular value of R - I "
+                                   f"{svals[-1]} exceeds {LOOP_FIXED_CUT}", residual=np.inf)
+        if n_fixed == 1:
+            border = np.zeros((n + 1, n + 1))
+            border[:n, :n] = a
+            border[:dc, n] = border[n, :dc] = 1.0
+            h = np.linalg.solve(border, np.eye(n + 1)[n])[:n]
+        else:
+            w, _, vt = np.linalg.svd(a)
+            l_t, f = w[:, n - n_fixed:].T, vt[n - n_fixed:].T
+            # L^T times (1/dc, ..., 1/dc, 0, ..., 0), the coordinates of I/dc.
+            h = f @ np.linalg.solve(l_t @ f, l_t[:, :dc].sum(axis=1) / dc)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"no loop fixed-point projector: {exc}", residual=np.inf) from exc
-    h = f @ coeffs
     h = h / h[:dc].sum()
-    residual = trace_norm(((r @ h - h) @ basis).reshape(dc, dc))
+    residual = trace_norm((a @ h @ basis).reshape(dc, dc))
     if not residual <= LOOP_RESIDUAL:
         raise ConvergenceError(f"fixed-point residual {residual} exceeds {LOOP_RESIDUAL}",
                                residual=residual)

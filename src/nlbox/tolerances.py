@@ -23,7 +23,8 @@ RANK_CUT = 1e-10
 # Negative Born probabilities above -BORN_CLAMP are clamped to zero.
 BORN_CLAMP = 1e-12
 
-# Singular values of M - I at or below this span the Deutsch loop's fixed points.
+# Singular values of M - I at or below this span the Deutsch loop's fixed points;
+# their count picks the solve: one bordered solve for one, the full SVD for more.
 LOOP_FIXED_CUT = 1e-9
 
 # A Deutsch loop state is accepted when ||M(sigma) - sigma||_1 is at most this.

@@ -164,6 +164,39 @@ def assert_density(m):
     assert np.linalg.eigvalsh(m)[0] >= -1e-9
 
 
+def cesaro_loop():
+    """A loop whose fixed space is two-dimensional, and its input. The loop
+    map keeps |0>, |1> and their coherence and sends |2> to |0> with
+    probability 0.8 and to |1> with 0.2. Every state on span{|0>, |1>} is a
+    fixed point; the iterates from I/3 settle on diag(0.6, 0.4, 0), not on
+    the orthogonal projection diag(0.5, 0.5, 0)."""
+    e = np.eye(3)
+    kraus = [np.diag([1.0, 1.0, 0.0]), np.sqrt(0.8) * np.outer(e[0], e[2]),
+             np.sqrt(0.2) * np.outer(e[1], e[2])]
+    iso = np.vstack(kraus)  # column a of system input |0>: sum_s |s> (x) K_s|a>
+    complement = np.linalg.svd(iso.conj().T)[2][3:].conj().T
+    u = np.hstack([iso, complement]).astype(complex)
+    return u, DensityOperator(np.diag([1.0, 0.0, 0.0]).astype(complex))
+
+
+def spy_on_solvers(monkeypatch):
+    """Record each np.linalg.svd call as ("svd", compute_uv) and each
+    np.linalg.solve call as ("solve", shape of its matrix)."""
+    calls, svd, solve = [], np.linalg.svd, np.linalg.solve
+
+    def svd_spy(a, *args, **kwargs):
+        calls.append(("svd", kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    def solve_spy(a, b):
+        calls.append(("solve", np.shape(a)))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "solve", solve_spy)
+    return calls
+
+
 class TestDeutsch:
     def test_swap_fixed_point_is_input(self, rng):
         cfg = DeutschBoxConfig(Unitary(SWAP), 2)
@@ -223,17 +256,7 @@ class TestDeutsch:
         assert gap > 1e-3
 
     def test_degenerate_fixed_space_takes_cesaro_mean(self):
-        # The loop map keeps |0>, |1> and their coherence and sends |2> to
-        # |0> with probability 0.8 and to |1> with 0.2. Every state on
-        # span{|0>, |1>} is a fixed point; the iterates from I/3 settle on
-        # diag(0.6, 0.4, 0), not on the orthogonal projection diag(0.5, 0.5, 0).
-        e = np.eye(3)
-        kraus = [np.diag([1.0, 1.0, 0.0]), np.sqrt(0.8) * np.outer(e[0], e[2]),
-                 np.sqrt(0.2) * np.outer(e[1], e[2])]
-        iso = np.vstack(kraus)  # column a of system input |0>: sum_s |s> (x) K_s|a>
-        complement = np.linalg.svd(iso.conj().T)[2][3:].conj().T
-        u = np.hstack([iso, complement]).astype(complex)
-        rho = DensityOperator(np.diag([1.0, 0.0, 0.0]).astype(complex))
+        u, rho = cesaro_loop()
         star = deutsch_fixed_point(DeutschBoxConfig(Unitary(u), 3), rho)
         assert np.max(np.abs(star.matrix - np.diag([0.6, 0.4, 0.0]))) < 1e-12
         oracle = iterated_loop_oracle(u, rho.matrix, 3, 3)
@@ -284,6 +307,47 @@ class TestDeutsch:
         with pytest.raises(ConvergenceError) as exc:
             cfg.apply(KET_PLUS.projector())
         assert 0.0 <= exc.value.residual <= 1e-8
+
+    def test_unique_fixed_point_takes_one_bordered_solve(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        cfg = DeutschBoxConfig(random_unitary(16, rng), 8)
+        rho = random_density(2, rng)
+        calls = spy_on_solvers(monkeypatch)
+        deutsch_fixed_point(cfg, rho)
+        assert calls == [("svd", False), ("solve", (65, 65))]
+
+    @pytest.mark.parametrize("loop", ["identity", "unitary_on_loop", "cesaro"])
+    def test_degenerate_fixed_space_takes_full_svd(self, monkeypatch, loop):
+        rng = np.random.default_rng(11)
+        if loop == "cesaro":
+            u, rho = cesaro_loop()
+            cfg = DeutschBoxConfig(Unitary(u), 3)
+        else:
+            v = np.eye(4) if loop == "identity" else random_unitary(4, rng).matrix
+            cfg, rho = DeutschBoxConfig(Unitary(np.kron(np.eye(2), v)), 4), random_density(2, rng)
+        calls = spy_on_solvers(monkeypatch)
+        deutsch_fixed_point(cfg, rho)
+        assert [c for c in calls if c[0] == "svd"] == [("svd", False), ("svd", True)]
+
+    @settings(max_examples=30)
+    @given(d_ctc=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1))
+    def test_unitary_on_loop_alone_keeps_it_maximally_mixed(self, d_ctc, seed):
+        # U = I_s (x) V: every state commuting with V is a fixed point, a
+        # fixed space of dimension d_ctc, and the Cesaro mean from I/d_ctc
+        # stays at I/d_ctc, so the system passes through untouched.
+        rng = np.random.default_rng(seed)
+        u = np.kron(np.eye(2), random_unitary(d_ctc, rng).matrix)
+        cfg = DeutschBoxConfig(Unitary(u), d_ctc)
+        rho = random_density(2, rng)
+        star = deutsch_fixed_point(cfg, rho)
+        assert np.max(np.abs(star.matrix - np.eye(d_ctc) / d_ctc)) <= 1e-12
+        assert np.max(np.abs(cfg.apply(rho).matrix - rho.matrix)) <= 1e-10
+
+    def test_no_fixed_singular_value_raises(self, monkeypatch):
+        monkeypatch.setattr(boxes, "LOOP_FIXED_CUT", -1.0)
+        with pytest.raises(ConvergenceError, match="smallest singular value") as exc:
+            deutsch_fixed_point(DeutschBoxConfig(Unitary(CNOT @ SWAP), 2), KET_PLUS.projector())
+        assert exc.value.residual == np.inf
 
     def test_singular_projector_raises(self, monkeypatch):
         def singular(*args):

@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -548,6 +551,13 @@ class TestCli:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == "nlbox 0.1.0\n"
+
+    def test_runs_as_a_module(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-m", "nlbox", "--version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout == "nlbox 0.1.0\n"
 
     @pytest.mark.parametrize("where,value", [
         (("box", "kind"), "oracle"),
