@@ -123,8 +123,11 @@ class DeutschBoxConfig:
     ctc_dim: int
 
     def __post_init__(self):
-        if self.ctc_dim < 1:
-            raise ValidationError("ctc_dim must be positive")
+        if not isinstance(self.unitary, Unitary):
+            raise ConfigurationError("a Deutsch box needs a Unitary")
+        if (isinstance(self.ctc_dim, bool) or not isinstance(self.ctc_dim, (int, np.integer))
+                or self.ctc_dim < 1):
+            raise ValidationError(f"ctc_dim must be a positive integer, got {self.ctc_dim!r}")
         if self.unitary.dim % self.ctc_dim != 0:
             raise ShapeError("unitary dim must be system_dim * ctc_dim")
 

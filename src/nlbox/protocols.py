@@ -4,6 +4,7 @@ intercept attack."""
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import combinations
@@ -107,8 +108,11 @@ def run_verification(box: NonlinearBox, tol: float = 1e-6) -> VerificationReport
     through the box, and both output qubits are measured in the
     computational basis; the map is identified iff every input lands on
     its target outcome with probability >= 1 - tol. A box without a
-    basis-discriminating map has no domain states: ConfigurationError.
+    basis-discriminating map has no domain states, and a tol that is
+    negative or not finite is meaningless: ConfigurationError for both.
     """
+    if not 0 <= tol < math.inf:
+        raise ConfigurationError(f"tol must be a finite non-negative number, got {tol!r}")
     povm = computational_povm(4)
     table = {}
     identified = True
@@ -236,12 +240,11 @@ def _require_bb84_bases(box: NonlinearBox):
 
 def _nonnegative_int(value, name: str) -> int:
     try:
-        n = operator.index(value)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise ConfigurationError(
-            f"{name} must be a non-negative integer, got {value!r}") from None
-    if n < 0:
-        raise ConfigurationError(f"{name} must be a non-negative integer, got {n}")
+        n = None
+    if n is None or n < 0:
+        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
     return n
 
 
@@ -279,7 +282,7 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     then one uniform per bit for the eavesdropper's outcome and one for
     the receiver's, each mapped to an outcome by inverting the cumulative
     distribution that the bit's (basis, bit) or (resent state, receiver
-    basis) selects. Raises ConfigurationError for a negative or
+    basis) selects. Raises ConfigurationError for a negative, boolean or
     non-integer `n_bits` or `seed`.
     """
     if eve_strategy not in EVE_STRATEGIES:

@@ -128,12 +128,11 @@ def _policy_from_json(node, box_event, where) -> MembershipPolicy:
     if not isinstance(node, dict) or "kind" not in node:
         raise ValidationError(f"{where}: membership policy needs a 'kind'")
     kind = node["kind"]
-    event = _event_from_json(node["box_event"], where) if "box_event" in node else box_event
     labels = node.get("labels", [])
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise ValidationError(f"{where}: membership labels must be a list of strings")
     if kind == PolicyKind.KENT_LIGHT_CONE:
-        return MembershipPolicy(kind, box_event=event)
+        return MembershipPolicy(kind, box_event=box_event)
     if kind == PolicyKind.EXPLICIT_LIST:
         return MembershipPolicy(kind, labels=frozenset(labels))
     return MembershipPolicy(kind)

@@ -1,9 +1,10 @@
 """Remote preparation via steering.
 
-For any finite decomposition of a marginal density matrix there is a
-bipartite state and a measurement on the distant half that heralds exactly
-that decomposition. This module constructs such assemblages and evaluates
-the heralded states.
+Every finite decomposition of a marginal density matrix sigma_B is heralded
+by a measurement on the distant half of one shared state, the canonical
+purification of sigma_B (Hughston, Jozsa & Wootters): the measurement, not
+the state, picks the decomposition. This module constructs such assemblages
+and evaluates the heralded states.
 """
 
 from __future__ import annotations
@@ -124,39 +125,27 @@ def purify(sigma_b: DensityOperator) -> KetVector:
     return KetVector(_rank_space(sigma_b)[2])
 
 
-def _hjw_povm_vectors(lams, basis_vecs, weights, members):
-    """Measurement vectors a_i on the rank space of the average state, one
-    row per member vector phi_i (the rows of `members`).
-
-    Each effect |a_i><a_i| heralds sqrt(p_i)|phi_i> from the canonical
-    purification; the a_i resolve the identity automatically because the
-    members average to the purified state's marginal.
-    """
-    return np.sqrt(weights)[:, None] * (members.conj() @ basis_vecs) / np.sqrt(lams)
-
-
 def hjw_assemblage(d: EnsembleDecomposition) -> SteeringAssemblage:
     """Build a bipartite state and measurement on A realizing a decomposition.
 
-    Each member is purified into an auxiliary factor C^m, m the largest
-    member rank, and that factor is absorbed into A; for an all-pure
-    decomposition m = 1 and A is the rank space of sigma_B.
+    Member i's eigenpairs (mu_j, u_j) above RANK_CUT give the rows
+    sqrt(p_i mu_j) <u_j| of a factor F_i. The shared state is the canonical
+    purification of the average sum_i F_i^dag F_i, so A is the rank space of
+    sigma_B whatever the decomposition. Member i's effect is a^T a*, with
+    a = F_i V / sqrt(lambda) over the average's eigenpairs (lambda_k, v_k):
+    a Gram matrix, so positive, and of the member's rank. The effects sum to
+    the identity because the average is built from the same factors.
     """
     if d.n_members > MAX_MEMBERS:
         raise DecompositionError(f"decompositions are capped at {MAX_MEMBERS} members")
-    dim_b = d.sigma_b.dim
-    purs = [_rank_space(state)[2] for _, state in d.members]
-    m = max(len(chi) for chi in purs) // dim_b
-    padded = np.array([np.pad(chi, (0, m * dim_b - len(chi))) for chi in purs])
-    weights = np.array([w for w, _ in d.members])
-    sigma_prime = DensityOperator(np.einsum("i,ia,ib->ab", weights, padded, padded.conj()))
-
-    # The purification lives on C^r (x) (C^m (x) C^dim_b).
-    lams, vecs, psi = _rank_space(sigma_prime)
-    a = _hjw_povm_vectors(lams, vecs, weights, padded)
-    r = len(lams)
-    effects = np.einsum("ia,ib,xy->iaxby", a, a.conj(), np.eye(m)).reshape(-1, r * m, r * m)
-    return assemblage_from(KetVector(psi).projector(), r * m, dim_b, Povm(effects))
+    factors = []
+    for p_i, state in d.members:
+        mus, us = np.linalg.eigh(state.matrix)
+        keep = mus > RANK_CUT
+        factors.append(np.sqrt(p_i * mus[keep])[:, None] * us[:, keep].conj().T)
+    lams, vecs, psi = _rank_space(DensityOperator(sum(f.conj().T @ f for f in factors)))
+    effects = [a.T @ a.conj() for a in (f @ vecs / np.sqrt(lams) for f in factors)]
+    return assemblage_from(KetVector(psi).projector(), len(lams), d.sigma_b.dim, Povm(effects))
 
 
 def steer(assemblage: SteeringAssemblage, outcome: int):
@@ -166,7 +155,8 @@ def steer(assemblage: SteeringAssemblage, outcome: int):
     MisuseError for an outcome that is not an index of the measurement, or
     whose probability is zero so that no conditional state exists.
     """
-    if not isinstance(outcome, (int, np.integer)) or not 0 <= outcome < assemblage.n_outcomes:
+    if (isinstance(outcome, bool) or not isinstance(outcome, (int, np.integer))
+            or not 0 <= outcome < assemblage.n_outcomes):
         raise MisuseError(f"outcome {outcome!r} out of range")
     result = assemblage.outcomes[outcome]
     if result is None:

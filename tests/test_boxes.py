@@ -198,6 +198,19 @@ def spy_on_solvers(monkeypatch):
 
 
 class TestDeutsch:
+    @pytest.mark.parametrize("unitary,ctc_dim,error", [
+        (np.eye(4), 2, ConfigurationError),
+        (Unitary(np.eye(4)), 2.0, ValidationError),
+        (Unitary(np.eye(4)), "2", ValidationError),
+        (Unitary(np.eye(4)), True, ValidationError),
+        (Unitary(np.eye(4)), 0, ValidationError),
+    ], ids=["raw_array_unitary", "float_ctc_dim", "string_ctc_dim", "bool_ctc_dim", "zero_ctc_dim"])
+    def test_config_rejects_bad_fields(self, unitary, ctc_dim, error):
+        # Typed errors when the config is built, not an AttributeError or a
+        # TypeError inside the fixed-point solve.
+        with pytest.raises(error):
+            DeutschBoxConfig(unitary, ctc_dim)
+
     def test_swap_fixed_point_is_input(self, rng):
         cfg = DeutschBoxConfig(Unitary(SWAP), 2)
         for _ in range(10):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,14 @@ class TestVerification:
         report = run_verification(make_box(brun_config, policy=policy))
         assert not report.identified
         assert np.allclose(report.table["psi1"], [0, 0, 1, 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_rejects_meaningless_tol(self, brun_config, tol):
+        # With a NaN or infinite tol, `probs[i] < 1 - tol` is never true, so
+        # a box that fails verification would read as identified.
+        policy = MembershipPolicy(PolicyKind.EXPLICIT_LIST, labels=frozenset({"other"}))
+        with pytest.raises(ConfigurationError, match="tol must be a finite non-negative"):
+            run_verification(make_box(brun_config, policy=policy), tol)
 
 
 class TestSignaling:
@@ -317,12 +327,12 @@ class TestAttack:
         with pytest.raises(ConfigurationError):
             run_bb84_attack(box, 100, seed=1)
 
-    @pytest.mark.parametrize("n_bits", [-5, -1, 2.0, 1.5, "10", None])
+    @pytest.mark.parametrize("n_bits", [-5, -1, 2.0, 1.5, "10", None, True, False])
     def test_rejects_bad_n_bits(self, brun_config, n_bits):
         with pytest.raises(ConfigurationError, match="n_bits"):
             run_bb84_attack(make_box(brun_config), n_bits, seed=1)
 
-    @pytest.mark.parametrize("seed", [-1, 3.0, "7", None])
+    @pytest.mark.parametrize("seed", [-1, 3.0, "7", None, True, False])
     def test_rejects_bad_seed(self, brun_config, seed):
         with pytest.raises(ConfigurationError, match="seed"):
             run_bb84_attack(make_box(brun_config), 100, seed=seed)

@@ -284,6 +284,14 @@ class TestRunning:
         after = run_scenario(parse_scenario(write_scenario(tmp_path, doc))).payload
         assert after == before
 
+    def test_light_cone_sits_at_the_box_event(self, tmp_path):
+        # A `box_event` under `membership` is an unknown key like any other:
+        # the light cone is the box's own, so it cannot be moved off the box.
+        path = mutated_scenario(tmp_path, "signaling_kent", ("box", "membership"),
+                                {"kind": "kent_light_cone", "box_event": [100, 0]})
+        kent = run_scenario(parse_scenario(SCENARIO_DIR / "signaling_kent.scn")).payload
+        assert run_scenario(parse_scenario(path)).payload == kent
+
     def test_square_kraus_with_ancilla_fails_at_run_time(self, tmp_path, capsys):
         # `ancilla` no longer widens a square channel: the 4 x 4 identity
         # meets a one-qubit input.

@@ -272,6 +272,50 @@ class TestHjw:
             assert abs(p - w[i]) <= 1e-8
             assert trace_distance(rho, member) <= 1e-8
 
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           dims=st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(2, d))))
+    def test_one_shared_state_per_marginal(self, seed, dims):
+        # sigma_B of rank r with distinct eigenvalues, full rank or not. Its
+        # eigen-decomposition and a decomposition with a mixed member are
+        # steered from the same state on a rank-space A.
+        dim, rank = dims
+        rng = np.random.default_rng(seed)
+        u = random_unitary(dim, rng).matrix[:, :rank]
+        lams = np.cumsum(0.05 + rng.random(rank))
+        lams /= lams.sum()
+        sigma = DensityOperator((u * lams) @ u.conj().T)
+        eigen = EnsembleDecomposition(
+            sigma, tuple((float(lam), KetVector(v).projector()) for lam, v in zip(lams, u.T)))
+        # Rows sqrt(p_i) phi_i of a pure decomposition (an isometry applied to
+        # the eigenvectors); its first two members merge into one mixed member.
+        rows = random_unitary(rank + 2, rng).matrix[:, :rank] @ (np.sqrt(lams)[:, None] * u.T)
+        parts = [rows[:2]] + [rows[i:i + 1] for i in range(2, rank + 2)]
+        weights = [float(np.sum(np.abs(f) ** 2)) for f in parts]
+        mixed = EnsembleDecomposition(sigma, tuple(
+            (w, DensityOperator(f.T @ f.conj() / w)) for w, f in zip(weights, parts)))
+        a, b = hjw_assemblage(eigen), hjw_assemblage(mixed)
+        assert a.dim_a == b.dim_a == rank
+        assert np.max(np.abs(a.state_ab.matrix - b.state_ab.matrix)) <= 1e-8
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), n=st.integers(1, 4))
+    def test_member_eigenvalue_just_below_zero(self, seed, dim, n):
+        # A density may have eigenvalues down to -ATOL; member 0 has one at
+        # -5e-10. The effects still form a valid Povm and herald each member.
+        rng = np.random.default_rng(seed)
+        mus = np.append(rng.dirichlet(np.ones(dim - 1)) * (1 + 5e-10), -5e-10)
+        u = random_unitary(dim, rng).matrix
+        members = [DensityOperator((u * mus) @ u.conj().T)]
+        members += [random_member(dim, rng) for _ in range(n - 1)]
+        w = rng.dirichlet(np.ones(n))
+        sigma = DensityOperator(sum(wi * m.matrix for wi, m in zip(w, members)))
+        asm = hjw_assemblage(EnsembleDecomposition(sigma, tuple(zip(w.tolist(), members))))
+        for i, member in enumerate(members):
+            p, rho = steer(asm, i)
+            assert abs(p - w[i]) <= 1e-8
+            assert trace_distance(rho, member) <= 1e-8
+
 
 class TestHjwAgainstPureReference:
     @pytest.mark.parametrize("name", sorted(DEGENERATE_PURE))
@@ -333,7 +377,7 @@ class TestSteer:
         with pytest.raises(MisuseError):
             steer(asm, 5)
 
-    @pytest.mark.parametrize("outcome", [-1, 1.5, "0"])
+    @pytest.mark.parametrize("outcome", [-1, 1.5, "0", True, False])
     def test_outcome_not_an_index(self, outcome):
         asm = assemblage_from(singlet().projector(), 2, 2, basis_povm((KET0, KET1)))
         with pytest.raises(MisuseError):
