@@ -23,9 +23,11 @@ from .errors import (
     DomainError,
     ShapeError,
     ValidationError,
+    check_integer,
 )
 from .preparations import (
     MembershipPolicy,
+    PolicyKind,
     Preparation,
     SpacetimeEvent,
     _enum_member,
@@ -125,9 +127,7 @@ class DeutschBoxConfig:
     def __post_init__(self):
         if not isinstance(self.unitary, Unitary):
             raise ConfigurationError("a Deutsch box needs a Unitary")
-        if (isinstance(self.ctc_dim, bool) or not isinstance(self.ctc_dim, (int, np.integer))
-                or self.ctc_dim < 1):
-            raise ValidationError(f"ctc_dim must be a positive integer, got {self.ctc_dim!r}")
+        check_integer(self.ctc_dim, "ctc_dim", least=1)
         if self.unitary.dim % self.ctc_dim != 0:
             raise ShapeError("unitary dim must be system_dim * ctc_dim")
 
@@ -256,6 +256,12 @@ class NonlinearBox:
         if not isinstance(self.config, (BrunBoxConfig, DeutschBoxConfig,
                                         KentBoxConfig, LinearBoxConfig)):
             raise ConfigurationError(f"unknown box config {type(self.config).__name__}")
+        if not isinstance(self.membership, MembershipPolicy):
+            raise ConfigurationError("a box's membership must be a MembershipPolicy")
+        if (self.membership.kind is PolicyKind.KENT_LIGHT_CONE
+                and self.membership.box_event != self.box_event):
+            raise ConfigurationError("a kent_light_cone policy reads the box's own event "
+                                     f"{self.box_event}, not {self.membership.box_event}")
 
 
 def kent_readout(p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all nlbox modules."""
+"""Exception hierarchy and argument rules shared by all nlbox modules."""
+
+import math
+import numbers
+import sys
 
 
 class NlboxError(Exception):
@@ -18,7 +22,7 @@ class CapacityError(ValidationError):
 
 
 class ConfigurationError(ValidationError):
-    """A policy or box configuration is missing required parameters."""
+    """A parameter or configuration is invalid or missing."""
 
 
 class DecompositionError(ValidationError):
@@ -47,3 +51,23 @@ class MisuseError(NlboxError):
 
 class ScenarioParseError(NlboxError):
     """Scenario or stats file is not well-formed."""
+
+
+def check_integer(value, name: str, least: int = 0) -> int:
+    """value as an int; ConfigurationError unless it is an integer >= least (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def finite_float(value) -> float:
+    """value as a float, or nan unless it is a finite real number (a bool is not)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return float(value) if real and abs(value) <= sys.float_info.max else math.nan
+
+
+def check_tol(tol) -> float:
+    """tol as a float; ConfigurationError unless it is a finite, non-negative real number."""
+    if not finite_float(tol) >= 0:
+        raise ConfigurationError(f"tol must be a finite non-negative number, got {tol!r}")
+    return float(tol)

@@ -14,21 +14,21 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, DecompositionError, ShapeError, ValidationError
+from .errors import ConfigurationError, DecompositionError, ShapeError, ValidationError, finite_float
 from .qcore import DensityOperator, trace_distance
 from .tolerances import ATOL, DTOL, PURITY_MIN
 
 
 @dataclass(frozen=True)
 class SpacetimeEvent:
-    """A point in 1+1 Minkowski spacetime with c = 1."""
+    """A point in 1+1 Minkowski spacetime with c = 1; coordinates are finite reals."""
 
     t: float
     x: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.x)):
-            raise ValidationError("spacetime coordinates must be finite")
+        if math.isnan(finite_float(self.t)) or math.isnan(finite_float(self.x)):
+            raise ValidationError(f"spacetime coordinates must be finite reals, got {self!r}")
 
 
 def _enum_member(enum, value):
@@ -54,9 +54,9 @@ class Provenance:
 
     def __post_init__(self):
         object.__setattr__(self, "tag", _enum_member(ProvenanceTag, self.tag))
-        records = tuple(self.records)
+        records = tuple(self.records) if isinstance(self.records, (tuple, list)) else ()
         if len(records) < 1:
-            raise ValidationError(f"{self.tag.value} provenance requires >= 1 record event")
+            raise ValidationError(f"{self.tag.value} provenance requires a tuple of >= 1 events")
         for e in records:
             if not isinstance(e, SpacetimeEvent):
                 raise ValidationError("provenance records must be SpacetimeEvent values")
@@ -170,7 +170,10 @@ class MembershipPolicy:
             raise ConfigurationError("kent_light_cone policy requires a box event")
         if self.kind is PolicyKind.EXPLICIT_LIST and not self.labels:
             raise ConfigurationError("explicit_list policy requires a label set")
-        object.__setattr__(self, "labels", frozenset(self.labels))
+        labels = frozenset(self.labels)
+        if isinstance(self.labels, str) or not all(isinstance(label, str) for label in labels):
+            raise ConfigurationError(f"labels must be a set of strings, got {self.labels!r}")
+        object.__setattr__(self, "labels", labels)
 
 
 def classify_membership(p: Preparation, policy: MembershipPolicy) -> bool:

@@ -4,8 +4,6 @@ intercept attack."""
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -18,7 +16,7 @@ from .boxes import (
     apply_box,
     box_output_qubit_distribution,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer, check_tol
 from .preparations import (
     Preparation,
     Provenance,
@@ -47,6 +45,14 @@ DEFAULT_ALICE_EVENT = SpacetimeEvent(0.0, 10.0)
 _STATE_NAMES = ("psi0", "psi1", "phi0", "phi1")
 
 EVE_STRATEGIES = ("identify", "fixed_basis")
+
+
+def check_eve_strategy(strategy) -> str:
+    """strategy if it is one of EVE_STRATEGIES, else a ConfigurationError."""
+    if strategy not in EVE_STRATEGIES:
+        raise ConfigurationError(f"unknown eve_strategy {strategy!r}, not one of {EVE_STRATEGIES}")
+    return strategy
+
 
 # Bits the BB84 attack samples per batch. About 35 bytes of temporaries per
 # bit, so memory stays near 2 MiB whatever n_bits a scenario asks for.
@@ -108,11 +114,10 @@ def run_verification(box: NonlinearBox, tol: float = 1e-6) -> VerificationReport
     through the box, and both output qubits are measured in the
     computational basis; the map is identified iff every input lands on
     its target outcome with probability >= 1 - tol. A box without a
-    basis-discriminating map has no domain states, and a tol that is
-    negative or not finite is meaningless: ConfigurationError for both.
+    basis-discriminating map has no domain states, and a tol that is not a
+    finite non-negative real number is meaningless: ConfigurationError for both.
     """
-    if not 0 <= tol < math.inf:
-        raise ConfigurationError(f"tol must be a finite non-negative number, got {tol!r}")
+    tol = check_tol(tol)
     povm = computational_povm(4)
     table = {}
     identified = True
@@ -134,15 +139,16 @@ class SignalingReport:
 
 
 def _resolve_setting(box: NonlinearBox, setting):
-    if isinstance(setting, str):
-        brun = _brun(box)
-        if setting == "psi":
-            return setting, (brun.psi_basis if brun else COMPUTATIONAL_BASIS)
-        if setting == "phi":
-            return setting, (brun.phi_basis if brun else HADAMARD_BASIS)
-        raise ConfigurationError(f"unknown setting name {setting!r}")
-    b0, b1 = setting
-    return None, (b0, b1)
+    """(name or None, basis) for "psi", "phi" or a pair of qubit kets."""
+    brun = _brun(box)
+    named = {"psi": brun.psi_basis if brun else COMPUTATIONAL_BASIS,
+             "phi": brun.phi_basis if brun else HADAMARD_BASIS}
+    if isinstance(setting, str) and setting in named:
+        return setting, named[setting]
+    if not (isinstance(setting, (tuple, list)) and len(setting) == 2
+            and all(isinstance(k, KetVector) and k.dim == 2 for k in setting)):
+        raise ConfigurationError(f"a setting is 'psi', 'phi' or two qubit kets, got {setting!r}")
+    return None, tuple(setting)
 
 
 def run_signaling_test(box: NonlinearBox, settings,
@@ -224,28 +230,12 @@ class AttackReport:
 
 
 def _require_bb84_bases(box: NonlinearBox):
-    brun = _brun(box)
-    if brun is None:
-        raise ConfigurationError("attack requires a basis-discriminating box")
-    psi, phi = brun.psi_basis, brun.phi_basis
-    ok = (psi[0].fidelity(COMPUTATIONAL_BASIS[0]) >= PURITY_MIN
-          and psi[1].fidelity(COMPUTATIONAL_BASIS[1]) >= PURITY_MIN
-          and phi[0].fidelity(HADAMARD_BASIS[0]) >= PURITY_MIN
-          and phi[1].fidelity(HADAMARD_BASIS[1]) >= PURITY_MIN)
-    if not ok:
-        raise ConfigurationError(
-            "attack requires psi = computational and phi = hadamard bases")
-    return psi, phi
-
-
-def _nonnegative_int(value, name: str) -> int:
-    try:
-        n = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        n = None
-    if n is None or n < 0:
-        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
-    return n
+    """(psi, phi) of a box whose bases are the computational and Hadamard ones."""
+    states = _domain_states(box)
+    if not all(s.fidelity(b) >= PURITY_MIN
+               for s, b in zip(states, COMPUTATIONAL_BASIS + HADAMARD_BASIS)):
+        raise ConfigurationError("attack requires psi = computational and phi = hadamard bases")
+    return states[:2], states[2:]
 
 
 def _inverse_cdf(dist: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -285,10 +275,9 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     basis) selects. Raises ConfigurationError for a negative, boolean or
     non-integer `n_bits` or `seed`.
     """
-    if eve_strategy not in EVE_STRATEGIES:
-        raise ConfigurationError(f"unknown eavesdropper strategy {eve_strategy!r}")
-    n_bits = _nonnegative_int(n_bits, "n_bits")
-    seed = _nonnegative_int(seed, "seed")
+    check_eve_strategy(eve_strategy)
+    n_bits = check_integer(n_bits, "n_bits")
+    seed = check_integer(seed, "seed")
     if n_bits == 0:
         return AttackReport(0, 0.0, 0.0, 0.0, 0.0, eve_strategy, seed)
     psi, phi = _require_bb84_bases(box)

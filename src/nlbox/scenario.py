@@ -10,8 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -30,11 +28,13 @@ from .errors import (
     NlboxError,
     ScenarioParseError,
     ValidationError,
+    check_integer,
+    check_tol,
 )
-from .preparations import MembershipPolicy, PolicyKind, SpacetimeEvent
+from .preparations import MembershipPolicy, SpacetimeEvent
 from .protocols import (
     DEFAULT_ALICE_EVENT,
-    EVE_STRATEGIES,
+    check_eve_strategy,
     run_bb84_attack,
     run_preparation_problem_demo,
     run_signaling_test,
@@ -96,46 +96,27 @@ def _matrix_from_json(node, where) -> np.ndarray:
 
 
 def _event_from_json(node, where) -> SpacetimeEvent:
-    if (not isinstance(node, (list, tuple)) or len(node) != 2
-            or any(isinstance(c, bool) for c in node)):
+    if not isinstance(node, list) or len(node) != 2:
         raise ValidationError(f"{where}: spacetime events are [t, x] pairs of numbers")
-    return SpacetimeEvent(float(node[0]), float(node[1]))
+    return SpacetimeEvent(*node)
 
 
 def _int_from_json(value, where) -> int:
     """A non-negative int from an int, an integral float or an integer
     string; booleans and fractions are rejected, not truncated."""
-    if isinstance(value, str) and value.strip().isdecimal():
+    if ((isinstance(value, str) and value.strip().isdecimal())
+            or (isinstance(value, float) and value.is_integer())):
         value = int(value)
-    elif isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValidationError(f"{where} must be a non-negative integer, got {value!r}")
-    return int(value)
-
-
-def _float_from_json(value, where) -> float:
-    try:
-        x = float(value)
-    except (OverflowError, TypeError, ValueError):
-        x = math.nan
-    if isinstance(value, bool) or not 0 <= x < math.inf:
-        raise ValidationError(f"{where} must be a non-negative number, got {value!r}")
-    return x
+    return check_integer(value, where)
 
 
 def _policy_from_json(node, box_event, where) -> MembershipPolicy:
     if not isinstance(node, dict) or "kind" not in node:
         raise ValidationError(f"{where}: membership policy needs a 'kind'")
-    kind = node["kind"]
     labels = node.get("labels", [])
-    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+    if not isinstance(labels, list):
         raise ValidationError(f"{where}: membership labels must be a list of strings")
-    if kind == PolicyKind.KENT_LIGHT_CONE:
-        return MembershipPolicy(kind, box_event=box_event)
-    if kind == PolicyKind.EXPLICIT_LIST:
-        return MembershipPolicy(kind, labels=frozenset(labels))
-    return MembershipPolicy(kind)
+    return MembershipPolicy(node["kind"], box_event=box_event, labels=labels)
 
 
 def _box_from_json(node) -> NonlinearBox:
@@ -241,7 +222,8 @@ def parse_stats(path) -> StatsTable:
                 counts, lambda v: _int_from_json(v, "stats: sample_counts"))
         return StatsTable(preparations=preps, measurements=meas,
                           probabilities=probs, sample_counts=counts)
-    except NlboxError:
+    except NlboxError as exc:
+        exc.args = (f"{path}: {exc}",)
         raise
     except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise ScenarioParseError(f"{path}: malformed stats table ({exc})") from exc
@@ -254,7 +236,7 @@ def _alice_event(params) -> SpacetimeEvent:
 
 
 def _verification_params(params) -> dict:
-    return {"tol": _float_from_json(params.get("tol", 1e-6), "protocol: tol")}
+    return {"tol": check_tol(params.get("tol", 1e-6))}
 
 
 def _signaling_params(params) -> dict:
@@ -271,10 +253,7 @@ def _prep_problem_params(params) -> dict:
 
 
 def _bb84_params(params) -> dict:
-    strategy = params.get("eve_strategy", "identify")
-    if strategy not in EVE_STRATEGIES:
-        raise ValidationError(f"protocol: unknown eve_strategy {strategy!r}; "
-                              f"expected one of {EVE_STRATEGIES}")
+    strategy = check_eve_strategy(params.get("eve_strategy", "identify"))
     n_bits = _int_from_json(params.get("n_bits", 1000), "protocol: n_bits")
     if n_bits > MAX_BB84_BITS:
         raise CapacityError(f"protocol: n_bits must be at most {MAX_BB84_BITS}")

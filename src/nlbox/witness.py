@@ -8,13 +8,12 @@ different outputs, which is exactly what no linear map can reproduce.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import NonlinearBox, apply_box
-from .errors import ConfigurationError, MisuseError, RankError, ShapeError, ValidationError
+from .errors import MisuseError, RankError, ShapeError, ValidationError, check_integer, check_tol
 from .preparations import Preparation, classify_membership, linearly_equivalent
 from .qcore import _hermitian_basis, _traceless_basis, trace_distance
 from .tolerances import ATOL, COMPLETENESS_CUT, DTOL
@@ -66,8 +65,7 @@ class StatsTable:
         for cell, n in (self.sample_counts or {}).items():
             if cell not in self.probabilities:
                 raise ValidationError(f"sample count for {cell} has no probability row")
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-                raise ValidationError(f"sample count for {cell} must be an integer >= 1, got {n!r}")
+            check_integer(n, f"sample count for {cell}", least=1)
 
     @property
     def input_dim(self) -> int:
@@ -147,8 +145,7 @@ def sample_table(table: StatsTable, n: int, rng: np.random.Generator) -> StatsTa
     """Replace exact probabilities with multinomial frequencies at n shots
     per (preparation, measurement) cell; ConfigurationError unless n is an
     integer of at least 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ConfigurationError(f"n must be an integer of at least 1 shot, got {n!r}")
+    n = check_integer(n, "n (shots per cell, at least 1 shot)", least=1)
     probs = {}
     for key, row in sorted(table.probabilities.items()):
         p = np.clip(np.array(row, dtype=float), 0.0, None)
@@ -171,11 +168,11 @@ def sampled_tolerance(table: StatsTable) -> float:
 def linearity_verdict(table: StatsTable, tol: float | None = None):
     """(fit, tol, verdict) for the table. The default tol is the sampled
     tolerance for an empirical table and DTOL for an exact one; an explicit
-    tol that is negative or not finite is a ConfigurationError."""
+    tol that is not a finite non-negative real number is a ConfigurationError."""
     if tol is None:
         tol = sampled_tolerance(table) if table.is_sampled() else DTOL
-    elif not 0 <= tol < math.inf:
-        raise ConfigurationError(f"tol must be a finite non-negative number, got {tol!r}")
+    else:
+        tol = check_tol(tol)
     fit = fit_linear_map(table)
     return fit, tol, fit.residual <= tol and fit.choi_min_eig >= -tol
 

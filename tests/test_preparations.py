@@ -52,6 +52,15 @@ class TestTypes:
         with pytest.raises(ConfigurationError):
             MembershipPolicy(PolicyKind.EXPLICIT_LIST)
 
+    @pytest.mark.parametrize("labels", ["remote_psi_0", ["remote_psi_0", 1]],
+                             ids=["one_string", "non_string_label"])
+    def test_explicit_list_labels_are_strings(self, labels):
+        # frozenset of one string would be the set of its characters.
+        with pytest.raises(ConfigurationError, match="labels"):
+            MembershipPolicy(PolicyKind.EXPLICIT_LIST, labels=labels)
+        ok = MembershipPolicy(PolicyKind.EXPLICIT_LIST, labels=["remote_psi_0"])
+        assert ok.labels == frozenset({"remote_psi_0"})
+
 
 class TestEffectiveDensity:
     def test_singleton(self):

@@ -14,10 +14,13 @@ from nlbox.boxes import (
     LinearBoxConfig,
     Semantics,
 )
-from nlbox.errors import ConfigurationError
+from nlbox.errors import ConfigurationError, ValidationError
 from nlbox.preparations import (
     MembershipPolicy,
     PolicyKind,
+    Provenance,
+    ProvenanceTag,
+    SpacetimeEvent,
     classify_membership,
     effective_density,
 )
@@ -101,6 +104,31 @@ class TestSignaling:
             box = make_box(brun_config, semantics=sem, policy=policy)
             report = run_signaling_test(box, ("psi", "phi"))
             assert report.signaling_metric < 1e-9
+
+    def test_box_and_kent_policy_share_one_event(self, brun_config):
+        # A policy reading the light cone at (100, 0) would admit the remote
+        # preparations of a box at (1, 0), which then signals ~1.0.
+        far = MembershipPolicy(PolicyKind.KENT_LIGHT_CONE, box_event=SpacetimeEvent(100, 0))
+        with pytest.raises(ConfigurationError, match="box's own event"):
+            make_box(brun_config, policy=far, box_event=SpacetimeEvent(1, 0))
+        box = make_box(brun_config, policy=far, box_event=SpacetimeEvent(100.0, 0.0))
+        assert run_signaling_test(box, ("psi", "phi")).signaling_metric > 0.99
+
+    @pytest.mark.parametrize("build,error", [
+        (lambda box: run_signaling_test(box, [("a", "b")]), ConfigurationError),
+        (lambda box: run_signaling_test(box, [(KET0,)]), ConfigurationError),
+        (lambda box: run_signaling_test(box, [(KET0, KET1, KET_PLUS)]), ConfigurationError),
+        (lambda box: run_signaling_test(box, [(ket(1, 0, 0), ket(0, 1, 0))]),
+         ConfigurationError),
+        (lambda box: run_signaling_test(box, [5]), ConfigurationError),
+        (lambda box: Provenance(ProvenanceTag.LOCAL_DETERMINISTIC, SpacetimeEvent(0, 0)),
+         ValidationError),
+    ], ids=["strings", "one_ket", "three_kets", "qutrit_kets", "number", "bare_record"])
+    def test_malformed_structures_raise_typed_errors(self, brun_config, build, error):
+        # A typed error, not an AttributeError, a ValueError from unpacking
+        # or a TypeError from iterating one event.
+        with pytest.raises(error):
+            build(make_box(brun_config))
 
     def test_deterministic_experimenter_blocks_signaling(self, brun_config):
         policy = MembershipPolicy(PolicyKind.DETERMINISTIC_EXPERIMENTER)

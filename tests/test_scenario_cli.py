@@ -218,7 +218,7 @@ class TestMalformedCorpus:
         assert main(["witness", str(path)]) == code
         captured = capsys.readouterr()
         prefix = {2: "parse error: ", 3: "validation error: "}[code]
-        assert captured.err.startswith(prefix)
+        assert captured.err.startswith(f"{prefix}{path}: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
