@@ -16,7 +16,7 @@ from .boxes import (
     apply_box,
     box_output_qubit_distribution,
 )
-from .errors import ConfigurationError, check_integer, check_tol
+from .errors import CapacityError, ConfigurationError, ValidationError, check_integer, check_tol
 from .preparations import (
     Preparation,
     Provenance,
@@ -36,7 +36,7 @@ from .qcore import (
     trace_distance,
 )
 from .steering import assemblage_from
-from .tolerances import PURITY_MIN
+from .tolerances import ATOL, PURITY_MIN
 
 # Default spacetime layout: the sender's record is spacelike separated
 # from the box at (1, 0).
@@ -53,6 +53,9 @@ def check_eve_strategy(strategy) -> str:
         raise ConfigurationError(f"unknown eve_strategy {strategy!r}, not one of {EVE_STRATEGIES}")
     return strategy
 
+
+# The most bits one BB84 attack may ask for: 10-20 s at 0.1-0.19 us per bit.
+MAX_BB84_BITS = 10 ** 8
 
 # Bits the BB84 attack samples per batch. About 35 bytes of temporaries per
 # bit, so memory stays near 2 MiB whatever n_bits a scenario asks for.
@@ -230,12 +233,12 @@ class AttackReport:
 
 
 def _require_bb84_bases(box: NonlinearBox):
-    """(psi, phi) of a box whose bases are the computational and Hadamard ones."""
+    """The domain states of a box whose bases are the computational and Hadamard ones."""
     states = _domain_states(box)
     if not all(s.fidelity(b) >= PURITY_MIN
                for s, b in zip(states, COMPUTATIONAL_BASIS + HADAMARD_BASIS)):
         raise ConfigurationError("attack requires psi = computational and phi = hadamard bases")
-    return states[:2], states[2:]
+    return states
 
 
 def _inverse_cdf(dist: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -266,6 +269,8 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     With `eve_strategy="fixed_basis"` the eavesdropper re-prepares in the
     computational basis regardless of what she identified.
 
+    The receiver's table holds |<b|r>|^2 for each resent ket r and
+    receiver basis ket b, from one product of the kets.
     Bits are sampled as arrays from the seeded generator, in batches of
     up to `_BB84_BATCH` bits: per batch, the sender's bases, the sender's
     bits and the receiver's bases as one `integers(2, size=(3, n))` draw,
@@ -273,41 +278,29 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     the receiver's, each mapped to an outcome by inverting the cumulative
     distribution that the bit's (basis, bit) or (resent state, receiver
     basis) selects. Raises ConfigurationError for a negative, boolean or
-    non-integer `n_bits` or `seed`.
+    non-integer `n_bits` or `seed`, and CapacityError above MAX_BB84_BITS bits.
     """
     check_eve_strategy(eve_strategy)
     n_bits = check_integer(n_bits, "n_bits")
     seed = check_integer(seed, "seed")
+    if n_bits > MAX_BB84_BITS:
+        raise CapacityError(f"n_bits must be at most {MAX_BB84_BITS}")
     if n_bits == 0:
         return AttackReport(0, 0.0, 0.0, 0.0, 0.0, eve_strategy, seed)
-    psi, phi = _require_bb84_bases(box)
-    bases = (psi, phi)
+    states = _require_bb84_bases(box)
     rng = np.random.default_rng(seed)
-    povm4 = computational_povm(4)
-    meas = (basis_povm(psi), basis_povm(phi))
 
     # Row 2*basis + bit: the box's outcome distribution on Alice's state.
-    eve_dist = []
-    for a_basis in range(2):
-        for a_bit in range(2):
-            prep = _local_prep(bases[a_basis][a_bit],
-                               f"alice_{a_basis}{a_bit}", box.box_event)
-            eve_dist.append(born_probabilities(apply_box(box, prep), povm4))
+    povm4 = computational_povm(4)
+    eve_dist = np.array([born_probabilities(apply_box(box, _local_prep(
+        state, f"alice_{k >> 1}{k & 1}", box.box_event)), povm4) for k, state in enumerate(states)])
+    # Row 2*(resent state index) + receiver basis, column receiver bit: |<b|r>|^2.
+    resent = states if eve_strategy == "identify" else COMPUTATIONAL_BASIS * 2
+    kets, resent = (np.array([s.amplitudes for s in group]) for group in (states, resent))
+    bob_dist = (abs(resent.conj() @ kets.T) ** 2).reshape(8, 2)
+    if not (abs(bob_dist.sum(axis=1) - 1.0) <= ATOL).all():
+        raise ValidationError("Born probabilities do not sum to 1")
 
-    # Row 2*(resent state index) + receiver basis: the receiver's distribution.
-    def resent_state(e_basis, e_bit):
-        if eve_strategy == "identify":
-            return bases[e_basis][e_bit]
-        return COMPUTATIONAL_BASIS[e_bit]
-
-    bob_dist = []
-    for e_basis in range(2):
-        for e_bit in range(2):
-            for b_basis in range(2):
-                rho = resent_state(e_basis, e_bit).projector()
-                bob_dist.append(born_probabilities(rho, meas[b_basis]))
-
-    eve_dist, bob_dist = np.array(eve_dist), np.array(bob_dist)
     # Python ints, so the report holds plain floats (the CSV form is repr).
     eve_bit_hits = eve_basis_hits = sifted = errors = 0
     for start in range(0, n_bits, _BB84_BATCH):

@@ -2,8 +2,9 @@
 
 Everything here is a small complex numpy array wrapped in a frozen
 dataclass that validates its invariants on construction. Operations are
-pure functions; values are safe to share between threads. A ket's projector
-is kept once built; threads racing on that field store equal read-only values.
+pure functions; values are safe to share between threads. A ket's projector,
+and a density's purity and principal ket, are kept once computed; threads
+racing on such a field store equal values.
 """
 
 from __future__ import annotations
@@ -80,12 +81,14 @@ class DensityOperator(_Validated):
     """Trace-one positive-semidefinite Hermitian matrix."""
 
     matrix: np.ndarray
+    _purity: float | None = field(default=None, init=False, repr=False, compare=False)
+    _principal: KetVector | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _freeze(self, "matrix", self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ShapeError("density matrix must be square")
-        herm_gap = float(np.max(np.abs(m - m.conj().T)))
+        herm_gap = float(np.abs(m - m.conj().T).max())
         if not herm_gap <= ATOL:
             raise ValidationError(f"density matrix not Hermitian: max |M - M^dag| = {herm_gap}")
         tr = complex(np.trace(m))
@@ -100,17 +103,20 @@ class DensityOperator(_Validated):
         return self.matrix.shape[0]
 
     def purity(self) -> float:
-        """Tr(rho^2), real."""
-        return float(np.trace(self.matrix @ self.matrix).real)
+        """Tr(rho^2), real; kept once computed."""
+        if self._purity is None:
+            object.__setattr__(self, "_purity", float(np.trace(self.matrix @ self.matrix).real))
+        return self._purity
 
     def principal_ket(self) -> KetVector:
-        """Eigenvector of the largest eigenvalue, phase-fixed.
+        """Eigenvector of the largest eigenvalue, phase-fixed; kept once computed.
 
         Meaningful as "the" state only when the operator is (nearly) pure.
         """
-        _, vecs = np.linalg.eigh(self.matrix)
-        v = vecs[:, -1]
-        return KetVector(_phase_fix(v))
+        if self._principal is None:
+            vecs = np.linalg.eigh(self.matrix)[1]
+            object.__setattr__(self, "_principal", KetVector(_phase_fix(vecs[:, -1])))
+        return self._principal
 
 
 @dataclass(frozen=True)
@@ -127,11 +133,11 @@ class Povm(_Validated):
         e = _freeze(self, "effects", self.effects)
         if e.ndim != 3 or e.size == 0 or e.shape[1] != e.shape[2]:
             raise ShapeError("POVM effects must be one or more square matrices of one size")
-        if not float(np.max(np.abs(e - e.conj().transpose(0, 2, 1)))) <= ATOL:
+        if not float(np.abs(e - e.conj().transpose(0, 2, 1)).max()) <= ATOL:
             raise ValidationError("POVM effect not Hermitian")
-        if not float(np.min(np.linalg.eigvalsh(e)[:, 0])) >= -ATOL:
+        if not float(np.linalg.eigvalsh(e)[:, 0].min()) >= -ATOL:
             raise ValidationError("POVM effect not positive semidefinite")
-        if not float(np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[1])))) <= ATOL:
+        if not float(np.abs(e.sum(axis=0) - np.eye(e.shape[1])).max()) <= ATOL:
             raise ValidationError("POVM effects do not sum to the identity")
 
     @property
@@ -151,7 +157,7 @@ class Unitary(_Validated):
         m = _freeze(self, "matrix", self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError("unitary must be square")
-        gap = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+        gap = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
         if not gap <= ATOL:
             raise ValidationError(f"matrix is not unitary: max |U^dag U - I| = {gap}")
 
@@ -218,10 +224,10 @@ def born_probabilities(rho: DensityOperator, m: Povm) -> np.ndarray:
     if rho.dim != m.dim:
         raise ShapeError(f"state dim {rho.dim} vs POVM dim {m.dim}")
     probs = np.einsum("kij,ji->k", m.effects, rho.matrix).real
-    if np.min(probs) < -BORN_CLAMP:
-        raise ValidationError(f"Born probability {np.min(probs)} below clamp threshold")
-    probs = np.clip(probs, 0.0, None)
-    if not abs(float(np.sum(probs)) - 1.0) <= ATOL:
+    if probs.min() < -BORN_CLAMP:
+        raise ValidationError(f"Born probability {probs.min()} below clamp threshold")
+    probs = np.maximum(probs, 0.0)
+    if not abs(float(probs.sum()) - 1.0) <= ATOL:
         raise ValidationError("Born probabilities do not sum to 1")
     return probs
 
@@ -264,7 +270,7 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
 
 def trace_norm(mat: np.ndarray) -> float:
     """||M||_1 for a Hermitian matrix."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
+    return float(np.abs(np.linalg.eigvalsh(mat)).sum())
 
 
 # Common single-qubit states and bases.

@@ -34,6 +34,7 @@ from .errors import (
 from .preparations import MembershipPolicy, SpacetimeEvent
 from .protocols import (
     DEFAULT_ALICE_EVENT,
+    MAX_BB84_BITS,
     check_eve_strategy,
     run_bb84_attack,
     run_preparation_problem_demo,
@@ -45,9 +46,6 @@ from .witness import StatsTable
 
 SCENARIO_SCHEMA = "nlbox-scenario/1"
 REPORT_SCHEMA = "nlbox-report/1"
-
-# The most bits a bb84 scenario may ask for: 10-20 s at 0.1-0.19 us per bit.
-MAX_BB84_BITS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,9 @@ class Report:
 
 
 def _complex_from_pair(pair, where):
-    if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
-        raise ValidationError(f"{where}: complex numbers are [re, im] pairs")
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or any(isinstance(x, bool) for x in pair)):
+        raise ValidationError(f"{where}: complex numbers are [re, im] pairs of numbers")
     return complex(float(pair[0]), float(pair[1]))
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import NonlinearBox, apply_box
-from .errors import MisuseError, RankError, ShapeError, ValidationError, check_integer, check_tol
+from .errors import (MisuseError, RankError, ShapeError, ValidationError, check_integer,
+                     check_tol, finite_float)
 from .preparations import Preparation, classify_membership, linearly_equivalent
 from .qcore import _hermitian_basis, _traceless_basis, trace_distance
 from .tolerances import ATOL, COMPLETENESS_CUT, DTOL
@@ -65,7 +66,8 @@ class StatsTable:
         for cell, n in (self.sample_counts or {}).items():
             if cell not in self.probabilities:
                 raise ValidationError(f"sample count for {cell} has no probability row")
-            check_integer(n, f"sample count for {cell}", least=1)
+            if math.isnan(finite_float(check_integer(n, f"sample count for {cell}", least=1))):
+                raise ValidationError(f"sample count for {cell} exceeds the float range")
 
     @property
     def input_dim(self) -> int:

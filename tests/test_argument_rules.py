@@ -16,7 +16,7 @@ from conftest import make_box
 from nlbox.boxes import BrunBoxConfig, DeutschBoxConfig
 from nlbox.errors import ValidationError
 from nlbox.preparations import SpacetimeEvent
-from nlbox.protocols import run_bb84_attack, run_verification
+from nlbox.protocols import MAX_BB84_BITS, run_bb84_attack, run_verification
 from nlbox.qcore import (
     COMPUTATIONAL_BASIS,
     HADAMARD_BASIS,
@@ -66,13 +66,15 @@ TOLERANCES = ("run_verification", "linearity_verdict")
 
 # A real rule takes any finite real (a non-negative one for a tolerance); an
 # integer rule any integer at or above its least value. 10**400 is an integer,
-# so it is a rejection case only where a float must hold it.
+# so it is a rejection case only where a float must hold it, as a shot count
+# must, or where a cap bounds it, as MAX_BB84_BITS bounds n_bits.
 REJECTED = (
     [(name, value) for name in REAL_RULES
      for value in (True, "0.1", math.nan, math.inf, -math.inf, HUGE)]
     + [(name, -1) for name in TOLERANCES]
     + [(name, value) for name in INTEGER_RULES
        for value in (True, "1", 2.5, 2.0, math.nan, math.inf, -1)]
+    + [("bb84_n_bits", HUGE), ("bb84_n_bits", MAX_BB84_BITS + 1), ("stats_count", HUGE)]
 )
 ACCEPTED = (
     [(name, np.float64(0.25)) for name in REAL_RULES]

@@ -14,7 +14,7 @@ from nlbox.boxes import (
     LinearBoxConfig,
     Semantics,
 )
-from nlbox.errors import ConfigurationError, ValidationError
+from nlbox.errors import CapacityError, ConfigurationError, ValidationError
 from nlbox.preparations import (
     MembershipPolicy,
     PolicyKind,
@@ -25,6 +25,8 @@ from nlbox.preparations import (
     effective_density,
 )
 from nlbox.protocols import (
+    MAX_BB84_BITS,
+    AttackReport,
     _inverse_cdf,
     run_bb84_attack,
     run_preparation_problem_demo,
@@ -33,13 +35,18 @@ from nlbox.protocols import (
 )
 from nlbox.qcore import (
     COMPUTATIONAL_BASIS,
+    HADAMARD_BASIS,
     KET0,
     KET1,
     KET_MINUS,
     KET_PLUS,
     DensityOperator,
     KetVector,
+    Povm,
     Unitary,
+    basis_povm,
+    born_probabilities,
+    computational_povm,
     ket,
     trace_distance,
 )
@@ -360,6 +367,11 @@ class TestAttack:
         with pytest.raises(ConfigurationError, match="n_bits"):
             run_bb84_attack(make_box(brun_config), n_bits, seed=1)
 
+    @pytest.mark.parametrize("n_bits", [MAX_BB84_BITS + 1, 10 ** 400], ids=["cap+1", "10**400"])
+    def test_caps_n_bits_before_sampling(self, brun_config, n_bits):
+        with pytest.raises(CapacityError, match=f"n_bits must be at most {MAX_BB84_BITS}"):
+            run_bb84_attack(make_box(brun_config), n_bits, seed=1)
+
     @pytest.mark.parametrize("seed", [-1, 3.0, "7", None, True, False])
     def test_rejects_bad_seed(self, brun_config, seed):
         with pytest.raises(ConfigurationError, match="seed"):
@@ -394,6 +406,105 @@ class TestAttack:
         assert report.eve_bit_accuracy == 1.0
         assert report.eve_basis_accuracy == 1.0
         assert abs(report.sifted_key_fraction - 0.5) <= 5 * np.sqrt(0.25 / 1000)
+
+
+ATTACK_POLICIES = {
+    "naive_pure": MembershipPolicy(PolicyKind.NAIVE_PURE),
+    "kent_light_cone": MembershipPolicy(PolicyKind.KENT_LIGHT_CONE, box_event=BOX_EVENT),
+    "deterministic_experimenter": MembershipPolicy(PolicyKind.DETERMINISTIC_EXPERIMENTER),
+    "explicit_list": MembershipPolicy(PolicyKind.EXPLICIT_LIST,
+                                      labels=frozenset({"alice_00", "alice_11"})),
+}
+
+
+def phased_bases(rng):
+    """The computational and Hadamard bases as new kets, each with a random global phase."""
+    def phased(basis):
+        return tuple(KetVector(np.exp(2j * np.pi * rng.random()) * k.amplitudes) for k in basis)
+    return phased(COMPUTATIONAL_BASIS), phased(HADAMARD_BASIS)
+
+
+def attack_box(bases, kent, semantics, policy):
+    config = BrunBoxConfig(*bases)
+    return make_box(KentBoxConfig(config) if kent else config, semantics=semantics, policy=policy)
+
+
+def reference_tables(box, strategy):
+    """The eavesdropper's and receiver's tables built a row at a time: a
+    basis_povm per receiver basis, and one born_probabilities per row."""
+    states = protocols._domain_states(box)
+    povm4, meas = computational_povm(4), (basis_povm(states[:2]), basis_povm(states[2:]))
+    eve = np.array([born_probabilities(boxes.apply_box(box, protocols._local_prep(
+        state, f"alice_{k // 2}{k % 2}", box.box_event)), povm4) for k, state in enumerate(states)])
+    resent = states if strategy == "identify" else COMPUTATIONAL_BASIS * 2
+    return eve, np.array([born_probabilities(r.projector(), m) for r in resent for m in meas])
+
+
+def reference_attack(eve, bob, n_bits, seed, strategy):
+    """run_bb84_attack's report for at most one batch of bits, sampled from the given tables."""
+    rng = np.random.default_rng(seed)
+    a_basis, a_bit, b_basis = rng.integers(2, size=(3, n_bits), dtype=np.int8)
+    u_eve, u_bob = rng.random((2, n_bits))
+    eve_idx = _inverse_cdf(eve, 2 * a_basis + a_bit, u_eve)
+    b_bit = _inverse_cdf(bob, 2 * eve_idx + b_basis, u_bob)
+    sifted = b_basis == a_basis
+    n_sifted = int(np.count_nonzero(sifted))
+    errors = int(np.count_nonzero(sifted & (b_bit != a_bit)))
+    return AttackReport(n_bits=n_bits,
+                        eve_bit_accuracy=int(np.count_nonzero((eve_idx & 1) == a_bit)) / n_bits,
+                        eve_basis_accuracy=int(np.count_nonzero((eve_idx >> 1) == a_basis)) / n_bits,
+                        induced_qber=errors / n_sifted if n_sifted else 0.0,
+                        sifted_key_fraction=n_sifted / n_bits, strategy=strategy, seed=seed)
+
+
+def spy(monkeypatch, owner, name):
+    """The list of argument tuples of every later call to owner.name."""
+    calls, real = [], getattr(owner, name)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, record)
+    return calls
+
+
+class TestAttackTables:
+    """The receiver's table is one overlap product, |<b|r>|^2, and the
+    reports equal those of the per-row Born-rule construction."""
+
+    @pytest.mark.parametrize("strategy", protocols.EVE_STRATEGIES)
+    @pytest.mark.parametrize("semantics", list(Semantics), ids=lambda s: s.value)
+    @pytest.mark.parametrize("kent", [False, True], ids=["brun", "kent"])
+    @pytest.mark.parametrize("policy", ATTACK_POLICIES.values(), ids=ATTACK_POLICIES.keys())
+    def test_reports_equal_the_per_row_reference(self, monkeypatch, rng, policy, kent,
+                                                  semantics, strategy):
+        tables = spy(monkeypatch, protocols, "_inverse_cdf")
+        # 3 bases (the module constants and two random-phase copies) x 10 seeds.
+        for bases in [(COMPUTATIONAL_BASIS, HADAMARD_BASIS), phased_bases(rng), phased_bases(rng)]:
+            box = attack_box(bases, kent, semantics, policy)
+            eve, bob = reference_tables(box, strategy)
+            for seed in range(10):
+                tables.clear()
+                assert (run_bb84_attack(box, 600, seed, strategy)
+                        == reference_attack(eve, bob, 600, seed, strategy))
+                # The eavesdropper's rows are the same arithmetic; the
+                # receiver's are the same sums in another order.
+                assert np.array_equal(tables[0][0], eve)
+                assert np.abs(tables[1][0] - bob).max() <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("strategy", protocols.EVE_STRATEGIES)
+    @pytest.mark.parametrize("semantics", list(Semantics), ids=lambda s: s.value)
+    @pytest.mark.parametrize("kent", [False, True], ids=["brun", "kent"])
+    def test_second_attack_runs_no_eigh_and_builds_no_povm(self, monkeypatch, rng, kent,
+                                                           semantics, strategy):
+        # New kets, so the first attack computes every principal ket it needs.
+        box = attack_box(phased_bases(rng), kent, semantics, ATTACK_POLICIES["naive_pure"])
+        first = run_bb84_attack(box, 500, seed=2, eve_strategy=strategy)
+        eighs = spy(monkeypatch, np.linalg, "eigh")
+        povms = spy(monkeypatch, Povm, "__post_init__")
+        assert run_bb84_attack(box, 500, seed=2, eve_strategy=strategy) == first
+        assert (len(eighs), len(povms)) == (0, 0)
 
 
 class TestInverseCdf:

@@ -128,6 +128,8 @@ MALFORMED = [
     ("box_event_bool", "verification", ("box", "box_event"), [True, False], 3),
     ("labels_string", "verification", ("box", "membership"),
      {"kind": "explicit_list", "labels": "verify_psi0"}, 3),
+    ("psi_basis_bool", "verification", ("box", "psi_basis"),
+     [[[True, 0.0], [False, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], 3),
 ]
 
 
@@ -155,6 +157,8 @@ MALFORMED_STATS = [
     ("sample_counts_empty", ("sample_counts",), {}, 3),
     ("sample_count_zero", ("sample_counts",), {"zero|comp": 0}, 3),
     ("sample_count_unknown_cell", ("sample_counts",), {"nope|Q": 100}, 3),
+    ("sample_count_huge_int", ("sample_counts",),
+     {f"{p}|comp": HUGE for p in ("zero", "one", "plus", "iplus")}, 3),
     ("probability_nan", ("probabilities", "zero|comp"), [1.0, math.nan], 3),
     ("probability_huge_int", ("probabilities", "zero|comp"), [HUGE, 0.0], 2),
     ("probabilities_empty", ("probabilities",), {}, 3),
