@@ -1,13 +1,13 @@
 """The nonlinear boxes and their application rules.
 
 Each box maps preparations to output density operators. A box config is
-plain data whose `apply(rho)` is its map on a density; a Kent config holds
-the Brun config it emulates. A membership policy decides which
-preparations exhibit the nonlinear evolution; a semantics policy decides
-whether a member box acts on the effective density or on each ensemble
-member separately. Linear quantum mechanics holds for everything the
-policy excludes. A pure input off the domain of a Brun box is always a
-DomainError.
+plain data whose `apply(rho)` is its map on a density; a Kent config is a
+Brun config whose `apply` lets a pure readout off the domain pass. A
+membership policy decides which preparations exhibit the nonlinear
+evolution; a semantics policy decides whether a member box acts on the
+effective density or on each ensemble member separately. Linear quantum
+mechanics holds for everything the policy excludes. A pure input off the
+domain of a plain Brun box is always a DomainError.
 """
 
 from __future__ import annotations
@@ -43,10 +43,7 @@ from .qcore import (
     Unitary,
     _freeze,
     _hermitian_basis,
-    _partial_trace_raw,
     _Validated,
-    born_probabilities,
-    computational_povm,
     tensor,
     trace_norm,
 )
@@ -71,7 +68,11 @@ class BrunBoxConfig:
     phi_basis: tuple
 
     def __post_init__(self):
-        for name, (b0, b1) in (("psi", self.psi_basis), ("phi", self.phi_basis)):
+        for name, basis in (("psi", self.psi_basis), ("phi", self.phi_basis)):
+            if not (isinstance(basis, tuple) and len(basis) == 2
+                    and all(isinstance(k, KetVector) for k in basis)):
+                raise ConfigurationError(f"{name} basis must be a tuple of two KetVectors")
+            b0, b1 = basis
             if b0.dim != 2 or b1.dim != 2:
                 raise ShapeError(f"{name} basis must be single-qubit kets")
             if not abs(b0.overlap(b1)) <= ATOL:
@@ -196,27 +197,21 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
 
 
 @dataclass(frozen=True)
-class KentBoxConfig:
+class KentBoxConfig(BrunBoxConfig):
     """A readout box emulating a basis-discriminating map: it emits the
     density matrix knowable from classical data in its past light cone,
     then re-prepares."""
-
-    brun: BrunBoxConfig
-
-    def __post_init__(self):
-        if not isinstance(self.brun, BrunBoxConfig):
-            raise ConfigurationError("a Kent box needs a BrunBoxConfig to emulate")
 
     def apply(self, readout: DensityOperator) -> DensityOperator:
         """The Brun map on the readout, except that a pure readout off its
         domain passes through with an untouched ancilla, as a mixed one does."""
         try:
-            return self.brun.apply(readout)
+            return super().apply(readout)
         except DomainError:
             return tensor(readout, QUBIT0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearBoxConfig(_Validated):
     """An ordinary CPTP channel in box clothing, for control experiments.
 
@@ -246,15 +241,14 @@ class NonlinearBox:
     """A bounded spacetime region applying a state map under a semantics
     and membership policy; linear quantum mechanics holds outside it."""
 
-    config: BrunBoxConfig | DeutschBoxConfig | KentBoxConfig | LinearBoxConfig
+    config: BrunBoxConfig | DeutschBoxConfig | LinearBoxConfig  # a KentBoxConfig is a Brun one
     box_event: SpacetimeEvent
     semantics: Semantics
     membership: MembershipPolicy
 
     def __post_init__(self):
         object.__setattr__(self, "semantics", _enum_member(Semantics, self.semantics))
-        if not isinstance(self.config, (BrunBoxConfig, DeutschBoxConfig,
-                                        KentBoxConfig, LinearBoxConfig)):
+        if not isinstance(self.config, (BrunBoxConfig, DeutschBoxConfig, LinearBoxConfig)):
             raise ConfigurationError(f"unknown box config {type(self.config).__name__}")
         if not isinstance(self.membership, MembershipPolicy):
             raise ConfigurationError("a box's membership must be a MembershipPolicy")
@@ -290,6 +284,8 @@ def apply_box(box: NonlinearBox, p: Preparation) -> DensityOperator:
     cfg = box.config
 
     if not member:
+        # Kent before Brun: a KentBoxConfig is a BrunBoxConfig too, but an
+        # excluded preparation reaches its map through the readout.
         if isinstance(cfg, KentBoxConfig):
             return cfg.apply(kent_readout(p, box.box_event))
         # Excluded heralded preparations present their unconditioned
@@ -303,13 +299,3 @@ def apply_box(box: NonlinearBox, p: Preparation) -> DensityOperator:
         return _mix([(w, cfg.apply(state)) for w, state in p.ensemble])
     return cfg.apply(effective_density(p))
 
-
-def box_output_qubit_distribution(out: DensityOperator) -> np.ndarray:
-    """Computational-basis distribution of the first output qubit."""
-    if out.dim == 2:
-        reduced = out
-    elif out.dim == 4:
-        reduced = DensityOperator(_partial_trace_raw(out.matrix, (2, 2), [0]))
-    else:
-        raise ShapeError(f"unexpected box output dimension {out.dim}")
-    return born_probabilities(reduced, computational_povm(2))

@@ -9,14 +9,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .boxes import (
-    BrunBoxConfig,
-    KentBoxConfig,
-    NonlinearBox,
-    apply_box,
-    box_output_qubit_distribution,
-)
-from .errors import CapacityError, ConfigurationError, ValidationError, check_integer, check_tol
+from .boxes import BrunBoxConfig, NonlinearBox, apply_box
+from .errors import (CapacityError, ConfigurationError, ShapeError, ValidationError,
+                     check_integer, check_tol)
 from .preparations import (
     Preparation,
     Provenance,
@@ -68,26 +63,27 @@ SINGLET = KetVector(np.array([0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0], dtype=comp
 SINGLET_MARGINAL = partial_trace(SINGLET, (2, 2), [1])
 
 
-def _brun(box: NonlinearBox) -> BrunBoxConfig | None:
-    """The basis-discriminating map a box applies or emulates, if any."""
-    cfg = box.config
-    cfg = cfg.brun if isinstance(cfg, KentBoxConfig) else cfg
-    return cfg if isinstance(cfg, BrunBoxConfig) else None
-
-
 def _domain_states(box: NonlinearBox):
-    brun = _brun(box)
-    if brun is None:
+    """psi0, psi1, phi0, phi1 of the map a Brun or Kent box applies or emulates."""
+    if not isinstance(box.config, BrunBoxConfig):
         raise ConfigurationError("box carries no discrimination bases")
-    return brun.domain_states
+    return box.config.domain_states
 
 
-def _local_prep(state: KetVector, label: str, record: SpacetimeEvent) -> Preparation:
-    return Preparation(
-        ensemble=((1.0, state.projector()),),
-        provenance=Provenance(ProvenanceTag.LOCAL_DETERMINISTIC, (record,)),
-        label=label,
-    )
+def _local_preps(box: NonlinearBox, labels) -> list:
+    """Each domain state prepared locally and deterministically at the box's
+    event, one label each."""
+    provenance = Provenance(ProvenanceTag.LOCAL_DETERMINISTIC, (box.box_event,))
+    return [Preparation(ensemble=((1.0, state.projector()),), provenance=provenance, label=label)
+            for state, label in zip(_domain_states(box), labels)]
+
+
+def _domain_table(box: NonlinearBox, labels) -> np.ndarray:
+    """Row k: the box's two-qubit computational-basis outcome distribution
+    on domain state k, prepared locally under labels[k]."""
+    povm4 = computational_povm(4)
+    return np.array([born_probabilities(apply_box(box, prep), povm4)
+                     for prep in _local_preps(box, labels)])
 
 
 def _steered(basis, alice_event: SpacetimeEvent, labels):
@@ -121,15 +117,9 @@ def run_verification(box: NonlinearBox, tol: float = 1e-6) -> VerificationReport
     finite non-negative real number is meaningless: ConfigurationError for both.
     """
     tol = check_tol(tol)
-    povm = computational_povm(4)
-    table = {}
-    identified = True
-    for i, (name, state) in enumerate(zip(_STATE_NAMES, _domain_states(box))):
-        prep = _local_prep(state, f"verify_{name}", box.box_event)
-        probs = born_probabilities(apply_box(box, prep), povm)
-        table[name] = [float(x) for x in probs]
-        if probs[i] < 1.0 - tol:
-            identified = False
+    probs = _domain_table(box, [f"verify_{name}" for name in _STATE_NAMES])
+    table = {name: [float(x) for x in row] for name, row in zip(_STATE_NAMES, probs)}
+    identified = bool((probs.diagonal() >= 1.0 - tol).all())
     return VerificationReport(table=table, identified=identified, tol=tol)
 
 
@@ -143,7 +133,7 @@ class SignalingReport:
 
 def _resolve_setting(box: NonlinearBox, setting):
     """(name or None, basis) for "psi", "phi" or a pair of qubit kets."""
-    brun = _brun(box)
+    brun = box.config if isinstance(box.config, BrunBoxConfig) else None
     named = {"psi": brun.psi_basis if brun else COMPUTATIONAL_BASIS,
              "phi": brun.phi_basis if brun else HADAMARD_BASIS}
     if isinstance(setting, str) and setting in named:
@@ -172,7 +162,12 @@ def run_signaling_test(box: NonlinearBox, settings,
         name = name or f"setting{idx}"
         q = np.zeros(2)
         for p_i, prep in _steered(basis, alice_event, (f"remote_{name}_0", f"remote_{name}_1")):
-            q += p_i * box_output_qubit_distribution(apply_box(box, prep))
+            out = apply_box(box, prep)
+            if out.dim not in (2, 4):
+                raise ShapeError(f"unexpected box output dimension {out.dim}")
+            # The first qubit's outcomes: a two-qubit output's summed over the second.
+            probs = born_probabilities(out, computational_povm(out.dim))
+            q += p_i * probs.reshape(2, -1).sum(axis=1)
         distributions[name] = [float(x) for x in q]
 
     metric = max((0.5 * float(np.sum(np.abs(np.subtract(a, b))))
@@ -205,8 +200,8 @@ def run_preparation_problem_demo(box: NonlinearBox,
     for k in (0, 2):  # measured in reverse order, a basis heralds its own states in order
         labels = [f"remote_{name}" for name in _STATE_NAMES[k:k + 2]]
         remotes += [prep for _, prep in _steered((states[k + 1], states[k]), alice_event, labels)]
-    pairs = [(name, _local_prep(state, f"local_{name}", box.box_event), remote)
-             for name, state, remote in zip(_STATE_NAMES, states, remotes)]
+    pairs = list(zip(_STATE_NAMES, _local_preps(box, [f"local_{n}" for n in _STATE_NAMES]),
+                     remotes))
 
     entries = [{"state": name,
                 "linearly_equivalent": linearly_equivalent(local, remote),
@@ -285,15 +280,13 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     seed = check_integer(seed, "seed")
     if n_bits > MAX_BB84_BITS:
         raise CapacityError(f"n_bits must be at most {MAX_BB84_BITS}")
+    states = _require_bb84_bases(box)
     if n_bits == 0:
         return AttackReport(0, 0.0, 0.0, 0.0, 0.0, eve_strategy, seed)
-    states = _require_bb84_bases(box)
     rng = np.random.default_rng(seed)
 
     # Row 2*basis + bit: the box's outcome distribution on Alice's state.
-    povm4 = computational_povm(4)
-    eve_dist = np.array([born_probabilities(apply_box(box, _local_prep(
-        state, f"alice_{k >> 1}{k & 1}", box.box_event)), povm4) for k, state in enumerate(states)])
+    eve_dist = _domain_table(box, [f"alice_{k >> 1}{k & 1}" for k in range(4)])
     # Row 2*(resent state index) + receiver basis, column receiver bit: |<b|r>|^2.
     resent = states if eve_strategy == "identify" else COMPUTATIONAL_BASIS * 2
     kets, resent = (np.array([s.amplitudes for s in group]) for group in (states, resent))

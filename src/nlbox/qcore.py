@@ -1,10 +1,10 @@
 """Dense finite-dimensional states, measurements, and channels.
 
 Everything here is a small complex numpy array wrapped in a frozen
-dataclass that validates its invariants on construction. Operations are
-pure functions; values are safe to share between threads. A ket's projector,
-and a density's purity and principal ket, are kept once computed; threads
-racing on such a field store equal values.
+dataclass that validates its invariants on construction and compares by
+identity. Operations are pure functions; values are safe to share between
+threads. A ket's projector, and a density's purity and principal ket, are
+kept once computed; threads racing on such a field store equal values.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ class _Validated:
         return type(self), (getattr(self, fields(self)[0].name),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KetVector(_Validated):
     """A normalized pure state: complex amplitudes of unit norm."""
 
     amplitudes: np.ndarray
-    _projector: DensityOperator | None = field(default=None, init=False, repr=False, compare=False)
+    _projector: DensityOperator | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         amp = _freeze(self, "amplitudes", self.amplitudes)
@@ -76,13 +76,13 @@ class KetVector(_Validated):
         return self._projector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator(_Validated):
     """Trace-one positive-semidefinite Hermitian matrix."""
 
     matrix: np.ndarray
-    _purity: float | None = field(default=None, init=False, repr=False, compare=False)
-    _principal: KetVector | None = field(default=None, init=False, repr=False, compare=False)
+    _purity: float | None = field(default=None, init=False, repr=False)
+    _principal: KetVector | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = _freeze(self, "matrix", self.matrix)
@@ -119,7 +119,7 @@ class DensityOperator(_Validated):
         return self._principal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm(_Validated):
     """A finite measurement: PSD effects summing to the identity.
 
@@ -149,7 +149,7 @@ class Povm(_Validated):
         return self.effects.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Unitary(_Validated):
     matrix: np.ndarray
 

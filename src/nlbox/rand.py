@@ -26,10 +26,10 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     return DensityOperator(m / np.trace(m).real)
 
 
-def random_cptp_kraus(dim: int, rng: np.random.Generator, env_dim: int = 2) -> tuple:
-    """Kraus operators of a random channel: random unitary on system+ancilla
-    followed by tracing the ancilla."""
-    u = random_unitary(dim * env_dim, rng).matrix
+def random_cptp_kraus(dim: int, rng: np.random.Generator) -> tuple:
+    """Kraus operators of a random channel: random unitary on system+qubit
+    ancilla followed by tracing the ancilla."""
+    u = random_unitary(dim * 2, rng).matrix
     # Ancilla starts in |0>; Kraus_k = <k_env| U |0_env>.
-    blocks = u.reshape(dim, env_dim, dim, env_dim)
-    return tuple(blocks[:, k, :, 0] for k in range(env_dim))
+    blocks = u.reshape(dim, 2, dim, 2)
+    return blocks[:, 0, :, 0], blocks[:, 1, :, 0]

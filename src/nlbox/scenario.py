@@ -67,11 +67,17 @@ class Report:
         return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
 
+def _number_from_json(value) -> float:
+    """A JSON number as a float; a bool or a string fails like any non-number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _complex_from_pair(pair, where):
-    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-            or any(isinstance(x, bool) for x in pair)):
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValidationError(f"{where}: complex numbers are [re, im] pairs of numbers")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_number_from_json(pair[0]), _number_from_json(pair[1]))
 
 
 def _ket_from_json(node, where) -> KetVector:
@@ -127,11 +133,10 @@ def _box_from_json(node) -> NonlinearBox:
     policy = _policy_from_json(node.get("membership", {"kind": "naive_pure"}),
                                box_event, where)
     if kind in ("brun", "kent"):
-        brun = BrunBoxConfig(
+        config = (BrunBoxConfig if kind == "brun" else KentBoxConfig)(
             psi_basis=_basis_from_json(node.get("psi_basis", "computational"), where),
             phi_basis=_basis_from_json(node.get("phi_basis", "hadamard"), where),
         )
-        config = brun if kind == "brun" else KentBoxConfig(brun)
     elif kind == "deutsch":
         u = Unitary(_matrix_from_json(node["unitary"], where))
         ctc_dim = _int_from_json(node.get("ctc_dim", 2), "box: ctc_dim")
@@ -214,7 +219,7 @@ def parse_stats(path) -> StatsTable:
             (node["label"], Povm(tuple(_matrix_from_json(e, "stats")
                                        for e in node["effects"])))
             for node in raw["measurements"])
-        probs = _cells_from_json(raw["probabilities"], lambda v: tuple(float(x) for x in v))
+        probs = _cells_from_json(raw["probabilities"], lambda v: tuple(map(_number_from_json, v)))
         counts = raw.get("sample_counts")
         if counts is not None:
             counts = _cells_from_json(

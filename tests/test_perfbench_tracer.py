@@ -36,8 +36,9 @@ def load_tracer():
 
 def test_tracer_records_each_box_kind():
     tracer = load_tracer()
-    brun = BrunBoxConfig(COMPUTATIONAL_BASIS, HADAMARD_BASIS)
-    configs = [brun, KentBoxConfig(brun), DeutschBoxConfig(Unitary(np.eye(4)), 2),
+    configs = [BrunBoxConfig(COMPUTATIONAL_BASIS, HADAMARD_BASIS),
+               KentBoxConfig(COMPUTATIONAL_BASIS, HADAMARD_BASIS),
+               DeutschBoxConfig(Unitary(np.eye(4)), 2),
                LinearBoxConfig((np.eye(2, dtype=complex),))]
     box_list = [make_box(cfg, semantics=Semantics.STATE) for cfg in configs]
     t = tracer.Tracer()

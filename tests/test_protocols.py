@@ -14,10 +14,11 @@ from nlbox.boxes import (
     LinearBoxConfig,
     Semantics,
 )
-from nlbox.errors import CapacityError, ConfigurationError, ValidationError
+from nlbox.errors import CapacityError, ConfigurationError, ShapeError, ValidationError
 from nlbox.preparations import (
     MembershipPolicy,
     PolicyKind,
+    Preparation,
     Provenance,
     ProvenanceTag,
     SpacetimeEvent,
@@ -48,6 +49,7 @@ from nlbox.qcore import (
     born_probabilities,
     computational_povm,
     ket,
+    partial_trace,
     trace_distance,
 )
 from nlbox.rand import random_cptp_kraus, random_unitary
@@ -66,7 +68,7 @@ class TestVerification:
             assert abs(sum(row) - 1.0) < 1e-12
 
     def test_kent_emulation_identifies_map(self, brun_config):
-        report = run_verification(make_box(KentBoxConfig(brun_config)))
+        report = run_verification(make_box(KentBoxConfig(COMPUTATIONAL_BASIS, HADAMARD_BASIS)))
         assert report.identified
 
     def test_linear_box_fails_verification(self):
@@ -209,6 +211,54 @@ def random_brun(rng):
     return BrunBoxConfig(random_pair(rng), random_pair(rng))
 
 
+def partial_trace_readout(box, basis, name):
+    """The receiver's distribution for one setting, read as the first output
+    qubit's validated density measured in the computational basis."""
+    q = np.zeros(2)
+    labels = (f"remote_{name}_0", f"remote_{name}_1")
+    for p_i, prep in protocols._steered(basis, protocols.DEFAULT_ALICE_EVENT, labels):
+        out = boxes.apply_box(box, prep)
+        reduced = out if out.dim == 2 else partial_trace(out, (2, 2), [0])
+        q += p_i * born_probabilities(reduced, computational_povm(2))
+    return q
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("policy", list(PolicyKind))
+@pytest.mark.parametrize("kind", ["brun", "kent", "linear_2to2", "linear_2to4"])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1), admitted=st.sets(st.sampled_from(sorted(REMOTE_LABELS))))
+def test_signaling_read_equals_the_partial_trace_readout(kind, policy, semantics, seed, admitted):
+    # One Born call on the whole output, its outcomes summed over the second
+    # qubit, reads what the reduced one-qubit density would.
+    rng = np.random.default_rng(seed)
+    if kind.startswith("linear"):
+        kraus = np.array(random_cptp_kraus(2 if kind == "linear_2to2" else 4, rng))
+        config = LinearBoxConfig(kraus if kind == "linear_2to2" else kraus[:, :, ::2])
+        named = {"psi": COMPUTATIONAL_BASIS, "phi": HADAMARD_BASIS}
+    else:
+        brun = random_brun(rng)
+        config = brun if kind == "brun" else KentBoxConfig(brun.psi_basis, brun.phi_basis)
+        named = {"psi": brun.psi_basis, "phi": brun.phi_basis}
+    # A Brun box has no map for a member off its domain, such as a random pair's state.
+    if kind != "brun":
+        named["setting2"] = random_pair(rng)
+    membership = MembershipPolicy(policy, box_event=BOX_EVENT, labels=admitted | {"local"})
+    box = make_box(config, semantics=semantics, policy=membership)
+    report = run_signaling_test(box, [name if name in ("psi", "phi") else basis
+                                      for name, basis in named.items()])
+    assert report.distributions.keys() == named.keys()
+    for name, basis in named.items():
+        reference = partial_trace_readout(box, basis, name)
+        assert np.abs(np.subtract(report.distributions[name], reference)).max() <= 1e-15
+
+
+def test_signaling_read_rejects_other_output_dimensions():
+    box = make_box(LinearBoxConfig(np.eye(8, dtype=complex)[None, :, ::4]))
+    with pytest.raises(ShapeError, match="unexpected box output dimension 8"):
+        run_signaling_test(box, ("psi", "phi"))
+
+
 VERIFY_AND_LOCAL = frozenset(f"{kind}_{name}" for kind in ("verify", "local")
                              for name in ("psi0", "psi1", "phi0", "phi1"))
 
@@ -223,9 +273,9 @@ def test_verification_without_signaling_splits_the_classes(kind, policy, semanti
     # sender signal, or its policy splits linearly equivalent preparations.
     tol = 1e-6
     brun = random_brun(np.random.default_rng(seed))
+    config = brun if kind == "brun" else KentBoxConfig(brun.psi_basis, brun.phi_basis)
     membership = MembershipPolicy(policy, box_event=BOX_EVENT, labels=VERIFY_AND_LOCAL)
-    box = make_box(brun if kind == "brun" else KentBoxConfig(brun),
-                   semantics=semantics, policy=membership)
+    box = make_box(config, semantics=semantics, policy=membership)
     assert run_verification(box, tol).identified
     metric = run_signaling_test(box, ("psi", "phi")).signaling_metric
     if policy is PolicyKind.NAIVE_PURE:
@@ -362,6 +412,15 @@ class TestAttack:
         with pytest.raises(ConfigurationError):
             run_bb84_attack(box, 100, seed=1)
 
+    @pytest.mark.parametrize("n_bits", [0, 1])
+    @pytest.mark.parametrize("config,message", [
+        (LinearBoxConfig(np.eye(4, dtype=complex)[None, :, ::2]), "no discrimination bases"),
+        (BrunBoxConfig(COMPUTATIONAL_BASIS, SWAPPED_PAIR), "attack requires"),
+    ], ids=["linear", "swapped_bases"])
+    def test_checks_the_box_before_the_zero_bit_shortcut(self, config, message, n_bits):
+        with pytest.raises(ConfigurationError, match=message):
+            run_bb84_attack(make_box(config), n_bits, seed=1)
+
     @pytest.mark.parametrize("n_bits", [-5, -1, 2.0, 1.5, "10", None, True, False])
     def test_rejects_bad_n_bits(self, brun_config, n_bits):
         with pytest.raises(ConfigurationError, match="n_bits"):
@@ -425,19 +484,24 @@ def phased_bases(rng):
 
 
 def attack_box(bases, kent, semantics, policy):
-    config = BrunBoxConfig(*bases)
-    return make_box(KentBoxConfig(config) if kent else config, semantics=semantics, policy=policy)
+    config = (KentBoxConfig if kent else BrunBoxConfig)(*bases)
+    return make_box(config, semantics=semantics, policy=policy)
 
 
 def reference_tables(box, strategy):
     """The eavesdropper's and receiver's tables built a row at a time: a
     basis_povm per receiver basis, and one born_probabilities per row."""
-    states = protocols._domain_states(box)
+    states = box.config.domain_states
     povm4, meas = computational_povm(4), (basis_povm(states[:2]), basis_povm(states[2:]))
-    eve = np.array([born_probabilities(boxes.apply_box(box, protocols._local_prep(
-        state, f"alice_{k // 2}{k % 2}", box.box_event)), povm4) for k, state in enumerate(states)])
+    eve = []
+    for k, state in enumerate(states):
+        prep = Preparation(ensemble=((1.0, state.projector()),), label=f"alice_{k // 2}{k % 2}",
+                           provenance=Provenance(ProvenanceTag.LOCAL_DETERMINISTIC,
+                                                 (box.box_event,)))
+        eve.append(born_probabilities(boxes.apply_box(box, prep), povm4))
     resent = states if strategy == "identify" else COMPUTATIONAL_BASIS * 2
-    return eve, np.array([born_probabilities(r.projector(), m) for r in resent for m in meas])
+    return np.array(eve), np.array([born_probabilities(r.projector(), m)
+                                    for r in resent for m in meas])
 
 
 def reference_attack(eve, bob, n_bits, seed, strategy):

@@ -274,6 +274,16 @@ def test_unpickled_value_is_equal_and_read_only(rng, make, name):
     assert not getattr(copy, name).flags.writeable
 
 
+@pytest.mark.parametrize("make, name", PICKLED.values(), ids=PICKLED.keys())
+def test_values_compare_and_hash_by_identity(rng, make, name):
+    # Equal arrays do not make equal values: == is identity, as hashing is.
+    value = make(rng)
+    twin = type(value)(getattr(value, name))
+    assert value == value and value != twin
+    assert hash(value) == hash(value)
+    assert len({value, twin, value}) == 2
+
+
 class TestKeptSpectralValues:
     """A density keeps its purity and principal ket once computed; an
     unpickled copy is built fresh and computes its own."""

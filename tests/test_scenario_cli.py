@@ -130,6 +130,11 @@ MALFORMED = [
      {"kind": "explicit_list", "labels": "verify_psi0"}, 3),
     ("psi_basis_bool", "verification", ("box", "psi_basis"),
      [[[True, 0.0], [False, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], 3),
+    ("psi_basis_numeric_string", "verification", ("box", "psi_basis"),
+     [[["1", "0"], ["0", "0"]], [["0", 0.0], ["1e0", 0.0]]], 3),
+    ("unitary_numeric_string", "verification", ("box",),
+     {"kind": "deutsch", "unitary": [[[str(x), y] for x, y in row] for row in IDENTITY_4],
+      "ctc_dim": 2}, 3),
 ]
 
 
@@ -151,6 +156,9 @@ MALFORMED_STATS = [
     ("key_without_bar", ("probabilities",), {"zero": [1.0, 0.0]}, 2),
     ("probabilities_not_object", ("probabilities",), [[1.0, 0.0]], 2),
     ("density_entry_not_number", ("preparations", 0, "density", 0, 0), ["x", 0.0], 2),
+    ("density_entry_bool", ("preparations", 0, "density", 0, 0), [True, False], 2),
+    ("probability_bool", ("probabilities", "zero|comp"), [True, False], 2),
+    ("probability_numeric_string", ("probabilities", "zero|comp"), ["1.0", "0"], 2),
     ("sample_count_fraction", ("sample_counts",), {"zero|comp": 100.7}, 3),
     ("sample_count_bool", ("sample_counts",), {"zero|comp": True}, 3),
     ("sample_count_negative", ("sample_counts",), {"zero|comp": -1}, 3),
