@@ -8,7 +8,6 @@ from .boxes import (
     NonlinearBox,
     Semantics,
     apply_box,
-    brun_apply_pure,
     deutsch_fixed_point,
     kent_readout,
 )

@@ -88,33 +88,25 @@ class BrunBoxConfig:
                 self.phi_basis[0], self.phi_basis[1])
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
-        """Pure states follow the map (a DomainError off its domain); mixed
-        states, on which the map is undefined, pass through with an
-        untouched ancilla."""
-        if rho.purity() >= PURITY_MIN:
-            return brun_apply_pure(self, rho.principal_ket())
-        return tensor(rho, QUBIT0)
+        """The map on a one-qubit density (a ShapeError otherwise): a pure input
+        goes to the target of the first domain state s with <s|rho|s> >= PURITY_MIN
+        (a DomainError if none), and a mixed one, on which the map is undefined,
+        passes through with an untouched ancilla."""
+        if rho.dim != 2:
+            raise ShapeError("box input must be a single qubit")
+        if rho.purity() < PURITY_MIN:
+            return tensor(rho, QUBIT0)
+        for state, target in zip(self.domain_states, _TWO_QUBIT_BASIS_STATES):
+            if np.vdot(state.amplitudes, rho.matrix.dot(state.amplitudes)).real >= PURITY_MIN:
+                return target
+        raise DomainError("input is not one of the four domain states, "
+                          "off which the map is undefined")
 
 
 # The map's four targets, the two-qubit computational basis states, built
 # once; their arrays are read-only, so every output can share them.
 _TWO_QUBIT_BASIS_STATES = tuple(DensityOperator(np.diag(row).astype(complex))
                                 for row in np.eye(4))
-
-
-def brun_apply_pure(config: BrunBoxConfig, input_ket: KetVector) -> DensityOperator:
-    """Apply the basis-discriminating map to a pure one-qubit input.
-
-    Domain inputs map to the corresponding two-qubit computational state;
-    anything else is a domain error.
-    """
-    if input_ket.dim != 2:
-        raise ShapeError("box input must be a single qubit")
-    for i, state in enumerate(config.domain_states):
-        if input_ket.fidelity(state) >= PURITY_MIN:
-            return _TWO_QUBIT_BASIS_STATES[i]
-    raise DomainError("input is not one of the four domain states, "
-                      "off which the map is undefined")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from . import __version__
 from .errors import (
     ConvergenceError,
     NlboxError,
+    RankError,
     ScenarioParseError,
     ValidationError,
 )
@@ -86,7 +87,11 @@ def _run_one(path: Path, args) -> None:
 
 
 def _run_witness(args) -> None:
-    fit, tol, verdict = linearity_verdict(parse_stats(args.stats), args.tol)
+    table = parse_stats(args.stats)
+    try:
+        fit, tol, verdict = linearity_verdict(table, args.tol)
+    except RankError as exc:  # the file's fault; a bad --tol is not, and stays unnamed
+        raise RankError(f"{args.stats}: {exc}") from exc
     print(f"residual={fit.residual!r} choi_min_eig={fit.choi_min_eig!r} "
           f"tol={tol!r} linear_explainable={verdict}")
 

@@ -1,8 +1,8 @@
 """Exception hierarchy and argument rules shared by all nlbox modules."""
 
 import math
-import numbers
 import sys
+from numbers import Integral, Real
 
 
 class NlboxError(Exception):
@@ -55,14 +55,15 @@ class ScenarioParseError(NlboxError):
 
 def check_integer(value, name: str, least: int = 0) -> int:
     """value as an int; ConfigurationError unless it is an integer >= least (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
 def finite_float(value) -> float:
     """value as a float, or nan unless it is a finite real number (a bool is not)."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # A float, numpy's float64 included, skips the slower abstract-class check.
+    real = isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool)
     return float(value) if real and abs(value) <= sys.float_info.max else math.nan
 
 

@@ -3,8 +3,8 @@
 Everything here is a small complex numpy array wrapped in a frozen
 dataclass that validates its invariants on construction and compares by
 identity. Operations are pure functions; values are safe to share between
-threads. A ket's projector, and a density's purity and principal ket, are
-kept once computed; threads racing on such a field store equal values.
+threads. A ket's projector and a density's purity are kept once computed;
+threads racing on such a field store equal values.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ class DensityOperator(_Validated):
 
     matrix: np.ndarray
     _purity: float | None = field(default=None, init=False, repr=False)
-    _principal: KetVector | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = _freeze(self, "matrix", self.matrix)
@@ -107,16 +106,6 @@ class DensityOperator(_Validated):
         if self._purity is None:
             object.__setattr__(self, "_purity", float(np.trace(self.matrix @ self.matrix).real))
         return self._purity
-
-    def principal_ket(self) -> KetVector:
-        """Eigenvector of the largest eigenvalue, phase-fixed; kept once computed.
-
-        Meaningful as "the" state only when the operator is (nearly) pure.
-        """
-        if self._principal is None:
-            vecs = np.linalg.eigh(self.matrix)[1]
-            object.__setattr__(self, "_principal", KetVector(_phase_fix(vecs[:, -1])))
-        return self._principal
 
 
 @dataclass(frozen=True, eq=False)

@@ -150,12 +150,12 @@ def _box_from_json(node) -> NonlinearBox:
 
 
 def _load_json(path):
-    """The JSON document in a file; text that is not JSON, or not UTF-8,
-    is a ScenarioParseError."""
+    """The JSON document in a file; text that is not JSON or not UTF-8 (a
+    ValueError), or that nests too deeply to decode, is a ScenarioParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 text
+    except (RecursionError, ValueError) as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
 
 

@@ -28,7 +28,8 @@ class StatsTable:
     measurements: tuple of (label, Povm on the output space)
     probabilities: dict (prep label, meas label) -> tuple of outcome probs,
         one row for every pair, so the fit's design is a Kronecker product
-        (see fit_linear_map); a missing row is a ValidationError
+        (see fit_linear_map), stored as tuples of floats; a missing row, or an
+        entry that is not a finite real number (a bool is not), is a ValidationError
     sample_counts: optional dict, row key -> integer shot count >= 1; presence
         marks the table as empirical frequencies, not exact probabilities.
     """
@@ -49,14 +50,15 @@ class StatsTable:
         dout = {m.dim for m in meas.values()}
         if len(dout) != 1:
             raise ShapeError("all measurements must share one output dimension")
-        for (pl, ml), row in self.probabilities.items():
+        rows = {cell: tuple(map(finite_float, row)) for cell, row in self.probabilities.items()}
+        for (pl, ml), row in rows.items():
             if pl not in preps or ml not in meas:
                 raise ValidationError(f"probability row references unknown labels ({pl}, {ml})")
-            row = tuple(float(x) for x in row)
             if len(row) != meas[ml].n_outcomes:
                 raise ShapeError(f"row ({pl}, {ml}) has wrong outcome count")
-            if any(not x >= -ATOL for x in row) or not abs(sum(row) - 1.0) <= ATOL:
+            if not min(row) >= -ATOL or not abs(sum(row) - 1.0) <= ATOL:  # a nan fails the sum
                 raise ValidationError(f"row ({pl}, {ml}) is not a probability distribution")
+        object.__setattr__(self, "probabilities", rows)
         missing = [(pl, ml) for pl in preps for ml in meas if (pl, ml) not in self.probabilities]
         if missing:
             raise ValidationError(f"no probability row for {missing[0]}; a table needs one "

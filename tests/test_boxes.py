@@ -25,7 +25,6 @@ from nlbox.boxes import (
     NonlinearBox,
     Semantics,
     apply_box,
-    brun_apply_pure,
     deutsch_fixed_point,
     kent_readout,
 )
@@ -60,7 +59,7 @@ from nlbox.qcore import (
     trace_norm,
 )
 from nlbox.rand import random_cptp_kraus, random_density, random_ket, random_unitary
-from nlbox.tolerances import ATOL
+from nlbox.tolerances import ATOL, PURITY_MIN
 
 KET_I = ket(1 / np.sqrt(2), 1j / np.sqrt(2))
 
@@ -131,24 +130,24 @@ class TestBrunConfig:
 
 class TestBrunMap:
     def test_psi0(self, brun_config):
-        out = brun_apply_pure(brun_config, KET0)
+        out = brun_config.apply(KET0.projector())
         assert trace_distance(out, two_qubit_state(0)) < 1e-12
 
     def test_psi1(self, brun_config):
-        out = brun_apply_pure(brun_config, KET1)
+        out = brun_config.apply(KET1.projector())
         assert trace_distance(out, two_qubit_state(1)) < 1e-12
 
     def test_phi0(self, brun_config):
-        out = brun_apply_pure(brun_config, KET_PLUS)
+        out = brun_config.apply(KET_PLUS.projector())
         assert trace_distance(out, two_qubit_state(2)) < 1e-12
 
     def test_phi1(self, brun_config):
-        out = brun_apply_pure(brun_config, KET_MINUS)
+        out = brun_config.apply(KET_MINUS.projector())
         assert trace_distance(out, two_qubit_state(3)) < 1e-12
 
     def test_targets_shared_read_only(self, brun_config):
-        out = brun_apply_pure(brun_config, KET0)
-        assert brun_apply_pure(brun_config, KET0) is out
+        out = brun_config.apply(KET0.projector())
+        assert brun_config.apply(KET0.projector()) is out
         with pytest.raises(ValueError):
             out.matrix[0, 0] = 0.0
 
@@ -157,7 +156,61 @@ class TestBrunMap:
         for state in brun_config.domain_states:
             assert KET_I.fidelity(state) < 1 - 1e-9
         with pytest.raises(DomainError):
-            brun_apply_pure(brun_config, KET_I)
+            brun_config.apply(KET_I.projector())
+
+    def test_reads_a_fresh_density_without_an_eigendecomposition(self, brun_config,
+                                                                  monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        fresh = DensityOperator(KET_MINUS.projector().matrix)
+        assert brun_config.apply(fresh) is brun_config.apply(KET_MINUS.projector())
+
+    @pytest.mark.parametrize("cls", [BrunBoxConfig, KentBoxConfig], ids=["brun", "kent"])
+    @pytest.mark.parametrize("rho", [maximally_mixed(3), ket(0, 0, 1).projector()],
+                             ids=["mixed", "pure"])
+    def test_input_that_is_not_one_qubit_is_a_shape_error(self, cls, rho):
+        with pytest.raises(ShapeError, match="single qubit"):
+            cls(COMPUTATIONAL_BASIS, HADAMARD_BASIS).apply(rho)
+
+    @pytest.mark.parametrize("cls", [BrunBoxConfig, KentBoxConfig], ids=["brun", "kent"])
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["pure", "mixed", "domain"]))
+    def test_overlap_test_decides_as_the_principal_ket(self, cls, seed, kind):
+        rng = np.random.default_rng(seed)
+        psi, phi = (tuple(KetVector(c) for c in random_unitary(2, rng).matrix.T)
+                    for _ in range(2))
+        cfg = cls(psi, phi)
+        if kind == "pure":
+            rho = random_ket(2, rng).projector()
+        elif kind == "mixed":
+            rho = random_density(2, rng)
+        else:
+            # A domain state, off by at most 1e-12 in its amplitudes and its mixing.
+            state = cfg.domain_states[rng.integers(4)]
+            amp = state.amplitudes + 1e-12 * rng.uniform() * random_ket(2, rng).amplitudes
+            eps = 1e-12 * rng.uniform()
+            rho = DensityOperator((1 - eps) * np.outer(amp, amp.conj()) / np.vdot(amp, amp).real
+                                  + eps * random_density(2, rng).matrix)
+        try:
+            expected = principal_ket_apply(cfg, rho)
+        except DomainError:
+            if cls is BrunBoxConfig:
+                with pytest.raises(DomainError):
+                    cfg.apply(rho)
+                return
+            expected = tensor(rho, KET0.projector())
+        assert np.array_equal(cfg.apply(rho).matrix, expected.matrix)
+
+
+def principal_ket_apply(cfg, rho):
+    """The Brun map as it once decided a pure input: by the fidelity of the
+    density's top eigenvector with each domain state."""
+    if rho.purity() < PURITY_MIN:
+        return tensor(rho, KET0.projector())
+    top = KetVector(np.linalg.eigh(rho.matrix)[1][:, -1])
+    for i, state in enumerate(cfg.domain_states):
+        if top.fidelity(state) >= PURITY_MIN:
+            return two_qubit_state(i)
+    raise DomainError("off the domain")
 
 
 def iterated_loop_oracle(u, rho_in_mat, d_sys, d_ctc, steps=400):

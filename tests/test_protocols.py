@@ -562,7 +562,7 @@ class TestAttackTables:
     @pytest.mark.parametrize("kent", [False, True], ids=["brun", "kent"])
     def test_second_attack_runs_no_eigh_and_builds_no_povm(self, monkeypatch, rng, kent,
                                                            semantics, strategy):
-        # New kets, so the first attack computes every principal ket it needs.
+        # New kets, so the first attack builds every projector and purity it keeps.
         box = attack_box(phased_bases(rng), kent, semantics, ATTACK_POLICIES["naive_pure"])
         first = run_bb84_attack(box, 500, seed=2, eve_strategy=strategy)
         eighs = spy(monkeypatch, np.linalg, "eigh")

@@ -285,26 +285,19 @@ def test_values_compare_and_hash_by_identity(rng, make, name):
 
 
 class TestKeptSpectralValues:
-    """A density keeps its purity and principal ket once computed; an
-    unpickled copy is built fresh and computes its own."""
+    """A density keeps its purity once computed; an unpickled copy is built
+    fresh and computes its own."""
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), pure=st.booleans())
     def test_kept_values_equal_a_fresh_computation(self, seed, dim, pure):
         rng = np.random.default_rng(seed)
         rho = random_density(dim, rng, rank=1 if pure else None)
-        purity, principal = rho.purity(), rho.principal_ket()
-        assert rho.purity() is purity and rho.principal_ket() is principal
+        purity = rho.purity()
+        assert rho.purity() is purity
         fresh = pickle.loads(pickle.dumps(rho))
         assert fresh.purity() == purity
-        assert np.array_equal(fresh.principal_ket().amplitudes, principal.amplitudes)
-        assert repr(fresh) == repr(rho)  # the kept fields stay out of repr
-
-
-def test_principal_ket_recovers_pure_state(rng):
-    for _ in range(10):
-        k = random_ket(3, rng)
-        assert k.fidelity(k.projector().principal_ket()) > 1 - 1e-12
+        assert repr(fresh) == repr(rho)  # the kept field stays out of repr
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])

@@ -572,12 +572,45 @@ class TestCli:
         assert exc.value.code == 0
         assert capsys.readouterr().out == "nlbox 0.1.0\n"
 
-    def test_runs_as_a_module(self):
+    @staticmethod
+    def version_from_module(module):
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        done = subprocess.run([sys.executable, "-m", "nlbox", "--version"],
+        done = subprocess.run([sys.executable, "-m", module, "--version"],
                               capture_output=True, text=True, env=env, timeout=60)
-        assert done.returncode == 0
-        assert done.stdout == "nlbox 0.1.0\n"
+        return done.returncode, done.stdout
+
+    def test_runs_as_a_module(self):
+        assert self.version_from_module("nlbox") == (0, "nlbox 0.1.0\n")
+
+    def test_cli_module_runs_as_a_script(self):
+        assert self.version_from_module("nlbox.cli") == (0, "nlbox 0.1.0\n")
+
+    @pytest.mark.parametrize("command", ["run", "witness"])
+    def test_deeply_nested_file_exit_code(self, tmp_path, capsys, command):
+        # Written as text: json.dumps cannot build a document nested this deep.
+        path = tmp_path / "deep.scn"
+        path.write_text("[" * 200_000)
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: {path}: ")
+
+    def test_tol_override_reaches_the_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["verify", str(SCENARIO_DIR / "verification.scn"), "--tol", "0.5",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["payload"]["tol"] == 0.5
+
+    def test_tol_override_is_ignored_by_bb84(self, tmp_path):
+        plain, tol = tmp_path / "plain.json", tmp_path / "tol.json"
+        scenario = str(SCENARIO_DIR / "bb84_attack.scn")
+        assert main(["bb84", scenario, "--out", str(plain)]) == 0
+        assert main(["bb84", scenario, "--tol", "0.5", "--out", str(tol)]) == 0
+        assert tol.read_bytes() == plain.read_bytes()
+
+    def test_out_into_a_missing_directory_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "r.json"
+        assert main(["run", str(SCENARIO_DIR / "verification.scn"), "--out", str(out)]) == 5
+        assert capsys.readouterr().err.startswith(f"i/o error: cannot write report to {out}: ")
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("where,value", [
         (("box", "kind"), "oracle"),
@@ -635,6 +668,18 @@ class TestCli:
             main(["witness", str(path), flag, value])
         assert exc.value.code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.json"]
+
+    def test_witness_incomplete_table_names_the_file(self, tmp_path, capsys):
+        doc = stats_doc()
+        doc["preparations"] = doc["preparations"][:2]  # |0> and |1> span 2 of 4 dimensions
+        doc["probabilities"] = {k: v for k, v in doc["probabilities"].items()
+                                if k.split("|")[0] in ("zero", "one")}
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(doc))
+        assert main(["witness", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: input densities span only 2 of the 4 ")
+        assert captured.out == ""
 
     def test_witness_parse_stats(self, tmp_path):
         path = tmp_path / "stats.json"

@@ -49,7 +49,7 @@ def reference_pure_hjw(d):
     lams, vecs = lams[keep], vecs[:, keep]
     effects = []
     for p_i, state in d.members:
-        phi = state.principal_ket().amplitudes
+        phi = np.linalg.eigh(state.matrix)[1][:, -1]
         a = np.array([np.sqrt(p_i) * np.vdot(phi, vecs[:, k]) / np.sqrt(lams[k])
                       for k in range(len(lams))])
         effects.append(np.outer(a, a.conj()))

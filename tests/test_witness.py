@@ -196,6 +196,21 @@ class TestStatsTable:
                        measurements=(("m", computational_povm(2)),),
                        probabilities={("a", "m"): (1.0, 0.0)}, sample_counts={("a", "m"): n})
 
+    @pytest.mark.parametrize("entry", [False, "0.0", 0j, None],
+                             ids=["bool", "numeric_string", "complex", "none"])
+    def test_rejects_an_entry_that_is_not_a_real_number(self, entry):
+        with pytest.raises(ValidationError, match=r"row \(a, m\) is not a probability"):
+            StatsTable(preparations=(("a", KET0.projector()),),
+                       measurements=(("m", computational_povm(2)),),
+                       probabilities={("a", "m"): (1.0, entry)})
+
+    def test_stores_every_row_as_floats(self):
+        table = StatsTable(preparations=(("a", KET0.projector()),),
+                           measurements=(("m", computational_povm(2)),),
+                           probabilities={("a", "m"): [1, np.float64(0.0)]})
+        row = table.probabilities["a", "m"]
+        assert row == (1.0, 0.0) and [type(x) for x in row] == [float, float]
+
     def test_accepts_a_numpy_integer_count(self):
         table = StatsTable(preparations=(("a", KET0.projector()),),
                            measurements=(("m", computational_povm(2)),),
