@@ -39,7 +39,6 @@ from .steering import (
     EnsembleDecomposition,
     SteeringAssemblage,
     hjw_assemblage,
-    purify,
     steer,
 )
 from .witness import (

@@ -1,7 +1,6 @@
 """Exception hierarchy and argument rules shared by all nlbox modules."""
 
 import math
-import sys
 from numbers import Integral, Real
 
 
@@ -63,8 +62,13 @@ def check_integer(value, name: str, least: int = 0) -> int:
 def finite_float(value) -> float:
     """value as a float, or nan unless it is a finite real number (a bool is not)."""
     # A float, numpy's float64 included, skips the slower abstract-class check.
-    real = isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool)
-    return float(value) if real and abs(value) <= sys.float_info.max else math.nan
+    if not (isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool)):
+        return math.nan
+    try:
+        value = float(value)
+    except OverflowError:  # an int or fraction beyond the float range
+        return math.nan
+    return value if math.isfinite(value) else math.nan
 
 
 def check_tol(tol) -> float:

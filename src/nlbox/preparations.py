@@ -21,14 +21,17 @@ from .tolerances import ATOL, DTOL, PURITY_MIN
 
 @dataclass(frozen=True)
 class SpacetimeEvent:
-    """A point in 1+1 Minkowski spacetime with c = 1; coordinates are finite reals."""
+    """A point in 1+1 Minkowski spacetime with c = 1; coordinates are finite reals, kept as floats."""
 
     t: float
     x: float
 
     def __post_init__(self):
-        if math.isnan(finite_float(self.t)) or math.isnan(finite_float(self.x)):
+        t, x = finite_float(self.t), finite_float(self.x)
+        if math.isnan(t) or math.isnan(x):
             raise ValidationError(f"spacetime coordinates must be finite reals, got {self!r}")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
 
 
 def _enum_member(enum, value):

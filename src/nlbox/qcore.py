@@ -2,9 +2,8 @@
 
 Everything here is a small complex numpy array wrapped in a frozen
 dataclass that validates its invariants on construction and compares by
-identity. Operations are pure functions; values are safe to share between
-threads. A ket's projector and a density's purity are kept once computed;
-threads racing on such a field store equal values.
+identity. Operations are pure functions. A ket's projector and a density's
+purity are kept once computed.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from functools import cache
 import numpy as np
 
 from .errors import CapacityError, ShapeError, ValidationError
-from .tolerances import ATOL, BORN_CLAMP, MAX_TENSOR_DIM, PHASE_CUT
+from .tolerances import ATOL, BORN_CLAMP, MAX_TENSOR_DIM
 
 
 def _freeze(obj, name, arr):
@@ -153,13 +152,6 @@ class Unitary(_Validated):
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def _phase_fix(v: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first amplitude above PHASE_CUT is real positive."""
-    v = np.array(v, dtype=complex)
-    big = v[np.abs(v) > PHASE_CUT]
-    return v * (abs(big[0]) / big[0]) if big.size else v
 
 
 def tensor(a, b):

@@ -1,8 +1,8 @@
 """Remote preparation via steering.
 
 Every finite decomposition of a marginal density matrix sigma_B is heralded
-by a measurement on the distant half of one shared state, the canonical
-purification of sigma_B (Hughston, Jozsa & Wootters): the measurement, not
+by a measurement on the distant half of one shared state, a purification of
+sigma_B on its rank space (Hughston, Jozsa & Wootters): the measurement, not
 the state, picks the decomposition. This module constructs such assemblages
 and evaluates the heralded states.
 """
@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DecompositionError, MisuseError, ShapeError, ValidationError
 from .preparations import _normalize_ensemble
-from .qcore import DensityOperator, KetVector, Povm, _phase_fix, trace_norm
-from .tolerances import DTOL, EIG_TIE_DIGITS, RANK_CUT, ZERO_PROB
+from .qcore import DensityOperator, KetVector, Povm, trace_norm
+from .tolerances import DTOL, PHASE_CUT, RANK_CUT, ZERO_PROB
 
 # Decompositions beyond this many members are rejected.
 MAX_MEMBERS = 16
@@ -41,10 +41,6 @@ class EnsembleDecomposition:
             raise DecompositionError(
                 f"members average {gap} away from sigma_B (tolerance {DTOL})")
         object.__setattr__(self, "members", members)
-
-    @property
-    def n_members(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -92,60 +88,42 @@ class SteeringAssemblage:
         return self.povm_a.n_outcomes
 
 
-def _sorted_eig(sigma: DensityOperator):
-    """Eigendecomposition with eigenvalues descending, phase-fixed vectors,
-    and lexicographic tie-breaking within degenerate eigenvalues."""
-    evals, evecs = np.linalg.eigh(sigma.matrix)
-    vecs = np.array([_phase_fix(v) for v in evecs.T])
-    # One row of keys per vector: -eigenvalue, then Re and Im of each amplitude.
-    keys = np.round(np.column_stack([-evals, vecs.view(float)]), EIG_TIE_DIGITS)
-    order = np.lexsort(keys.T[::-1])
-    return evals[order], vecs[order].T
-
-
-def _rank_space(sigma: DensityOperator):
-    """(eigenvalues above RANK_CUT, their eigenvectors as columns, the
-    canonical purification's amplitudes), in _sorted_eig order."""
-    lams, vecs = _sorted_eig(sigma)
+def _rank_space(m: np.ndarray):
+    """The eigenpairs of the Hermitian matrix m with eigenvalues above RANK_CUT,
+    eigenvalues descending and eigenvectors as columns, each column's first
+    amplitude above PHASE_CUT made real positive."""
+    lams, vecs = np.linalg.eigh(m)
     keep = lams > RANK_CUT
-    lams, vecs = lams[keep], vecs[:, keep]
-    amps = (np.sqrt(lams)[:, None] * vecs.T).reshape(-1)
-    return lams, vecs, amps / np.linalg.norm(amps)
-
-
-def purify(sigma_b: DensityOperator) -> KetVector:
-    """Canonical purification on A (x) B with dim(A) = rank(sigma_B).
-
-    Eigenvalues descending, each eigenvector's first nonzero amplitude made
-    real positive, ties broken lexicographically. Canonical only for
-    bit-identical input: within a degenerate eigenspace the basis is set by
-    rounding, so equal densities built differently can purify in different
-    bases of A.
-    """
-    return KetVector(_rank_space(sigma_b)[2])
+    lams, vecs = lams[keep][::-1], vecs[:, keep][:, ::-1]
+    first = vecs[np.argmax(np.abs(vecs) > PHASE_CUT, axis=0), np.arange(lams.size)]
+    return lams, vecs * (np.abs(first) / first)
 
 
 def hjw_assemblage(d: EnsembleDecomposition) -> SteeringAssemblage:
     """Build a bipartite state and measurement on A realizing a decomposition.
 
     Member i's eigenpairs (mu_j, u_j) above RANK_CUT give the rows
-    sqrt(p_i mu_j) <u_j| of a factor F_i. The shared state is the canonical
-    purification of the average sum_i F_i^dag F_i, so A is the rank space of
-    sigma_B whatever the decomposition. Member i's effect is a^T a*, with
-    a = F_i V / sqrt(lambda) over the average's eigenpairs (lambda_k, v_k):
-    a Gram matrix, so positive, and of the member's rank. The effects sum to
+    sqrt(p_i mu_j) <u_j| of a factor F_i. The shared state purifies the
+    average sum_i F_i^dag F_i on its rank space as sum_k sqrt(lambda_k)
+    |k>|v_k>, so A is the rank space of sigma_B whatever the decomposition.
+    Each v_k has its first amplitude above PHASE_CUT real positive, so the
+    decompositions of a sigma_B with distinct eigenvalues share one state;
+    within a degenerate eigenspace eigh's basis, and so A's, is set by
+    rounding. Member i's effect is a^T a*, with a = F_i V / sqrt(lambda): a
+    Gram matrix, so positive, and of the member's rank. The effects sum to
     the identity because the average is built from the same factors.
     """
-    if d.n_members > MAX_MEMBERS:
+    if len(d.members) > MAX_MEMBERS:
         raise DecompositionError(f"decompositions are capped at {MAX_MEMBERS} members")
     factors = []
     for p_i, state in d.members:
-        mus, us = np.linalg.eigh(state.matrix)
-        keep = mus > RANK_CUT
-        factors.append(np.sqrt(p_i * mus[keep])[:, None] * us[:, keep].conj().T)
-    lams, vecs, psi = _rank_space(DensityOperator(sum(f.conj().T @ f for f in factors)))
+        mus, us = _rank_space(state.matrix)
+        factors.append(np.sqrt(p_i * mus)[:, None] * us.conj().T)
+    lams, vecs = _rank_space(sum(f.conj().T @ f for f in factors))
+    psi = (np.sqrt(lams)[:, None] * vecs.T).reshape(-1)
     effects = [a.T @ a.conj() for a in (f @ vecs / np.sqrt(lams) for f in factors)]
-    return assemblage_from(KetVector(psi).projector(), len(lams), d.sigma_b.dim, Povm(effects))
+    return assemblage_from(KetVector(psi / np.linalg.norm(psi)).projector(), len(lams),
+                           d.sigma_b.dim, Povm(effects))
 
 
 def steer(assemblage: SteeringAssemblage, outcome: int):

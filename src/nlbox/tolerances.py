@@ -41,6 +41,3 @@ ZERO_PROB = 1e-12
 
 # The first amplitude above this in modulus sets a vector's global phase.
 PHASE_CUT = 1e-12
-
-# Eigenvalues and amplitudes equal to this many decimals tie when sorting an eigenbasis.
-EIG_TIE_DIGITS = 12

@@ -16,7 +16,7 @@ from .boxes import NonlinearBox, apply_box
 from .errors import (MisuseError, RankError, ShapeError, ValidationError, check_integer,
                      check_tol, finite_float)
 from .preparations import Preparation, classify_membership, linearly_equivalent
-from .qcore import _hermitian_basis, _traceless_basis, trace_distance
+from .qcore import DensityOperator, Povm, _hermitian_basis, _traceless_basis, trace_distance
 from .tolerances import ATOL, COMPLETENESS_CUT, DTOL
 
 
@@ -28,8 +28,9 @@ class StatsTable:
     measurements: tuple of (label, Povm on the output space)
     probabilities: dict (prep label, meas label) -> tuple of outcome probs,
         one row for every pair, so the fit's design is a Kronecker product
-        (see fit_linear_map), stored as tuples of floats; a missing row, or an
-        entry that is not a finite real number (a bool is not), is a ValidationError
+        (see fit_linear_map), stored as tuples of floats; a key that is not a
+        label pair, a missing row, or an entry that is not a finite real number
+        (a bool is not) is a ValidationError
     sample_counts: optional dict, row key -> integer shot count >= 1; presence
         marks the table as empirical frequencies, not exact probabilities.
     """
@@ -44,14 +45,27 @@ class StatsTable:
         meas = dict(self.measurements)
         if len(preps) != len(self.preparations) or len(meas) != len(self.measurements):
             raise ValidationError("duplicate preparation or measurement labels")
+        for label, rho in preps.items():
+            if not isinstance(rho, DensityOperator):
+                raise ValidationError(f"preparation {label!r} is not a DensityOperator")
+        for label, m in meas.items():
+            if not isinstance(m, Povm):
+                raise ValidationError(f"measurement {label!r} is not a Povm")
         din = {rho.dim for rho in preps.values()}
         if len(din) != 1:
             raise ShapeError("all input densities must share one dimension")
         dout = {m.dim for m in meas.values()}
         if len(dout) != 1:
             raise ShapeError("all measurements must share one output dimension")
-        rows = {cell: tuple(map(finite_float, row)) for cell, row in self.probabilities.items()}
-        for (pl, ml), row in rows.items():
+        rows = {}
+        for cell, row in self.probabilities.items():
+            if not (isinstance(cell, tuple) and len(cell) == 2):
+                raise ValidationError(f"probability key {cell!r} is not a (preparation, "
+                                      "measurement) label pair")
+            if not np.iterable(row):
+                raise ValidationError(f"row {cell} is not a sequence of probabilities")
+            pl, ml = cell
+            rows[cell] = row = tuple(map(finite_float, row))
             if pl not in preps or ml not in meas:
                 raise ValidationError(f"probability row references unknown labels ({pl}, {ml})")
             if len(row) != meas[ml].n_outcomes:

@@ -78,6 +78,7 @@ REJECTED = (
 )
 ACCEPTED = (
     [(name, np.float64(0.25)) for name in REAL_RULES]
+    + [(name, np.float32(0.25)) for name in REAL_RULES]
     + [(name, -1.0) for name in REAL_RULES if name not in TOLERANCES]
     + [(name, np.int64(2)) for name in INTEGER_RULES]
 )
@@ -106,6 +107,9 @@ def test_values_come_back_as_plain_python_numbers():
     assert type(check_tol(1)) is float and check_tol(1) == 1.0
     assert type(check_tol(np.float64(0.5))) is float
     assert SpacetimeEvent(np.int64(1), 0) == SpacetimeEvent(1.0, 0.0)
+    # A float32 passes with no warning (the suite fails on any) and comes back a float.
+    assert type(check_tol(np.float32(0.1))) is float
+    assert type(SpacetimeEvent(np.float32(1.0), 0.0).t) is float
 
 
 def test_verification_report_holds_a_float_tol():

@@ -21,11 +21,11 @@ from nlbox.qcore import (
 )
 from nlbox.rand import random_density, random_ket, random_unitary
 from nlbox.steering import (
+    MAX_MEMBERS,
     EnsembleDecomposition,
-    _sorted_eig,
+    _rank_space,
     assemblage_from,
     hjw_assemblage,
-    purify,
     steer,
 )
 from nlbox.tolerances import DTOL, RANK_CUT
@@ -40,13 +40,17 @@ def b_marginal(state_ab, dim_a, dim_b):
         _partial_trace_raw(state_ab.matrix, (dim_a, dim_b), [1]))
 
 
+def purify(sigma):
+    """sum_k sqrt(lambda_k) |k>|v_k> over sigma's rank-space eigenpairs."""
+    lams, vecs = _rank_space(sigma.matrix)
+    return KetVector((np.sqrt(lams)[:, None] * vecs.T).reshape(-1) / np.sqrt(lams.sum()))
+
+
 def reference_pure_hjw(d):
-    """The all-pure HJW path that the general path replaced: the canonical
+    """The all-pure HJW path that the general path replaced: the rank-space
     purification of sigma_B and one rank-one effect per member, as
     (state_ab matrix, stacked effects)."""
-    lams, vecs = _sorted_eig(d.sigma_b)
-    keep = lams > RANK_CUT
-    lams, vecs = lams[keep], vecs[:, keep]
+    lams, vecs = _rank_space(d.sigma_b.matrix)
     effects = []
     for p_i, state in d.members:
         phi = np.linalg.eigh(state.matrix)[1][:, -1]
@@ -158,10 +162,13 @@ class TestDecomposition:
             EnsembleDecomposition(np.eye(2) / 2, ((1.0, maximally_mixed(2)),))
 
     def test_rejects_too_many_members(self):
-        members = tuple((1 / 32, maximally_mixed(2)) for _ in range(32))
-        d = EnsembleDecomposition(maximally_mixed(2), members)
-        with pytest.raises(DecompositionError):
-            hjw_assemblage(d)
+        # MAX_MEMBERS members are steered; one more is refused, naming the cap.
+        def decomposition(n):
+            return EnsembleDecomposition(
+                maximally_mixed(2), tuple((1 / n, maximally_mixed(2)) for _ in range(n)))
+        assert hjw_assemblage(decomposition(MAX_MEMBERS)).n_outcomes == MAX_MEMBERS == 16
+        with pytest.raises(DecompositionError, match=f"capped at {MAX_MEMBERS} members"):
+            hjw_assemblage(decomposition(MAX_MEMBERS + 1))
 
 
 class TestHjw:

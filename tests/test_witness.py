@@ -204,6 +204,25 @@ class TestStatsTable:
                        measurements=(("m", computational_povm(2)),),
                        probabilities={("a", "m"): (1.0, entry)})
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("probabilities", {"a|m": (1.0, 0.0)}, r"'a\|m' is not a \(preparation, measurement\)"),
+        ("probabilities", {("a", "m", "x"): (1.0, 0.0)}, "label pair"),
+        ("probabilities", {("a", "m"): 1.0}, r"row \('a', 'm'\) is not a sequence"),
+        ("preparations", (("a", np.eye(2) / 2),), "preparation 'a' is not a DensityOperator"),
+        ("measurements", (("m", np.eye(2)),), "measurement 'm' is not a Povm"),
+        ("measurements", (("m", tuple(computational_povm(2).effects)),), "not a Povm"),
+    ], ids=["key_not_a_pair", "key_of_three", "scalar_row", "raw_matrix_preparation",
+            "raw_matrix_measurement", "raw_effects_measurement"])
+    def test_rejects_a_malformed_container(self, field, value, match):
+        # Built through the Python API, each ends in a ValidationError, not a
+        # bare ValueError, TypeError or AttributeError.
+        args = {"preparations": (("a", KET0.projector()),),
+                "measurements": (("m", computational_povm(2)),),
+                "probabilities": {("a", "m"): (1.0, 0.0)}}
+        args[field] = value
+        with pytest.raises(ValidationError, match=match):
+            StatsTable(**args)
+
     def test_stores_every_row_as_floats(self):
         table = StatsTable(preparations=(("a", KET0.projector()),),
                            measurements=(("m", computational_povm(2)),),
