@@ -9,7 +9,6 @@ from .boxes import (
     Semantics,
     apply_box,
     deutsch_fixed_point,
-    kent_readout,
 )
 from .preparations import (
     MembershipPolicy,

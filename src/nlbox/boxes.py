@@ -5,9 +5,9 @@ plain data whose `apply(rho)` is its map on a density; a Kent config is a
 Brun config whose `apply` lets a pure readout off the domain pass. A
 membership policy decides which preparations exhibit the nonlinear
 evolution; a semantics policy decides whether a member box acts on the
-effective density or on each ensemble member separately. Linear quantum
-mechanics holds for everything the policy excludes. A pure input off the
-domain of a plain Brun box is always a DomainError.
+effective density or on each ensemble member separately, and each config's
+`apply_excluded(p, box_event)` decides what a preparation the policy
+excludes shows. A pure input off a plain Brun box's domain is a DomainError.
 """
 
 from __future__ import annotations
@@ -102,6 +102,12 @@ class BrunBoxConfig:
         raise DomainError("input is not one of the four domain states, "
                           "off which the map is undefined")
 
+    def apply_excluded(self, p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
+        """An excluded preparation's unconditioned state with an untouched
+        ancilla: the heralding record is exactly the information the policy
+        says is not available to the box."""
+        return tensor(p.unconditioned, QUBIT0)
+
 
 # The map's four targets, the two-qubit computational basis states, built
 # once; their arrays are read-only, so every output can share them.
@@ -136,6 +142,10 @@ class DeutschBoxConfig:
         # Tr_C[U X U^dag][s, t] = sum over (c, j) of (U X)[(s, c), j] conj(U)[(t, c), j].
         out = (u @ joint).reshape(ds, -1) @ u.conj().reshape(ds, -1).T
         return DensityOperator(0.5 * (out + out.conj().T))
+
+    def apply_excluded(self, p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
+        """The loop acting on an excluded preparation's unconditioned state."""
+        return self.apply(p.unconditioned)
 
 
 def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> DensityOperator:
@@ -202,6 +212,14 @@ class KentBoxConfig(BrunBoxConfig):
         except DomainError:
             return tensor(readout, QUBIT0)
 
+    def apply_excluded(self, p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
+        """The map on what the box's past light cone knows of an excluded
+        preparation: its effective density (the realized member, for one-member
+        ensembles) if every provenance record lies in the cone, else the
+        unconditioned state, the marginal a heralded state was steered from."""
+        knowable = all(in_past_light_cone(e, box_event) for e in p.provenance.records)
+        return self.apply(effective_density(p) if knowable else p.unconditioned)
+
 
 @dataclass(frozen=True, eq=False)
 class LinearBoxConfig(_Validated):
@@ -227,6 +245,10 @@ class LinearBoxConfig(_Validated):
         out = np.einsum("kab,bc,kdc->ad", self.kraus, rho.matrix, self.kraus.conj())
         return DensityOperator(0.5 * (out + out.conj().T))
 
+    def apply_excluded(self, p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
+        """The channel on the effective density: a linear box ignores membership."""
+        return self.apply(effective_density(p))
+
 
 @dataclass(frozen=True)
 class NonlinearBox:
@@ -242,6 +264,8 @@ class NonlinearBox:
         object.__setattr__(self, "semantics", _enum_member(Semantics, self.semantics))
         if not isinstance(self.config, (BrunBoxConfig, DeutschBoxConfig, LinearBoxConfig)):
             raise ConfigurationError(f"unknown box config {type(self.config).__name__}")
+        if not isinstance(self.box_event, SpacetimeEvent):
+            raise ConfigurationError(f"a box's event must be a SpacetimeEvent, got {self.box_event!r}")
         if not isinstance(self.membership, MembershipPolicy):
             raise ConfigurationError("a box's membership must be a MembershipPolicy")
         if (self.membership.kind is PolicyKind.KENT_LIGHT_CONE
@@ -250,44 +274,16 @@ class NonlinearBox:
                                      f"{self.box_event}, not {self.membership.box_event}")
 
 
-def kent_readout(p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
-    """What a readout box learns about a preparation.
-
-    If every provenance record lies in the box's past light cone the
-    realized identity is knowable and the readout is the effective
-    density (the realized member, for singleton ensembles). Otherwise the
-    readout is the unconditioned state: heralded states prepared from
-    outside the light cone appear as the marginal they were steered from.
-    """
-    knowable = all(in_past_light_cone(e, box_event) for e in p.provenance.records)
-    return effective_density(p) if knowable else p.unconditioned
-
-
 def apply_box(box: NonlinearBox, p: Preparation) -> DensityOperator:
     """Send a preparation through a box.
 
-    Non-members see only linear physics: the box acts on the density the
-    policy leaves visible (identity-with-ancilla for the
-    basis-discriminating map, the plain channel otherwise). Members evolve
-    under the box map, either on the effective density (state semantics)
-    or member by member (decomposition semantics).
+    Non-members show what their config's `apply_excluded` decides. Members
+    evolve under the box map, either on the effective density (state
+    semantics) or member by member (decomposition semantics).
     """
-    member = classify_membership(p, box.membership)
-    cfg = box.config
-
-    if not member:
-        # Kent before Brun: a KentBoxConfig is a BrunBoxConfig too, but an
-        # excluded preparation reaches its map through the readout.
-        if isinstance(cfg, KentBoxConfig):
-            return cfg.apply(kent_readout(p, box.box_event))
-        # Excluded heralded preparations present their unconditioned
-        # state: the heralding record is exactly the information the
-        # policy says is not available to the box.
-        if isinstance(cfg, BrunBoxConfig):
-            return tensor(p.unconditioned, QUBIT0)
-        return cfg.apply(p.unconditioned)
-
+    if not classify_membership(p, box.membership):
+        return box.config.apply_excluded(p, box.box_event)
     if box.semantics is Semantics.DECOMPOSITION:
-        return _mix([(w, cfg.apply(state)) for w, state in p.ensemble])
-    return cfg.apply(effective_density(p))
+        return _mix([(w, box.config.apply(state)) for w, state in p.ensemble])
+    return box.config.apply(effective_density(p))
 

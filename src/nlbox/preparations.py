@@ -68,14 +68,19 @@ class Provenance:
 
 def _normalize_ensemble(ensemble, what):
     """The members as (float weight, DensityOperator) pairs; DecompositionError
-    unless there is one or more, with positive weights summing to 1."""
+    unless the ensemble is a tuple or list of one or more such pairs, with
+    positive finite real weights (a bool is not) summing to 1."""
+    if not isinstance(ensemble, (tuple, list)):
+        raise DecompositionError(f"{what} must be a tuple or list of (weight, state) pairs")
     members = []
     total = 0.0
     dim = None
-    for w, state in ensemble:
-        w = float(w)
-        if not w > 0:
-            raise DecompositionError(f"{what} weights must be positive, got {w}")
+    for member in ensemble:
+        if not (isinstance(member, (tuple, list)) and len(member) == 2):
+            raise DecompositionError(f"{what} members must be (weight, state) pairs, got {member!r}")
+        w, state = finite_float(member[0]), member[1]
+        if not w > 0:  # a nan fails
+            raise DecompositionError(f"{what} weights must be positive finite reals, got {member[0]!r}")
         if not isinstance(state, DensityOperator):
             raise DecompositionError(f"{what} members must be DensityOperator values")
         if dim is None:
@@ -161,7 +166,8 @@ class MembershipPolicy:
     """The rule deciding which preparations exhibit the nonlinear evolution.
 
     An explicit_list naming one outcome of a heralded pair but not its partner
-    reads the heralding record, so even a linear box signals through it."""
+    reads the heralding record, so a nonlinear box may signal through it; a
+    linear box acts on the effective density either way and never does."""
 
     kind: PolicyKind
     box_event: SpacetimeEvent | None = None
@@ -171,12 +177,16 @@ class MembershipPolicy:
         object.__setattr__(self, "kind", _enum_member(PolicyKind, self.kind))
         if self.kind is PolicyKind.KENT_LIGHT_CONE and self.box_event is None:
             raise ConfigurationError("kent_light_cone policy requires a box event")
-        if self.kind is PolicyKind.EXPLICIT_LIST and not self.labels:
+        if not (self.box_event is None or isinstance(self.box_event, SpacetimeEvent)):
+            raise ConfigurationError(f"a policy's box event must be a SpacetimeEvent, "
+                                     f"got {self.box_event!r}")
+        labels = self.labels
+        if not (isinstance(labels, (set, frozenset, tuple, list))
+                and all(isinstance(label, str) for label in labels)):
+            raise ConfigurationError(f"labels must be a set of strings, got {labels!r}")
+        if self.kind is PolicyKind.EXPLICIT_LIST and not labels:
             raise ConfigurationError("explicit_list policy requires a label set")
-        labels = frozenset(self.labels)
-        if isinstance(self.labels, str) or not all(isinstance(label, str) for label in labels):
-            raise ConfigurationError(f"labels must be a set of strings, got {self.labels!r}")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", frozenset(labels))
 
 
 def classify_membership(p: Preparation, policy: MembershipPolicy) -> bool:

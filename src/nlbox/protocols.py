@@ -154,8 +154,9 @@ def run_signaling_test(box: NonlinearBox, settings,
     metric is the worst total-variation distance between his outcome
     distributions across setting pairs.
     """
-    if not settings:
-        raise ConfigurationError("signaling test needs at least one setting")
+    if not (isinstance(settings, (tuple, list)) and settings):
+        raise ConfigurationError(f"signaling test needs a tuple or list of one or more "
+                                 f"settings, got {settings!r}")
     distributions = {}
     for idx, setting in enumerate(settings):
         name, basis = _resolve_setting(box, setting)

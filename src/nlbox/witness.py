@@ -41,6 +41,15 @@ class StatsTable:
     sample_counts: dict | None = None
 
     def __post_init__(self):
+        for what, pairs in (("preparations", self.preparations),
+                            ("measurements", self.measurements)):
+            if not (isinstance(pairs, (tuple, list))
+                    and all(isinstance(e, (tuple, list)) and len(e) == 2 for e in pairs)):
+                raise ValidationError(f"{what} must be a tuple of (label, value) pairs")
+        for what, cells in (("probabilities", self.probabilities),
+                            ("sample_counts", self.sample_counts or {})):
+            if not isinstance(cells, dict):
+                raise ValidationError(f"{what} must be a dict keyed by label pairs")
         preps = dict(self.preparations)
         meas = dict(self.measurements)
         if len(preps) != len(self.preparations) or len(meas) != len(self.measurements):

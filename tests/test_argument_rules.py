@@ -2,9 +2,11 @@
 
 Integer parameters (shot counts, bit counts, seeds, loop dimensions) go
 through `errors.check_integer`; tolerances through `errors.check_tol`;
-spacetime coordinates through `SpacetimeEvent`. Each rejects with a
-ValidationError (ConfigurationError is one), never a bare TypeError, and
-accepts numpy scalars.
+spacetime coordinates through `SpacetimeEvent`; ensemble weights through
+`errors.finite_float`. Each rejects with a ValidationError (ConfigurationError
+is one), never a bare TypeError, and accepts numpy scalars. A malformed
+container at the API (a box event, an ensemble, a table's pairs, a policy's
+labels, the signaling settings) is a ValidationError too.
 """
 
 import math
@@ -13,10 +15,17 @@ import numpy as np
 import pytest
 
 from conftest import make_box
-from nlbox.boxes import BrunBoxConfig, DeutschBoxConfig
-from nlbox.errors import ValidationError
-from nlbox.preparations import SpacetimeEvent
-from nlbox.protocols import MAX_BB84_BITS, run_bb84_attack, run_verification
+from nlbox.boxes import BrunBoxConfig, DeutschBoxConfig, KentBoxConfig
+from nlbox.errors import ConfigurationError, DecompositionError, ValidationError
+from nlbox.preparations import (
+    MembershipPolicy,
+    PolicyKind,
+    Preparation,
+    Provenance,
+    ProvenanceTag,
+    SpacetimeEvent,
+)
+from nlbox.protocols import MAX_BB84_BITS, run_bb84_attack, run_signaling_test, run_verification
 from nlbox.qcore import (
     COMPUTATIONAL_BASIS,
     HADAMARD_BASIS,
@@ -26,7 +35,9 @@ from nlbox.qcore import (
     Unitary,
     computational_povm,
     ket,
+    maximally_mixed,
 )
+from nlbox.steering import EnsembleDecomposition
 from nlbox.witness import StatsTable, linearity_verdict, sample_table
 
 HUGE = 10 ** 400  # an exact int that no float can hold
@@ -114,3 +125,79 @@ def test_values_come_back_as_plain_python_numbers():
 
 def test_verification_report_holds_a_float_tol():
     assert type(run_verification(BOX, 1).tol) is float
+
+
+# A box event given as a bare [t, x] pair would fail only when a light cone is read.
+EVENT_PAIRS = {
+    "kent_box": lambda e: make_box(KentBoxConfig(COMPUTATIONAL_BASIS, HADAMARD_BASIS),
+                                   box_event=e),
+    "brun_box": lambda e: make_box(BrunBoxConfig(COMPUTATIONAL_BASIS, HADAMARD_BASIS),
+                                   box_event=e),
+    "kent_light_cone_policy": lambda e: MembershipPolicy(PolicyKind.KENT_LIGHT_CONE, box_event=e),
+    "naive_pure_policy": lambda e: MembershipPolicy(PolicyKind.NAIVE_PURE, box_event=e),
+}
+
+
+@pytest.mark.parametrize("event", [(1.0, 0.0), [1.0, 0.0]], ids=["tuple", "list"])
+@pytest.mark.parametrize("build", list(EVENT_PAIRS.values()), ids=list(EVENT_PAIRS))
+def test_box_event_must_be_a_spacetime_event(build, event):
+    with pytest.raises(ConfigurationError, match="SpacetimeEvent"):
+        build(event)
+
+
+RECORDS = Provenance(ProvenanceTag.LOCAL_ENSEMBLE, (SpacetimeEvent(0.0, 0.0),))
+ENSEMBLE_BUILDERS = {
+    "preparation": lambda ensemble: Preparation(ensemble, RECORDS, "p"),
+    "decomposition": lambda ensemble: EnsembleDecomposition(maximally_mixed(2), ensemble),
+}
+BAD_ENSEMBLES = {
+    "string_weight": (("0.5", KET0.projector()), (0.5, KET1.projector())),
+    "bool_weight": ((True, maximally_mixed(2)),),
+    "none_weight": ((None, maximally_mixed(2)),),
+    "nan_weight": ((math.nan, KET0.projector()), (0.5, KET1.projector())),
+    "huge_weight": ((HUGE, maximally_mixed(2)),),
+    "none_ensemble": None,
+    "density_ensemble": maximally_mixed(2),
+    "member_not_a_pair": ((maximally_mixed(2),),),
+}
+
+
+@pytest.mark.parametrize("ensemble", list(BAD_ENSEMBLES.values()), ids=list(BAD_ENSEMBLES))
+@pytest.mark.parametrize("build", list(ENSEMBLE_BUILDERS.values()), ids=list(ENSEMBLE_BUILDERS))
+def test_ensembles_follow_the_number_rule(build, ensemble):
+    with pytest.raises(DecompositionError):
+        build(ensemble)
+
+
+def test_ensemble_accepts_numpy_and_integer_weights():
+    p = Preparation(((np.float32(0.5), KET0.projector()), (np.int64(0) + 0.5, KET1.projector())),
+                    RECORDS, "p")
+    assert [type(w) for w, _ in p.ensemble] == [float, float]
+    assert Preparation(((1, KET0.projector()),), RECORDS, "q").ensemble[0][0] == 1.0
+
+
+# Containers that ended in a bare TypeError or AttributeError at the Python
+# API, or (a settings string) were read one character at a time: each case is
+# the call and what its error names.
+BAD_CONTAINERS = {
+    "table_preparation_not_a_pair": (lambda: StatsTable(
+        preparations=(KET0.projector(),), measurements=TABLE.measurements,
+        probabilities=TABLE.probabilities), "preparations must be"),
+    "table_probabilities_list": (lambda: StatsTable(
+        preparations=TABLE.preparations, measurements=TABLE.measurements,
+        probabilities=list(TABLE.probabilities.items())), "probabilities must be a dict"),
+    "table_sample_counts_list": (lambda: StatsTable(
+        preparations=TABLE.preparations, measurements=TABLE.measurements,
+        probabilities=TABLE.probabilities, sample_counts=[(("zero", "comp"), 10)]),
+        "sample_counts must be a dict"),
+    "policy_labels_none": (lambda: MembershipPolicy(PolicyKind.NAIVE_PURE, labels=None),
+                           "labels must be"),
+    "signaling_settings_int": (lambda: run_signaling_test(BOX, 5), "got 5"),
+    "signaling_settings_string": (lambda: run_signaling_test(BOX, "psi"), "got 'psi'"),
+}
+
+
+@pytest.mark.parametrize("call,match", list(BAD_CONTAINERS.values()), ids=list(BAD_CONTAINERS))
+def test_malformed_containers_are_typed_errors(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()

@@ -26,7 +26,6 @@ from nlbox.boxes import (
     Semantics,
     apply_box,
     deutsch_fixed_point,
-    kent_readout,
 )
 from nlbox.errors import (
     ConfigurationError,
@@ -41,6 +40,7 @@ from nlbox.preparations import (
     Provenance,
     ProvenanceTag,
     SpacetimeEvent,
+    effective_density,
 )
 from nlbox.qcore import (
     COMPUTATIONAL_BASIS,
@@ -469,25 +469,29 @@ class TestDeutsch:
         assert exc.value.residual == np.inf
 
 
-class TestKentReadout:
+class TestKentExcluded:
+    """What a Kent box shows an excluded preparation: its map on the readout."""
+
+    kent = KentBoxConfig(COMPUTATIONAL_BASIS, HADAMARD_BASIS)
+
     def test_local_record_in_cone(self):
         p = local_prep(KET_PLUS.projector(), record=BOX_EVENT)
-        readout = kent_readout(p, BOX_EVENT)
-        assert trace_distance(readout, KET_PLUS.projector()) < 1e-12
+        out = self.kent.apply_excluded(p, BOX_EVENT)
+        assert trace_distance(out, two_qubit_state(2)) < 1e-12  # KET_PLUS is phi0
 
     def test_remote_record_outside_cone_appears_mixed(self):
         p = remote_prep(KET0.projector(),
                         [(0.5, KET0.projector()), (0.5, KET1.projector())],
                         record=FAR_EVENT)
-        readout = kent_readout(p, BOX_EVENT)
-        assert trace_distance(readout, maximally_mixed(2)) < 1e-12
+        out = self.kent.apply_excluded(p, BOX_EVENT)
+        assert trace_distance(out, tensor(maximally_mixed(2), KET0.projector())) < 1e-12
 
     def test_remote_record_inside_cone_reveals_member(self):
         p = remote_prep(KET0.projector(),
                         [(0.5, KET0.projector()), (0.5, KET1.projector())],
                         record=SpacetimeEvent(0.0, 0.0))
-        readout = kent_readout(p, BOX_EVENT)
-        assert trace_distance(readout, KET0.projector()) < 1e-12
+        out = self.kent.apply_excluded(p, BOX_EVENT)
+        assert trace_distance(out, two_qubit_state(0)) < 1e-12
 
 
 class TestApplyBox:
@@ -626,6 +630,35 @@ def test_apply_box_outputs_are_valid_read_only(kind, policy, semantics, seed, i)
         assert abs(np.trace(m) - 1) <= ATOL
         assert np.linalg.eigvalsh(m)[0] >= -ATOL
         assert not m.flags.writeable
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("policy", list(PolicyKind))
+@pytest.mark.parametrize("square", [True, False], ids=["2to2", "2to4"])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1), record=st.sampled_from([BOX_EVENT, FAR_EVENT]),
+       admitted=st.sets(st.sampled_from(["local", "mixed", "remote"]), min_size=1))
+def test_linear_box_acts_on_the_effective_density(square, policy, semantics, seed, record,
+                                                   admitted):
+    # A linear box ignores membership, so a local and a remote-steered
+    # preparation of one density give the same output.
+    rng = np.random.default_rng(seed)
+    kraus = np.array(random_cptp_kraus(2 if square else 4, rng))
+    cfg = LinearBoxConfig(kraus if square else kraus[:, :, ::2])
+    membership = MembershipPolicy(policy, box_event=BOX_EVENT, labels=admitted)
+    box = make_box(cfg, semantics=semantics, policy=membership)
+    state, other = random_ket(2, rng).projector(), random_density(2, rng)
+    w = float(rng.uniform(0.1, 0.9))
+    local = local_prep(state, label="local", record=record)
+    preps = [
+        local,
+        ensemble_prep([(w, state), (1 - w, other)], label="mixed", record=record),
+        remote_prep(state, [(w, state), (1 - w, other)], label="remote", record=record),
+    ]
+    for p in preps:
+        out = apply_box(box, p).matrix
+        assert np.max(np.abs(out - cfg.apply(effective_density(p)).matrix)) <= 1e-12
+    assert np.max(np.abs(apply_box(box, preps[2]).matrix - apply_box(box, local).matrix)) <= 1e-12
 
 
 def _arrays(value):
