@@ -135,17 +135,22 @@ class DeutschBoxConfig:
         return self.unitary.dim // self.ctc_dim
 
     def apply(self, rho_in: DensityOperator) -> DensityOperator:
-        """System output once the loop state is consistent."""
-        star = deutsch_fixed_point(self, rho_in)
-        u, n, ds = self.unitary.matrix, self.unitary.dim, rho_in.dim
-        joint = (rho_in.matrix[:, None, :, None] * star.matrix[None, :, None, :]).reshape(n, n)
+        """System output once the loop state is consistent with rho_in."""
+        return self.loop_channel(deutsch_fixed_point(self, rho_in), rho_in)
+
+    def loop_channel(self, star: DensityOperator, rho: DensityOperator) -> DensityOperator:
+        """Tr_C[U (rho (x) star) U^dag]: the linear channel on rho of the loop held at star."""
+        u, n, ds = self.unitary.matrix, self.unitary.dim, rho.dim
+        joint = (rho.matrix[:, None, :, None] * star.matrix[None, :, None, :]).reshape(n, n)
         # Tr_C[U X U^dag][s, t] = sum over (c, j) of (U X)[(s, c), j] conj(U)[(t, c), j].
         out = (u @ joint).reshape(ds, -1) @ u.conj().reshape(ds, -1).T
         return DensityOperator(0.5 * (out + out.conj().T))
 
     def apply_excluded(self, p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
-        """The loop acting on an excluded preparation's unconditioned state."""
-        return self.apply(p.unconditioned)
+        """The loop held consistent with the unconditioned state, acting on the
+        effective density: the heralding record may not steer the loop state,
+        yet the system the box receives keeps its correlations."""
+        return self.loop_channel(deutsch_fixed_point(self, p.unconditioned), effective_density(p))
 
 
 def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> DensityOperator:

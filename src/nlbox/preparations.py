@@ -121,6 +121,8 @@ class Preparation:
     _mixture: DensityOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValidationError(f"a preparation's label must be a string, got {self.label!r}")
         members = _normalize_ensemble(self.ensemble, "ensemble")
         object.__setattr__(self, "ensemble", members)
         object.__setattr__(self, "_mixture", _mix(members))  # checked once, then shared

@@ -1,6 +1,6 @@
-"""Executable experiments: map verification, the remote-preparation
-signaling test, the preparation-class split, and the key-distribution
-intercept attack."""
+"""Executable experiments on any box: map verification, the remote-preparation
+signaling test, the preparation-class split and the key-distribution intercept
+attack, each probing the box through the same four states (`_domain_states`)."""
 
 from __future__ import annotations
 
@@ -63,15 +63,17 @@ SINGLET = KetVector(np.array([0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0], dtype=comp
 SINGLET_MARGINAL = partial_trace(SINGLET, (2, 2), [1])
 
 
+# What probes a box without domain states of its own: computational, then Hadamard.
+PROBE_STATES = COMPUTATIONAL_BASIS + HADAMARD_BASIS
+
+
 def _domain_states(box: NonlinearBox):
-    """psi0, psi1, phi0, phi1 of the map a Brun or Kent box applies or emulates."""
-    if not isinstance(box.config, BrunBoxConfig):
-        raise ConfigurationError("box carries no discrimination bases")
-    return box.config.domain_states
+    """psi0, psi1, phi0, phi1: a Brun or Kent box's domain states, else PROBE_STATES."""
+    return box.config.domain_states if isinstance(box.config, BrunBoxConfig) else PROBE_STATES
 
 
 def _local_preps(box: NonlinearBox, labels) -> list:
-    """Each domain state prepared locally and deterministically at the box's
+    """Each probe state prepared locally and deterministically at the box's
     event, one label each."""
     provenance = Provenance(ProvenanceTag.LOCAL_DETERMINISTIC, (box.box_event,))
     return [Preparation(ensemble=((1.0, state.projector()),), provenance=provenance, label=label)
@@ -80,10 +82,11 @@ def _local_preps(box: NonlinearBox, labels) -> list:
 
 def _domain_table(box: NonlinearBox, labels) -> np.ndarray:
     """Row k: the box's two-qubit computational-basis outcome distribution
-    on domain state k, prepared locally under labels[k]."""
-    povm4 = computational_povm(4)
-    return np.array([born_probabilities(apply_box(box, prep), povm4)
-                     for prep in _local_preps(box, labels)])
+    on probe state k, prepared locally under labels[k]."""
+    outs = [apply_box(box, prep) for prep in _local_preps(box, labels)]
+    if outs[0].dim != 4:  # one box, one output dimension
+        raise ShapeError(f"unexpected box output dimension {outs[0].dim}, not two qubits")
+    return np.array([born_probabilities(out, computational_povm(4)) for out in outs])
 
 
 def _steered(basis, alice_event: SpacetimeEvent, labels):
@@ -109,12 +112,12 @@ class VerificationReport:
 def run_verification(box: NonlinearBox, tol: float = 1e-6) -> VerificationReport:
     """Check whether the four verifying preparations reveal the map.
 
-    Each domain state is prepared locally and deterministically, sent
-    through the box, and both output qubits are measured in the
-    computational basis; the map is identified iff every input lands on
-    its target outcome with probability >= 1 - tol. A box without a
-    basis-discriminating map has no domain states, and a tol that is not a
-    finite non-negative real number is meaningless: ConfigurationError for both.
+    Each probe state (a Brun or Kent box's domain state, else PROBE_STATES)
+    is prepared locally and deterministically, sent through the box, and
+    both output qubits are measured in the computational basis; the map is
+    identified iff probe state k lands on outcome k with probability >= 1 - tol.
+    A box whose output is not two qubits is a ShapeError, and a tol that is
+    not a finite non-negative real number, being meaningless, a ConfigurationError.
     """
     tol = check_tol(tol)
     probs = _domain_table(box, [f"verify_{name}" for name in _STATE_NAMES])
@@ -132,12 +135,10 @@ class SignalingReport:
 
 
 def _resolve_setting(box: NonlinearBox, setting):
-    """(name or None, basis) for "psi", "phi" or a pair of qubit kets."""
-    brun = box.config if isinstance(box.config, BrunBoxConfig) else None
-    named = {"psi": brun.psi_basis if brun else COMPUTATIONAL_BASIS,
-             "phi": brun.phi_basis if brun else HADAMARD_BASIS}
-    if isinstance(setting, str) and setting in named:
-        return setting, named[setting]
+    """(name or None, basis) for "psi", "phi" (the box's probe bases) or a pair of qubit kets."""
+    if isinstance(setting, str) and setting in ("psi", "phi"):
+        k = 0 if setting == "psi" else 2
+        return setting, _domain_states(box)[k:k + 2]
     if not (isinstance(setting, (tuple, list)) and len(setting) == 2
             and all(isinstance(k, KetVector) and k.dim == 2 for k in setting)):
         raise ConfigurationError(f"a setting is 'psi', 'phi' or two qubit kets, got {setting!r}")
@@ -183,7 +184,7 @@ def run_signaling_test(box: NonlinearBox, settings,
 
 @dataclass(frozen=True)
 class ClassSplitReport:
-    entries: list  # one dict per domain state
+    entries: list  # one dict per probe state
     hazard: bool   # True when the policy fails to exclude remote preparations
 
 
@@ -191,7 +192,7 @@ def run_preparation_problem_demo(box: NonlinearBox,
                                  alice_event: SpacetimeEvent = DEFAULT_ALICE_EVENT) -> ClassSplitReport:
     """Exhibit linearly equivalent preparation pairs the box tells apart.
 
-    For each domain state, a local deterministic preparation and a remote
+    For each probe state, a local deterministic preparation and a remote
     heralded one share the same pure state, yet the box output differs;
     if the membership policy fails to exclude the remote preparations the
     demo reports a signaling hazard instead of a split.
@@ -229,10 +230,9 @@ class AttackReport:
 
 
 def _require_bb84_bases(box: NonlinearBox):
-    """The domain states of a box whose bases are the computational and Hadamard ones."""
+    """The probe states of a box whose bases are the computational and Hadamard ones."""
     states = _domain_states(box)
-    if not all(s.fidelity(b) >= PURITY_MIN
-               for s, b in zip(states, COMPUTATIONAL_BASIS + HADAMARD_BASIS)):
+    if not all(s.fidelity(b) >= PURITY_MIN for s, b in zip(states, PROBE_STATES)):
         raise ConfigurationError("attack requires psi = computational and phi = hadamard bases")
     return states
 
@@ -263,7 +263,7 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     through the box (whose two output qubits name basis and bit),
     re-prepares, and forwards; the receiver measures in a random basis.
     With `eve_strategy="fixed_basis"` the eavesdropper re-prepares in the
-    computational basis regardless of what she identified.
+    psi probe basis regardless of what she identified.
 
     The receiver's table holds |<b|r>|^2 for each resent ket r and
     receiver basis ket b, from one product of the kets.
@@ -273,8 +273,9 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     then one uniform per bit for the eavesdropper's outcome and one for
     the receiver's, each mapped to an outcome by inverting the cumulative
     distribution that the bit's (basis, bit) or (resent state, receiver
-    basis) selects. Raises ConfigurationError for a negative, boolean or
-    non-integer `n_bits` or `seed`, and CapacityError above MAX_BB84_BITS bits.
+    basis) selects. Raises ConfigurationError for a negative, boolean or non-integer
+    `n_bits` or `seed` or probe states other than PROBE_STATES, ShapeError for an
+    output other than two qubits (at 0 bits too), CapacityError above MAX_BB84_BITS.
     """
     check_eve_strategy(eve_strategy)
     n_bits = check_integer(n_bits, "n_bits")
@@ -282,14 +283,14 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     if n_bits > MAX_BB84_BITS:
         raise CapacityError(f"n_bits must be at most {MAX_BB84_BITS}")
     states = _require_bb84_bases(box)
+    # Row 2*basis + bit: the box's outcome distribution on Alice's state.
+    eve_dist = _domain_table(box, [f"alice_{k >> 1}{k & 1}" for k in range(4)])
     if n_bits == 0:
         return AttackReport(0, 0.0, 0.0, 0.0, 0.0, eve_strategy, seed)
     rng = np.random.default_rng(seed)
 
-    # Row 2*basis + bit: the box's outcome distribution on Alice's state.
-    eve_dist = _domain_table(box, [f"alice_{k >> 1}{k & 1}" for k in range(4)])
     # Row 2*(resent state index) + receiver basis, column receiver bit: |<b|r>|^2.
-    resent = states if eve_strategy == "identify" else COMPUTATIONAL_BASIS * 2
+    resent = states if eve_strategy == "identify" else states[:2] * 2
     kets, resent = (np.array([s.amplitudes for s in group]) for group in (states, resent))
     bob_dist = (abs(resent.conj() @ kets.T) ** 2).reshape(8, 2)
     if not (abs(bob_dist.sum(axis=1) - 1.0) <= ATOL).all():

@@ -24,8 +24,8 @@ from .tolerances import ATOL, COMPLETENESS_CUT, DTOL
 class StatsTable:
     """Observed p(k|P,M) over labeled preparations and measurements.
 
-    preparations: tuple of (label, input DensityOperator)
-    measurements: tuple of (label, Povm on the output space)
+    preparations: tuple of (label string, input DensityOperator)
+    measurements: tuple of (label string, Povm on the output space)
     probabilities: dict (prep label, meas label) -> tuple of outcome probs,
         one row for every pair, so the fit's design is a Kronecker product
         (see fit_linear_map), stored as tuples of floats; a key that is not a
@@ -43,9 +43,10 @@ class StatsTable:
     def __post_init__(self):
         for what, pairs in (("preparations", self.preparations),
                             ("measurements", self.measurements)):
-            if not (isinstance(pairs, (tuple, list))
-                    and all(isinstance(e, (tuple, list)) and len(e) == 2 for e in pairs)):
-                raise ValidationError(f"{what} must be a tuple of (label, value) pairs")
+            if not (isinstance(pairs, (tuple, list)) and all(
+                    isinstance(e, (tuple, list)) and len(e) == 2 and isinstance(e[0], str)
+                    for e in pairs)):
+                raise ValidationError(f"{what} must be a tuple of (string label, value) pairs")
         for what, cells in (("probabilities", self.probabilities),
                             ("sample_counts", self.sample_counts or {})):
             if not isinstance(cells, dict):

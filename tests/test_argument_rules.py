@@ -5,8 +5,8 @@ through `errors.check_integer`; tolerances through `errors.check_tol`;
 spacetime coordinates through `SpacetimeEvent`; ensemble weights through
 `errors.finite_float`. Each rejects with a ValidationError (ConfigurationError
 is one), never a bare TypeError, and accepts numpy scalars. A malformed
-container at the API (a box event, an ensemble, a table's pairs, a policy's
-labels, the signaling settings) is a ValidationError too.
+container at the API (a box event, an ensemble, a table's pairs, a label,
+a policy's labels, the signaling settings) is a ValidationError too.
 """
 
 import math
@@ -177,8 +177,9 @@ def test_ensemble_accepts_numpy_and_integer_weights():
 
 
 # Containers that ended in a bare TypeError or AttributeError at the Python
-# API, or (a settings string) were read one character at a time: each case is
-# the call and what its error names.
+# API, were read one character at a time (a settings string), or built
+# although no policy could name them (a label that is not a string): each
+# case is the call and what its error names.
 BAD_CONTAINERS = {
     "table_preparation_not_a_pair": (lambda: StatsTable(
         preparations=(KET0.projector(),), measurements=TABLE.measurements,
@@ -190,6 +191,16 @@ BAD_CONTAINERS = {
         preparations=TABLE.preparations, measurements=TABLE.measurements,
         probabilities=TABLE.probabilities, sample_counts=[(("zero", "comp"), 10)]),
         "sample_counts must be a dict"),
+    "table_preparation_label_list": (lambda: StatsTable(
+        preparations=(([1], KET0.projector()),), measurements=TABLE.measurements,
+        probabilities=TABLE.probabilities), r"preparations must be .*\(string label"),
+    "table_measurement_label_int": (lambda: StatsTable(
+        preparations=TABLE.preparations, measurements=((0, computational_povm(2)),),
+        probabilities=TABLE.probabilities), r"measurements must be .*\(string label"),
+    "preparation_label_none": (lambda: Preparation(((1.0, KET0.projector()),), RECORDS, None),
+                               "label must be a string, got None"),
+    "preparation_label_list": (lambda: Preparation(((1.0, KET0.projector()),), RECORDS, ["x"]),
+                               r"label must be a string, got \['x'\]"),
     "policy_labels_none": (lambda: MembershipPolicy(PolicyKind.NAIVE_PURE, labels=None),
                            "labels must be"),
     "signaling_settings_int": (lambda: run_signaling_test(BOX, 5), "got 5"),

@@ -494,6 +494,33 @@ class TestKentExcluded:
         assert trace_distance(out, two_qubit_state(0)) < 1e-12
 
 
+class TestDeutschExcluded:
+    """What a Deutsch box shows an excluded preparation: the loop held at the
+    fixed point of the unconditioned state, acting on the effective density."""
+
+    def test_untouched_system_keeps_the_heralded_state(self, rng):
+        # U = I (x) V: the old rule, the loop on the unconditioned state, gave I/2.
+        cfg = DeutschBoxConfig(Unitary(np.kron(np.eye(2), random_unitary(3, rng).matrix)), 3)
+        p = remote_prep(KET_PLUS.projector(), [(0.5, KET0.projector()), (0.5, KET1.projector())])
+        assert trace_distance(cfg.apply_excluded(p, BOX_EVENT), KET_PLUS.projector()) < 1e-12
+
+    def test_local_preparation_shows_the_loop_on_its_own_density(self, rng):
+        cfg = DeutschBoxConfig(random_unitary(4, rng), 2)
+        rho = random_density(2, rng)
+        out = cfg.apply_excluded(local_prep(rho), BOX_EVENT)
+        assert np.max(np.abs(out.matrix - cfg.apply(rho).matrix)) <= 1e-12
+
+    def test_loop_held_fixed_is_linear(self, rng):
+        # Why excluded preparations cannot signal: one star, one channel.
+        cfg = DeutschBoxConfig(random_unitary(6, rng), 3)
+        star = deutsch_fixed_point(cfg, maximally_mixed(2))
+        a, b = random_density(2, rng), random_density(2, rng)
+        mixed = DensityOperator(0.3 * a.matrix + 0.7 * b.matrix)
+        expected = (0.3 * cfg.loop_channel(star, a).matrix
+                    + 0.7 * cfg.loop_channel(star, b).matrix)
+        assert np.max(np.abs(cfg.loop_channel(star, mixed).matrix - expected)) <= 1e-12
+
+
 class TestApplyBox:
     def test_brun_decomposition_mixture(self, brun_config):
         box = make_box(brun_config)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOX_EVENT, make_box
+from conftest import BOX_EVENT, SWAP, make_box
 from nlbox import boxes, protocols
 from nlbox.boxes import (
     BrunBoxConfig,
@@ -72,10 +72,12 @@ class TestVerification:
         assert report.identified
 
     def test_linear_box_fails_verification(self):
-        # A channel has no domain states to verify the map with.
+        # The ancilla-append channel probed with the computational and
+        # Hadamard states: |1> lands on |10>, not the map's |01>.
         box = make_box(LinearBoxConfig(np.eye(4, dtype=complex)[None, :, ::2]))
-        with pytest.raises(ConfigurationError, match="no discrimination bases"):
-            run_verification(box)
+        report = run_verification(box)
+        assert not report.identified
+        assert np.allclose(report.table["psi1"], [0, 0, 1, 0], rtol=0, atol=1e-12)
 
     def test_excluded_verifying_preparations_not_identified(self, brun_config):
         # Outside the policy's list the box passes |1> through with its
@@ -286,6 +288,110 @@ def test_verification_without_signaling_splits_the_classes(kind, policy, semanti
             assert entry["output_distance"] > tol
 
 
+EXCLUDING = (PolicyKind.KENT_LIGHT_CONE, PolicyKind.DETERMINISTIC_EXPERIMENTER)
+
+
+def theorem_config(kind, rng):
+    """A random box config of the given kind: a Brun or Kent map on random
+    bases, a Deutsch loop of dimension 2 or 3, or a linear 2 -> 4 channel."""
+    if kind == "deutsch":
+        dc = int(rng.integers(2, 4))
+        return DeutschBoxConfig(random_unitary(2 * dc, rng), dc)
+    if kind == "linear":
+        return LinearBoxConfig(np.array(random_cptp_kraus(4, rng))[:, :, ::2])
+    brun = random_brun(rng)
+    return brun if kind == "brun" else KentBoxConfig(brun.psi_basis, brun.phi_basis)
+
+
+def demo_distances(config, policy, semantics):
+    """The demo's output distances for a config under a policy (none on a hazard)."""
+    membership = MembershipPolicy(policy, box_event=BOX_EVENT, labels=VERIFY_AND_LOCAL)
+    report = run_preparation_problem_demo(make_box(config, semantics, membership))
+    return [e["output_distance"] for e in report.entries if "output_distance" in e]
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("policy", list(PolicyKind))
+@pytest.mark.parametrize("kind", ["brun", "kent", "deutsch", "linear"])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_the_theorem_over_every_box_kind(kind, policy, semantics, seed):
+    # Every protocol reads each box through the same probe states, so the
+    # dichotomy can be asked of any box: one whose map is verified and
+    # which does not signal splits linearly equivalent preparations.
+    config = theorem_config(kind, np.random.default_rng(seed))
+    membership = MembershipPolicy(policy, box_event=BOX_EVENT, labels=VERIFY_AND_LOCAL)
+    box = make_box(config, semantics=semantics, policy=membership)
+    if kind == "deutsch":  # one system qubit out, not the two a verifier reads
+        with pytest.raises(ShapeError, match="unexpected box output dimension 2"):
+            run_verification(box)
+        identified = False
+    else:
+        identified = run_verification(box).identified
+    metric = run_signaling_test(box, ("psi", "phi")).signaling_metric
+    report = run_preparation_problem_demo(box)
+    distances = [e["output_distance"] for e in report.entries if "output_distance" in e]
+    assert all(e["linearly_equivalent"] for e in report.entries)
+    if identified and metric <= 1e-9:
+        assert not report.hazard and max(distances) > 1e-9
+    if kind == "linear":
+        assert metric <= 1e-12 and all(d <= 1e-12 for d in distances)
+    if policy is PolicyKind.NAIVE_PURE:
+        # An excluding policy sends the heralded states to outputs whose
+        # average is the same for every setting, and each lies within the
+        # largest split of the naive output, so by the triangle inequality
+        # naive membership leaks at most twice that split.
+        split = max(max(demo_distances(config, p, semantics)) for p in EXCLUDING)
+        assert metric <= 2 * split + 1e-12
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("policy", EXCLUDING)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_random_loop_never_signals_under_an_excluding_policy(policy, semantics, seed):
+    # An excluded heralded state meets the loop held at the fixed point of
+    # its unconditioned state, one linear channel for every setting.
+    config = theorem_config("deutsch", np.random.default_rng(seed))
+    box = make_box(config, semantics=semantics,
+                   policy=MembershipPolicy(policy, box_event=BOX_EVENT))
+    assert run_signaling_test(box, ("psi", "phi")).signaling_metric <= 1e-12
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1), dc=st.sampled_from([2, 3]))
+def test_loop_that_never_touches_the_system_shows_no_split(semantics, seed, dc):
+    # U = I (x) V passes the system through untouched, local or remote.
+    u = np.kron(np.eye(2), random_unitary(dc, np.random.default_rng(seed)).matrix)
+    distances = demo_distances(DeutschBoxConfig(Unitary(u), dc), PolicyKind.KENT_LIGHT_CONE,
+                               semantics)
+    assert len(distances) == 4 and max(distances) <= 1e-12
+
+
+def test_swap_loop_splits_by_one_half():
+    # The SWAP loop emits its loop state, and the consistent loop state is
+    # the input. Deutsch's model breaks the entanglement: an excluded heralded
+    # state's loop is held consistent with the sender-free marginal I/2, so
+    # the box emits I/2, half a trace distance from the pure local output.
+    distances = demo_distances(DeutschBoxConfig(Unitary(SWAP), 2), PolicyKind.KENT_LIGHT_CONE,
+                               Semantics.STATE)
+    assert np.allclose(distances, 0.5, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("v,expected", [(1 - 1e-10, 1.0), (1 - 1e-8, 0.0)])
+def test_purity_min_is_a_knife_edge(brun_config, monkeypatch, v, expected, semantics):
+    # Steered from v * singlet + (1 - v) * I/4, a heralded state has purity
+    # about v: just above PURITY_MIN the naive Brun box admits it and signals
+    # perfectly, just below it excludes it and signals nothing.
+    werner = DensityOperator(v * protocols.SINGLET.matrix + (1 - v) * np.eye(4) / 4)
+    monkeypatch.setattr(protocols, "SINGLET", werner)
+    box = make_box(brun_config, semantics=semantics)
+    metric = run_signaling_test(box, ("psi", "phi")).signaling_metric
+    assert abs(metric - expected) <= 1e-12
+
+
 @settings(max_examples=50)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_steered_outcomes_average_to_the_singlet_marginal(seed):
@@ -405,18 +511,29 @@ class TestAttack:
             run_bb84_attack(make_box(brun_config), 100, seed=1, eve_strategy="guess")
 
     def test_rejects_boxless_attack(self):
+        # A loop on one system qubit outputs one qubit, not the two Eve reads.
         box = make_box(DeutschBoxConfig(Unitary(np.eye(4)), 2),
                        semantics=Semantics.STATE)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ShapeError, match="unexpected box output dimension 2"):
             run_bb84_attack(box, 100, seed=1)
 
+    def test_linear_box_gives_eve_nothing(self):
+        # The ancilla-append channel, probed like any box: Eve reads the
+        # sender's state in Z, always guesses bit 0, and resends |0> or |+>,
+        # for an expected QBER of (0 + 1/2 + 1/4 + 3/4) / 4 = 3/8.
+        box = make_box(LinearBoxConfig(np.eye(4, dtype=complex)[None, :, ::2]))
+        report = run_bb84_attack(box, 2000, seed=1)
+        assert abs(report.eve_bit_accuracy - 0.5) <= 0.06
+        assert abs(report.eve_basis_accuracy - 0.5) <= 0.06
+        assert abs(report.induced_qber - 0.375) <= 0.06
+
     @pytest.mark.parametrize("n_bits", [0, 1])
-    @pytest.mark.parametrize("config,message", [
-        (LinearBoxConfig(np.eye(4, dtype=complex)[None, :, ::2]), "no discrimination bases"),
-        (BrunBoxConfig(COMPUTATIONAL_BASIS, SWAPPED_PAIR), "attack requires"),
-    ], ids=["linear", "swapped_bases"])
-    def test_checks_the_box_before_the_zero_bit_shortcut(self, config, message, n_bits):
-        with pytest.raises(ConfigurationError, match=message):
+    @pytest.mark.parametrize("config,error,message", [
+        (DeutschBoxConfig(Unitary(np.eye(4)), 2), ShapeError, "output dimension 2"),
+        (BrunBoxConfig(COMPUTATIONAL_BASIS, SWAPPED_PAIR), ConfigurationError, "attack requires"),
+    ], ids=["qubit_output", "swapped_bases"])
+    def test_checks_the_box_before_the_zero_bit_shortcut(self, config, error, message, n_bits):
+        with pytest.raises(error, match=message):
             run_bb84_attack(make_box(config), n_bits, seed=1)
 
     @pytest.mark.parametrize("n_bits", [-5, -1, 2.0, 1.5, "10", None, True, False])

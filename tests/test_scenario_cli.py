@@ -171,6 +171,7 @@ MALFORMED_STATS = [
     ("probability_huge_int", ("probabilities", "zero|comp"), [HUGE, 0.0], 2),
     ("probabilities_empty", ("probabilities",), {}, 3),
     ("probability_row_missing", (), gap_in_the_grid, 3),
+    ("preparation_label_list", ("preparations", 0, "label"), ["zero"], 3),
 ]
 
 
@@ -352,6 +353,13 @@ class TestEmission:
         # A strict decode is exact, so this stays byte for byte, and a
         # mismatch is reported line by line.
         assert emit_table(report, fmt) == golden.decode("utf-8")
+
+    def test_goldens_and_bundled_scenarios_match_one_to_one(self):
+        # A golden without its scenario would never be compared, and a
+        # scenario without its goldens would fail only when read.
+        expected = {f"{path.stem}.{tag}.{fmt}" for path in BUNDLED
+                    for tag in ("default", "seed7") for fmt in ("json", "csv")}
+        assert {path.name for path in GOLDEN_DIR.iterdir()} == expected
 
     def test_csv_deterministic(self):
         config = parse_scenario(SCENARIO_DIR / "signaling_naive.scn")
