@@ -47,7 +47,7 @@ from .qcore import (
     tensor,
     trace_norm,
 )
-from .tolerances import ATOL, LOOP_FIXED_CUT, LOOP_RESIDUAL, OVERLAP_CUT, PURITY_MIN
+from .tolerances import ATOL, LOOP_FIXED_CUT, LOOP_GAP, LOOP_RESIDUAL, OVERLAP_CUT, PURITY_MIN
 
 
 class Semantics(str, Enum):
@@ -162,10 +162,14 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
     Hermitian basis of `qcore`. The limit projects the coordinates of I/dc onto
     ker(R - I) along ran(R - I), F (L^T F)^-1 L^T, where the columns of F and L
     are the right and left singular vectors of R - I for its f singular values at
-    most LOOP_FIXED_CUT. Only f > 1 needs those vectors (a full SVD). For f = 1, L
-    is the trace row t, as t^T (R - I) = 0, and [[R - I, t], [t^T, 0]] [h; 0] =
-    [0; 1] gives the fixed point h of trace 1. Raises ConvergenceError when f = 0,
-    a solve is singular, or h misses consistency by more than LOOP_RESIDUAL.
+    most LOOP_FIXED_CUT. For f = 1, L is the trace row t, as t^T (R - I) = 0, and
+    the bordered matrix B = [[R - I, t], [t^T, 0]] gives the fixed point h of
+    trace 1 from B [h; 0] = [0; 1]. The generic loop, f = 1, is certified
+    without an SVD (see `_one_fixed_direction`); any other loop (I (x) V, the
+    identity, a loop that only nearly has a second fixed direction) falls back
+    to the values-only SVD of R - I, whose count decides: f = 1 takes the same
+    bordered solve, f > 1 the full SVD projector. Raises ConvergenceError when
+    f = 0, a solve is singular, or h misses consistency by more than LOOP_RESIDUAL.
     """
     if rho_in.dim != config.system_dim:
         raise ShapeError(f"input dim {rho_in.dim} != system dim {config.system_dim}")
@@ -176,18 +180,23 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
     k = np.einsum("scxa,xy->casy", t, rho_in.matrix).reshape(n, -1)
     m = (k @ t.conj().transpose(0, 2, 1, 3).reshape(-1, n)).reshape(dc, dc, dc, dc)
     basis = _hermitian_basis(dc)
-    a = (basis.conj() @ m.transpose(0, 2, 1, 3).reshape(n, n) @ basis.T).real - np.eye(n)
+    a = (basis.conj() @ m.transpose(0, 2, 1, 3).reshape(n, n) @ basis.T).real.copy()
+    a.flat[:: n + 1] -= 1.0
+    border = np.zeros((n + 1, n + 1))
+    border[:n, :n] = a
+    border[:dc, n] = border[n, :dc] = 1.0
     try:
-        svals = np.linalg.svd(a, compute_uv=False)
-        n_fixed = np.count_nonzero(svals <= LOOP_FIXED_CUT)
-        if n_fixed == 0:
-            raise ConvergenceError(f"no loop fixed point: smallest singular value of R - I "
-                                   f"{svals[-1]} exceeds {LOOP_FIXED_CUT}", residual=np.inf)
+        n_fixed = 1
+        if not _one_fixed_direction(border, dc):
+            svals = np.linalg.svd(a, compute_uv=False)
+            n_fixed = np.count_nonzero(svals <= LOOP_FIXED_CUT)
+            if n_fixed == 0:
+                raise ConvergenceError(f"no loop fixed point: smallest singular value of R - I "
+                                       f"{svals[-1]} exceeds {LOOP_FIXED_CUT}", residual=np.inf)
         if n_fixed == 1:
-            border = np.zeros((n + 1, n + 1))
-            border[:n, :n] = a
-            border[:dc, n] = border[n, :dc] = 1.0
-            h = np.linalg.solve(border, np.eye(n + 1)[n])[:n]
+            rhs = np.zeros(n + 1)
+            rhs[n] = 1.0
+            h = np.linalg.solve(border, rhs)[:n]
         else:
             w, _, vt = np.linalg.svd(a)
             l_t, f = w[:, n - n_fixed:].T, vt[n - n_fixed:].T
@@ -201,6 +210,30 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
         raise ConvergenceError(f"fixed-point residual {residual} exceeds {LOOP_RESIDUAL}",
                                residual=residual)
     return DensityOperator((h @ basis).reshape(dc, dc))
+
+
+def _one_fixed_direction(border: np.ndarray, dc: int) -> bool:
+    """Whether R - I, the top-left block of border = [[R - I, t], [t^T, 0]], has
+    exactly one singular value at most LOOP_FIXED_CUT, so that the SVD count
+    would read 1. False means "not certified", not "not one".
+
+    (i) sigma_n(R - I) <= ||t^T (R - I)|| / ||t||, and ||t|| = sqrt(dc); the bound
+    is asked to lie 1e3 below the cut, far beyond the rounding of either side.
+    (ii) A Cholesky factor of B^T B - LOOP_GAP^2 I shows sigma_min(B) > LOOP_GAP,
+    and R - I is B without one row and one column, so by interlacing
+    sigma_{n-1}(R - I) >= sigma_min(B) > LOOP_GAP, far above the cut."""
+    n = border.shape[0] - 1
+    gram = border.T @ border
+    # Column n of B^T B above its corner is t^T (R - I), as B[n, n] = 0.
+    col = gram[:n, n]
+    if not np.sqrt(col @ col / dc) <= LOOP_FIXED_CUT / 1e3:
+        return False
+    gram.flat[:: n + 2] -= LOOP_GAP * LOOP_GAP
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

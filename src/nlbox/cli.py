@@ -79,7 +79,11 @@ def _run_one(path: Path, args) -> None:
         raise ValidationError(
             f"{path}: scenario protocol is {config.protocol!r}, which "
             f"'nlbox {args.command}' does not run")
-    report = run_scenario(config, seed=args.seed, tol=args.tol)
+    try:
+        report = run_scenario(config, seed=args.seed, tol=args.tol)
+    except NlboxError as exc:  # the scenario's fault: name it, keeping the type and residual
+        exc.args = (f"{path}: {exc}",)
+        raise
     ext = "csv" if args.format == "csv" else "json"
     out = _out_path(args, f"{path.stem}.report.{ext}")
     write_report(report, out, args.format)

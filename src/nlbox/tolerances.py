@@ -23,9 +23,15 @@ RANK_CUT = 1e-10
 # Negative Born probabilities above -BORN_CLAMP are clamped to zero.
 BORN_CLAMP = 1e-12
 
-# Singular values of M - I at or below this span the Deutsch loop's fixed points;
-# their count picks the solve: one bordered solve for one, the full SVD for more.
+# Singular values of M - I at or below this span the Deutsch loop's fixed points.
+# A loop with one such value takes one bordered solve, one with more the full
+# SVD projector. One is certified without an SVD when the bordered matrix's
+# smallest singular value exceeds LOOP_GAP; otherwise the values-only SVD counts.
 LOOP_FIXED_CUT = 1e-9
+
+# The bordered Deutsch loop matrix's certified singular-value floor: far above
+# LOOP_FIXED_CUT, and LOOP_GAP**2 = 1e-10 far above its Gram's rounding (~1e-13).
+LOOP_GAP = 1e-5
 
 # A Deutsch loop state is accepted when ||M(sigma) - sigma||_1 is at most this.
 LOOP_RESIDUAL = 1e-8

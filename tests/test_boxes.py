@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from nlbox.qcore import (
     DensityOperator,
     KetVector,
     Unitary,
+    _hermitian_basis,
     ket,
     maximally_mixed,
     tensor,
@@ -59,7 +61,7 @@ from nlbox.qcore import (
     trace_norm,
 )
 from nlbox.rand import random_cptp_kraus, random_density, random_ket, random_unitary
-from nlbox.tolerances import ATOL, PURITY_MIN
+from nlbox.tolerances import ATOL, LOOP_FIXED_CUT, LOOP_RESIDUAL, PURITY_MIN
 
 KET_I = ket(1 / np.sqrt(2), 1j / np.sqrt(2))
 
@@ -249,6 +251,62 @@ def reference_fixed_point(u, rho_in_mat, d_ctc):
     return star / np.trace(star).real, loop
 
 
+def svd_count_fixed_point(u, rho_in_mat, d_ctc):
+    """The loop state as the solver found it while the values-only SVD of R - I
+    counted the fixed directions f for every loop: f = 1 took the bordered
+    solve, f > 1 the full SVD projector. Returns f and the state's matrix;
+    f = 0, a singular solve and a residual above LOOP_RESIDUAL raise."""
+    d_sys, n = rho_in_mat.shape[0], d_ctc * d_ctc
+    t = u.reshape(d_sys, d_ctc, d_sys, d_ctc)
+    k = np.einsum("scxa,xy->casy", t, rho_in_mat).reshape(n, -1)
+    m = (k @ t.conj().transpose(0, 2, 1, 3).reshape(-1, n)).reshape(d_ctc, d_ctc, d_ctc, d_ctc)
+    basis = _hermitian_basis(d_ctc)
+    a = (basis.conj() @ m.transpose(0, 2, 1, 3).reshape(n, n) @ basis.T).real - np.eye(n)
+    n_fixed = np.count_nonzero(np.linalg.svd(a, compute_uv=False) <= LOOP_FIXED_CUT)
+    if n_fixed == 0:
+        raise ConvergenceError("no fixed direction")
+    if n_fixed == 1:
+        border = np.zeros((n + 1, n + 1))
+        border[:n, :n] = a
+        border[:d_ctc, n] = border[n, :d_ctc] = 1.0
+        h = np.linalg.solve(border, np.eye(n + 1)[n])[:n]
+    else:
+        w, _, vt = np.linalg.svd(a)
+        l_t, f = w[:, n - n_fixed:].T, vt[n - n_fixed:].T
+        h = f @ np.linalg.solve(l_t @ f, l_t[:, :d_ctc].sum(axis=1) / d_ctc)
+    h = h / h[:d_ctc].sum()
+    if not trace_norm((a @ h @ basis).reshape(d_ctc, d_ctc)) <= LOOP_RESIDUAL:
+        raise ConvergenceError("residual above LOOP_RESIDUAL")
+    return n_fixed, (h @ basis).reshape(d_ctc, d_ctc)
+
+
+@st.composite
+def loops(draw):
+    """(U, rho_in, d_ctc): a random loop, or one of the degenerate
+    families whose fixed space has more than one direction or nearly does."""
+    family = draw(st.sampled_from(["random", "unitary_on_loop", "identity", "repeated_blocks",
+                                   "permutation", "near_identity"]))
+    d_sys, d_ctc = draw(st.sampled_from([2, 3])), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = d_sys * d_ctc
+    if family == "random":
+        u = random_unitary(dim, rng).matrix
+    elif family == "unitary_on_loop":
+        u = np.kron(np.eye(d_sys), random_unitary(d_ctc, rng).matrix)
+    elif family == "identity":
+        u = np.eye(dim, dtype=complex)
+    elif family == "repeated_blocks":  # kron(I_2, W), or kron(I_3, W) when dim is odd
+        blocks = 2 if dim % 2 == 0 else 3
+        u = np.kron(np.eye(blocks), random_unitary(dim // blocks, rng).matrix)
+    elif family == "permutation":
+        u = np.eye(dim, dtype=complex)[rng.permutation(dim)]
+    else:  # exp(i eps H) for a random Hermitian H
+        eps = draw(st.sampled_from([1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]))
+        w, v = np.linalg.eigh(random_density(dim, rng).matrix - np.eye(dim) / dim)
+        u = (v * np.exp(1j * eps * dim * w)) @ v.conj().T
+    return u, random_density(d_sys, rng), d_ctc
+
+
 def reference_output(u, rho_in_mat, star, d_ctc):
     d_sys = rho_in_mat.shape[0]
     joint = u @ np.kron(rho_in_mat, star) @ u.conj().T
@@ -401,15 +459,20 @@ class TestDeutsch:
         assert np.array_equal(star.matrix, star.matrix.conj().T)
 
     def test_solves_in_real_coordinates(self, monkeypatch):
-        seen, svd = [], np.linalg.svd
+        seen = []
+        for name in ("cholesky", "solve", "svd"):
+            def spy(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+                seen.append((_name, np.asarray(a).dtype))
+                return _solver(a, *args, **kwargs)
 
-        def spy(a, *args, **kwargs):
-            seen.append(np.asarray(a).dtype)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
+            monkeypatch.setattr(np.linalg, name, spy)
         deutsch_fixed_point(DeutschBoxConfig(Unitary(CNOT @ SWAP), 2), KET_PLUS.projector())
-        assert seen == [np.float64]
+        assert seen == [("cholesky", np.float64), ("solve", np.float64)]
+        seen.clear()
+        # The identity loop fixes every direction, so the SVD decides.
+        deutsch_fixed_point(DeutschBoxConfig(Unitary(np.eye(4)), 2), KET_PLUS.projector())
+        assert seen == [("cholesky", np.float64), ("svd", np.float64), ("svd", np.float64),
+                        ("solve", np.float64)]
 
     def test_residual_above_tolerance_raises(self, monkeypatch):
         cfg = DeutschBoxConfig(Unitary(CNOT @ SWAP), 2)
@@ -424,7 +487,7 @@ class TestDeutsch:
         rho = random_density(2, rng)
         calls = spy_on_solvers(monkeypatch)
         deutsch_fixed_point(cfg, rho)
-        assert calls == [("svd", False), ("solve", (65, 65))]
+        assert calls == [("solve", (65, 65))]
 
     @pytest.mark.parametrize("loop", ["identity", "unitary_on_loop", "cesaro"])
     def test_degenerate_fixed_space_takes_full_svd(self, monkeypatch, loop):
@@ -452,6 +515,27 @@ class TestDeutsch:
         star = deutsch_fixed_point(cfg, rho)
         assert np.max(np.abs(star.matrix - np.eye(d_ctc) / d_ctc)) <= 1e-12
         assert np.max(np.abs(cfg.apply(rho).matrix - rho.matrix)) <= 1e-10
+
+    @settings(max_examples=150)
+    @given(loop=loops())
+    def test_path_matches_the_svd_count(self, loop):
+        # Without an SVD the count must be 1 and the state the bordered
+        # solve's, bit for bit; with one, the outcome is the SVD count's.
+        u, rho, d_ctc = loop
+        try:
+            expected = svd_count_fixed_point(u, rho.matrix, d_ctc)
+        except (ConvergenceError, np.linalg.LinAlgError):
+            expected = None
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            try:
+                star = deutsch_fixed_point(DeutschBoxConfig(Unitary(u), d_ctc), rho).matrix
+            except ConvergenceError:
+                star = None
+        if not svd.called:
+            assert expected[0] == 1
+        assert (star is None) == (expected is None)
+        if star is not None:
+            assert np.array_equal(star, expected[1])
 
     def test_no_fixed_singular_value_raises(self, monkeypatch):
         monkeypatch.setattr(boxes, "LOOP_FIXED_CUT", -1.0)

@@ -637,6 +637,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"validation error: {bad}: ")
 
+    def test_batch_names_the_file_that_fails_at_run_time(self, tmp_path, monkeypatch, capsys):
+        # The file parses; only the run finds that verification needs a
+        # two-qubit output, which this Deutsch box does not give.
+        monkeypatch.setenv("NLBOX_OUT_DIR", str(tmp_path / "out"))
+        (tmp_path / "out").mkdir()
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        (scenarios / "a_valid.scn").write_bytes((SCENARIO_DIR / "verification.scn").read_bytes())
+        bad = mutated_scenario(tmp_path, "signaling_deutsch", ("protocol",),
+                               {"name": "verification"}).rename(scenarios / "b_deutsch.scn")
+        assert main(["batch", str(scenarios)]) == 3
+        assert capsys.readouterr().err == (
+            f"validation error: {bad}: unexpected box output dimension 2, not two qubits\n")
+
+    def test_run_names_the_file_that_fails_to_converge(self, tmp_path, monkeypatch, capsys):
+        unitary = [[[x.real, x.imag] for x in row] for row in CNOT @ SWAP]
+        box = {"kind": "deutsch", "unitary": unitary, "ctc_dim": 2, "semantics": "state"}
+        path = mutated_scenario(tmp_path, "signaling_naive", ("box",), box)
+        monkeypatch.setattr(boxes, "LOOP_RESIDUAL", -1.0)
+        assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"convergence error: {path}: fixed-point residual ")
+        residual = float(err.rsplit("(residual=", 1)[1].rstrip(")\n"))
+        assert 0.0 <= residual <= 1e-8
+
     def test_batch_empty_directory(self, tmp_path):
         assert main(["batch", str(tmp_path)]) == 3
 
