@@ -107,13 +107,14 @@ class StatsTable:
         return self.sample_counts is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearFit:
     """A trace-preserving linear map fitted to a stats table.
 
     choi is the (unnormalized) Choi matrix on out (x) in; residual is the
     worst absolute probability deviation; choi_min_eig reports how far the
-    fit is from complete positivity (negative means not CP).
+    fit is from complete positivity (negative means not CP). Fits compare
+    and hash by identity, as they hold an array.
     """
 
     choi: np.ndarray
@@ -139,16 +140,23 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
     X_pk = Tr(B_k rho_p^T) and E_ra = Tr(T_a E_r). A full table makes the
     design matrix X (x) E, and pinv(X (x) E) = pinv(X) (x) pinv(E), so its
     minimum-norm solution is Z = pinv(E) (Y - y0) pinv(X)^T: two small solves.
+    X is factored once by its thin SVD U S V^T: the singular values above
+    COMPLETENESS_CUT give its rank, and a complete X has full column rank,
+    so pinv(X) = V S^-1 U^T. E may be rank deficient (an incomplete
+    measurement set), so pinv(E) comes from lstsq, whose rcond cut drops its
+    small singular values. The Choi matrix is then two matmuls and a
+    transpose of the bases.
     """
     din, dout = table.input_dim, table.output_dim
     n = din * dout
     out_basis = _traceless_basis(dout)
-    in_basis = _hermitian_basis(din).reshape(din * din, din, din)
+    in_basis = _hermitian_basis(din)
 
     # Real coordinates Tr(B_k rho^T) of every input; their Gram matrix is Tr(rho_p rho_q).
-    x = np.einsum("kij,pij->pk", in_basis,
+    x = np.einsum("kij,pij->pk", in_basis.reshape(-1, din, din),
                   np.array([rho.matrix for _, rho in table.preparations])).real
-    rank = np.linalg.matrix_rank(x, tol=COMPLETENESS_CUT)
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    rank = np.count_nonzero(s > COMPLETENESS_CUT)
     if rank < din * din:
         raise RankError(
             f"input densities span only {rank} of the {din * din} required "
@@ -161,9 +169,9 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
                   for pl, _ in table.preparations], dtype=float).T - y0[:, None]
 
     w, *_ = np.linalg.lstsq(e, y, rcond=None)
-    z = np.linalg.lstsq(x, w.T, rcond=None)[0].T
-    choi = np.eye(n) / dout + np.einsum("ak,aij,klm->iljm", z, out_basis,
-                                        in_basis).reshape(n, n)
+    z = (w @ u / s) @ vt
+    choi = np.eye(n) / dout + (out_basis.reshape(-1, dout * dout).T @ (z @ in_basis)).reshape(
+        dout, dout, din, din).transpose(0, 2, 1, 3).reshape(n, n)
     return LinearFit(choi=choi, input_dim=din, output_dim=dout,
                      residual=float(np.max(np.abs(e @ z @ x.T - y))),
                      choi_min_eig=float(np.linalg.eigvalsh(choi)[0]))
@@ -186,11 +194,14 @@ def sample_table(table: StatsTable, n: int, rng: np.random.Generator) -> StatsTa
 
 
 def sampled_tolerance(table: StatsTable) -> float:
-    """Three-sigma binomial tolerance for an empirical table."""
+    """Three-sigma binomial tolerance for an empirical table, never below
+    DTOL: a table whose cells all read 0 or 1 has sigma 0, but its fit still
+    rounds, so it is judged no more strictly than an exact table."""
     if not table.is_sampled():
         raise MisuseError("table carries no sample counts")
-    return max(3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
-               for key, n in table.sample_counts.items() for p in table.probabilities[key])
+    return max(DTOL, *(3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+                       for key, n in table.sample_counts.items()
+                       for p in table.probabilities[key]))
 
 
 def linearity_verdict(table: StatsTable, tol: float | None = None):

@@ -23,6 +23,7 @@ from nlbox.qcore import (
     maximally_mixed,
 )
 from nlbox.rand import random_cptp_kraus, random_density, random_ket, random_unitary
+from nlbox.tolerances import COMPLETENESS_CUT, DTOL
 from nlbox.witness import (
     StatsTable,
     affinity_violation,
@@ -293,18 +294,64 @@ class TestFit:
     def test_solves_only_factor_sized_systems(self, rng, monkeypatch):
         # d = 4: 18 preparations x 5 four-outcome POVMs. The full design
         # matrix would have 360 rows; its Kronecker factors have 18 and 20.
+        # X (18 x 16) is factored once, by the SVD that also gives its rank;
+        # E (20 x 15 traceless coordinates) by one lstsq.
         table = _square(4)(rng)
-        rows = []
-        lstsq = np.linalg.lstsq
+        calls = []
 
-        def spy(a, *args, **kwargs):
-            rows.append(a.shape[0])
-            return lstsq(a, *args, **kwargs)
+        def spy(name):
+            solver = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
+            def spied(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return solver(a, *args, **kwargs)
+            return spied
+
+        for name in ("lstsq", "svd", "matrix_rank"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
         fit_linear_map(table)
         outcomes = sum(m.n_outcomes for _, m in table.measurements)
-        assert rows and max(rows) <= max(len(table.preparations), outcomes)
+        assert (len(table.preparations), outcomes) == (18, 20)
+        assert calls == [("svd", (18, 16)), ("lstsq", (20, 15))]
+
+    def test_fits_compare_and_hash_by_identity(self):
+        # Equal Choi arrays do not make equal fits: == is identity, as hashing is.
+        table = channel_table([np.eye(2, dtype=complex)])
+        fit, other = fit_linear_map(table), fit_linear_map(table)
+        assert (fit == other) is False
+        assert (fit == fit) is True
+        assert len({fit, other, fit}) == 2
+
+    @settings(max_examples=60)
+    @given(din=st.sampled_from([2, 3]),
+           eps=st.sampled_from([1e-6, 1e-7, 3e-8, 1e-8, 3e-9, 1e-10]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rank_decision_is_matrix_ranks(self, din, eps, seed):
+        # d_in^2 - 1 inputs span the Hermitian matrices orthogonal to a unit
+        # traceless h; one more input, I/d_in + eps h, leaves that span by eps.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(din, din)) + 1j * rng.normal(size=(din, din))
+        h = a + a.conj().T
+        h -= np.trace(h).real / din * np.eye(din)
+        h /= np.linalg.norm(h)
+        mats = [0.2 * random_density(din, rng).matrix + 0.8 * np.eye(din) / din
+                for _ in range(din * din - 1)]
+        mats = [m - np.vdot(h, m).real * h for m in mats] + [np.eye(din) / din + eps * h]
+        inputs = tuple((f"in{i}", DensityOperator(0.5 * (m + m.conj().T)))
+                       for i, m in enumerate(mats))
+        povm = computational_povm(din)
+        table = StatsTable(preparations=inputs, measurements=(("comp", povm),),
+                           probabilities={(pl, "comp"): tuple(born_probabilities(rho, povm))
+                                          for pl, rho in inputs})
+        # The fit's own coordinates Tr(B_k rho^T), ranked by numpy's rule.
+        x = np.einsum("kij,pij->pk", _hermitian_basis(din).reshape(-1, din, din),
+                      np.array([rho.matrix for _, rho in inputs])).real
+        rank = np.linalg.matrix_rank(x, tol=COMPLETENESS_CUT)
+        if rank < din * din:
+            with pytest.raises(RankError, match=f"span only {rank} of the {din * din} "):
+                fit_linear_map(table)
+        else:
+            assert fit_linear_map(table).residual <= 1e-9
 
 
 class TestCoords:
@@ -407,6 +454,19 @@ class TestSampled:
         hits = sum(is_linear_explainable(sample_table(table, 10000, rng))
                    for _ in range(20))
         assert hits >= 19
+
+    def test_deterministic_sampled_table_is_judged_like_the_exact_one(self, rng):
+        # A reset channel measured in Z reads (1, 0) on every input, so every
+        # sampled cell is 0 or 1 and three sigmas are 0; the fit still rounds
+        # (residual ~2e-16, Choi eigenvalue ~ -3e-16), so the floor is DTOL.
+        reset = [np.array([[1, 0], [0, 0]], dtype=complex),
+                 np.array([[0, 1], [0, 0]], dtype=complex)]
+        table = channel_table(reset)
+        assert is_linear_explainable(table)
+        sampled = sample_table(table, 100, rng)
+        assert all(p in (0.0, 1.0) for row in sampled.probabilities.values() for p in row)
+        assert sampled_tolerance(sampled) == DTOL
+        assert is_linear_explainable(sampled)
 
     def test_nonlinear_table_stays_unexplainable_when_sampled(self, rng):
         table = brun_matched_table()
