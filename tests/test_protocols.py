@@ -581,6 +581,18 @@ class TestAttack:
         assert report.eve_basis_accuracy == 1.0
         assert abs(report.sifted_key_fraction - 0.5) <= 5 * np.sqrt(0.25 / 1000)
 
+    # Counts at 150 000 bits, seed 42: eavesdropper bit and basis hits, sifted
+    # bits, errors. The list policy excludes alice_01 and alice_10, so the
+    # eavesdropper's table has a row of two halves, not only 0/1 rows.
+    @pytest.mark.parametrize("strategy,errors", [("identify", 14066), ("fixed_basis", 37474)])
+    def test_pins_a_report_over_three_batches(self, monkeypatch, brun_config, strategy, errors):
+        box = make_box(brun_config, policy=ATTACK_POLICIES["explicit_list"])
+        draws = spy(monkeypatch, protocols, "_inverse_cdf")
+        n = 150_000
+        assert run_bb84_attack(box, n, 42, strategy) == AttackReport(
+            n, 112478 / n, 93897 / n, errors / 74923, 74923 / n, strategy, 42)
+        assert [args[1].size for args in draws[::2]] == [65536, 65536, 18928]
+
 
 ATTACK_POLICIES = {
     "naive_pure": MembershipPolicy(PolicyKind.NAIVE_PURE),
@@ -619,13 +631,25 @@ def reference_tables(box, strategy):
                                     for r in resent for m in meas])
 
 
+def per_row_draws(dist, rows, u):
+    """Outcome of each draw: where u[i] falls in the normalized cumulative
+    sums of its own row dist[rows[i]], found by searchsorted."""
+    out = np.empty(u.shape, dtype=np.intp)
+    for r, row in enumerate(dist):
+        cdf = np.cumsum(row)
+        mask = rows == r
+        out[mask] = np.searchsorted(cdf / cdf[-1], u[mask], side="right")
+    return out
+
+
 def reference_attack(eve, bob, n_bits, seed, strategy):
-    """run_bb84_attack's report for at most one batch of bits, sampled from the given tables."""
+    """run_bb84_attack's report for at most one batch of bits, sampled from
+    the given tables without the production sampler."""
     rng = np.random.default_rng(seed)
     a_basis, a_bit, b_basis = rng.integers(2, size=(3, n_bits), dtype=np.int8)
     u_eve, u_bob = rng.random((2, n_bits))
-    eve_idx = _inverse_cdf(eve, 2 * a_basis + a_bit, u_eve)
-    b_bit = _inverse_cdf(bob, 2 * eve_idx + b_basis, u_bob)
+    eve_idx = per_row_draws(eve, 2 * a_basis + a_bit, u_eve)
+    b_bit = per_row_draws(bob, 2 * eve_idx + b_basis, u_bob)
     sifted = b_basis == a_basis
     n_sifted = int(np.count_nonzero(sifted))
     errors = int(np.count_nonzero(sifted & (b_bit != a_bit)))
@@ -701,12 +725,14 @@ class TestInverseCdf:
         out = _inverse_cdf(dist, np.zeros(u.size, dtype=np.int8), u)
         assert np.all(dist[0, out] > 0)
 
-    def test_matches_per_draw_reference(self):
+    # The attack passes int8 rows.
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_matches_per_draw_reference(self, dtype):
         rng = np.random.default_rng(3)
         dist = rng.random((6, 4)) * (rng.random((6, 4)) < 0.6)
         dist[:, 0] += 1e-3
         dist /= dist.sum(axis=1, keepdims=True)
-        rows = rng.integers(6, size=5000)
+        rows = rng.integers(6, size=5000).astype(dtype)
         u = rng.random(5000)
         out = _inverse_cdf(dist, rows, u)
         for k, r, x in zip(out, rows, u):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CNOT, SWAP
-from nlbox import boxes
+from nlbox import boxes, cli
 from nlbox.cli import main
 from nlbox.errors import CapacityError, NlboxError, ScenarioParseError, ValidationError
 from nlbox.qcore import born_probabilities, computational_povm
@@ -368,10 +368,12 @@ class TestEmission:
         assert a == b
 
 
-def stats_doc():
-    def density(m):
-        return [[[x.real, x.imag] for x in row] for row in np.asarray(m, complex)]
+def density(m):
+    """A complex matrix in the stats file's [re, im] form."""
+    return [[[x.real, x.imag] for x in row] for row in np.asarray(m, complex)]
 
+
+def stats_doc():
     effects = [density(np.diag([1.0, 0.0])), density(np.diag([0.0, 1.0]))]
     return {
         "preparations": [
@@ -388,6 +390,87 @@ def stats_doc():
             "iplus|comp": [0.5, 0.5],
         },
     }
+
+
+def measured_doc(states, bases, kraus=(np.eye(2),)):
+    """A stats document: each labelled input density sent through the
+    channel with the given Kraus operators, then measured in each labelled
+    orthonormal basis (the columns of a unitary)."""
+    def output(rho):
+        return sum(k @ rho @ k.conj().T for k in kraus)
+
+    return {
+        "preparations": [{"label": pl, "density": density(rho)} for pl, rho in states.items()],
+        "measurements": [{"label": ml, "effects": [density(np.outer(v, v.conj())) for v in b.T]}
+                         for ml, b in bases.items()],
+        "probabilities": {f"{pl}|{ml}": [float((v.conj() @ output(rho) @ v).real) for v in b.T]
+                          for pl, rho in states.items() for ml, b in bases.items()},
+    }
+
+
+def qubit_inputs():
+    """|0>, |1>, |+> and |+i>: they span the four Hermitian directions."""
+    r = math.sqrt(0.5)
+    kets = {"zero": [1, 0], "one": [0, 1], "plus": [r, r], "iplus": [r, 1j * r]}
+    return {label: np.outer(k, np.conj(k)) for label, k in kets.items()}
+
+
+def reset_table():
+    # Every input reset to |0>, measured in Z: each cell reads exactly 0 or 1.
+    reset = (np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    return measured_doc(qubit_inputs(), {"z": np.eye(2)}, reset), True
+
+
+def relabelled_density_table():
+    # |0> again under a second label, with the other row: no map explains both.
+    doc = stats_doc()
+    doc["preparations"].append({"label": "zero_again", "density": density(np.diag([1.0, 0.0]))})
+    doc["probabilities"]["zero_again|comp"] = [0.0, 1.0]
+    return doc, False
+
+
+def damped_z_only_table():
+    # Amplitude damping at gamma = 1/2, Z effects only: the effects span 1 of
+    # the 3 traceless directions, the inputs all 4.
+    g = 0.5
+    damping = (np.diag([1.0, math.sqrt(1 - g)]), np.array([[0.0, math.sqrt(g)], [0.0, 0.0]]))
+    return measured_doc(qubit_inputs(), {"z": np.eye(2)}, damping), True
+
+
+def qutrit_table():
+    # |0>, |1>, |2> and the (|j> + |k>), (|j> + i|k>) pairs span all 9 input
+    # directions. The identity channel is measured in the computational basis
+    # and the three Fourier bases with phases w^(k j^2): four mutually
+    # unbiased bases, whose effects span all 8 traceless directions.
+    kets = {f"e{j}": np.eye(3)[j] for j in range(3)}
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        kets[f"p{j}{k}"] = (np.eye(3)[j] + np.eye(3)[k]) / math.sqrt(2)
+        kets[f"i{j}{k}"] = (np.eye(3)[j] + 1j * np.eye(3)[k]) / math.sqrt(2)
+    j = np.arange(3)
+    fourier = np.exp(2j * np.pi * np.outer(j, j) / 3) / math.sqrt(3)
+    bases = {"z": np.eye(3)} | {f"f{k}": np.exp(2j * np.pi * k * j ** 2 / 3)[:, None] * fourier
+                                for k in range(3)}
+    return measured_doc({label: np.outer(k, k.conj()) for label, k in kets.items()},
+                        bases, (np.eye(3),)), True
+
+
+def three_direction_table():
+    # Without |+i>, the inputs span 3 of the 4 Hermitian directions.
+    states = qubit_inputs()
+    del states["iplus"]
+    x_basis = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    return measured_doc(states, {"z": np.eye(2), "x": x_basis}), None
+
+
+# Valid stats documents none of the parser's mutants reach the fit with, and
+# the witness verdict each should print (None: exit 3, tomographically incomplete).
+UNUSUAL_STATS = {
+    "a_reset_0_1_cells": reset_table,
+    "b_one_density_two_labels": relabelled_density_table,
+    "c_z_effects_only": damped_z_only_table,
+    "d_complete_qutrit": qutrit_table,
+    "e_three_directions": three_direction_table,
+}
 
 
 # What a mutation writes into a document: one of the values that broke the
@@ -713,6 +796,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {path}: input densities span only 2 of the 4 ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("case", sorted(UNUSUAL_STATS))
+    def test_witness_fits_unusual_valid_tables(self, tmp_path, monkeypatch, capsys, case):
+        doc, verdict = UNUSUAL_STATS[case]()
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(doc))
+        calls, real = [], cli.linearity_verdict
+        monkeypatch.setattr(cli, "linearity_verdict",
+                            lambda *args: calls.append(args) or real(*args))
+        assert main(["witness", str(path)]) == (3 if verdict is None else 0)
+        captured = capsys.readouterr()
+        if verdict is None:
+            assert "tomographically incomplete" in captured.err
+        else:
+            assert captured.out.endswith(f"linear_explainable={verdict}\n")
+        assert len(calls) == 1
 
     def test_witness_parse_stats(self, tmp_path):
         path = tmp_path / "stats.json"
