@@ -59,6 +59,12 @@ def check_integer(value, name: str, least: int = 0) -> int:
     return int(value)
 
 
+def check_instance(value, kind, name: str) -> None:
+    """ValidationError, naming the expected type, unless value is an instance of kind."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def finite_float(value) -> float:
     """value as a float, or nan unless it is a finite real number (a bool is not)."""
     # A float, numpy's float64 included, skips the slower abstract-class check.

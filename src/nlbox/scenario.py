@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import (
     NlboxError,
     ScenarioParseError,
     ValidationError,
+    check_instance,
     check_integer,
     check_tol,
 )
@@ -332,12 +333,15 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None,
         params["tol"] = tol
     protocol = PROTOCOLS[config.protocol]
     rep = protocol.run(config.box, **protocol.parse(params))
+    # The runner's report is fresh, flat and reachable from nowhere else, so
+    # a shallow dict of its fields equals dataclasses.asdict without the deep copy.
     return Report(schema=REPORT_SCHEMA, protocol=config.protocol,
-                  scenario=config.raw, payload=asdict(rep))
+                  scenario=config.raw, payload=dict(vars(rep)))
 
 
 def emit_table(report: Report, fmt: str = "json") -> str:
     """Render a report as a byte-stable JSON document or CSV table."""
+    check_instance(report, Report, "emit_table's report")
     if fmt == "json":
         return report.to_json()
     if fmt == "csv":
@@ -350,8 +354,10 @@ def emit_table(report: Report, fmt: str = "json") -> str:
 
 
 def write_report(report: Report, path, fmt: str = "json") -> None:
+    """Write emit_table's text to path; a bad report or format leaves no file."""
+    text = emit_table(report, fmt)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(emit_table(report, fmt))
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc

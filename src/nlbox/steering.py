@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecompositionError, MisuseError, ShapeError, ValidationError
+from .errors import DecompositionError, MisuseError, ShapeError, ValidationError, check_instance
 from .preparations import _normalize_ensemble
 from .qcore import DensityOperator, KetVector, Povm, trace_norm
 from .tolerances import DTOL, PHASE_CUT, RANK_CUT, ZERO_PROB
@@ -131,8 +131,10 @@ def steer(assemblage: SteeringAssemblage, outcome: int):
     constructor computed for one outcome of the A measurement.
 
     MisuseError for an outcome that is not an index of the measurement, or
-    whose probability is zero so that no conditional state exists.
+    whose probability is zero so that no conditional state exists, and a
+    ValidationError for an assemblage that is not a SteeringAssemblage.
     """
+    check_instance(assemblage, SteeringAssemblage, "steer's assemblage")
     if (isinstance(outcome, bool) or not isinstance(outcome, (int, np.integer))
             or not 0 <= outcome < assemblage.n_outcomes):
         raise MisuseError(f"outcome {outcome!r} out of range")

@@ -1,12 +1,14 @@
 """The shared argument rules, through every entry point that applies them.
 
-Integer parameters (shot counts, bit counts, seeds, loop dimensions) go
-through `errors.check_integer`; tolerances through `errors.check_tol`;
+Integer parameters (shot counts, bit counts, seeds, loop dimensions,
+partial_trace's factor dims and kept indices) go through `errors.check_integer`; tolerances through `errors.check_tol`;
 spacetime coordinates through `SpacetimeEvent`; ensemble weights through
 `errors.finite_float`. Each rejects with a ValidationError (ConfigurationError
 is one), never a bare TypeError, and accepts numpy scalars. A malformed
 container at the API (a box event, an ensemble, a table's pairs, a label,
-a policy's labels, the signaling settings) is a ValidationError too.
+a policy's labels, the signaling settings) is a ValidationError too, and
+so is an argument of the wrong type at an exported function: the error
+names the type it expected.
 """
 
 import math
@@ -16,7 +18,7 @@ import pytest
 
 from conftest import make_box
 from nlbox.boxes import BrunBoxConfig, DeutschBoxConfig, KentBoxConfig
-from nlbox.errors import ConfigurationError, DecompositionError, ValidationError
+from nlbox.errors import ConfigurationError, DecompositionError, ShapeError, ValidationError
 from nlbox.preparations import (
     MembershipPolicy,
     PolicyKind,
@@ -26,6 +28,7 @@ from nlbox.preparations import (
     SpacetimeEvent,
 )
 from nlbox.protocols import MAX_BB84_BITS, run_bb84_attack, run_signaling_test, run_verification
+from nlbox.protocols import SINGLET
 from nlbox.qcore import (
     COMPUTATIONAL_BASIS,
     HADAMARD_BASIS,
@@ -33,11 +36,15 @@ from nlbox.qcore import (
     KET1,
     KET_PLUS,
     Unitary,
+    born_probabilities,
     computational_povm,
     ket,
     maximally_mixed,
+    partial_trace,
+    trace_distance,
 )
-from nlbox.steering import EnsembleDecomposition
+from nlbox.scenario import emit_table, write_report
+from nlbox.steering import EnsembleDecomposition, steer
 from nlbox.witness import StatsTable, linearity_verdict, sample_table
 
 HUGE = 10 ** 400  # an exact int that no float can hold
@@ -212,3 +219,68 @@ BAD_CONTAINERS = {
 def test_malformed_containers_are_typed_errors(call, match):
     with pytest.raises(ValidationError, match=match):
         call()
+
+
+# An argument of the wrong type at an exported function, which read an
+# attribute it lacks (a bare AttributeError) before these checks: each case
+# is the call and the expected type its error names.
+RAW_DENSITY = np.eye(2) / 2
+WRONG_TYPES = {
+    "born_raw_density": (lambda: born_probabilities(RAW_DENSITY, computational_povm(2)),
+                         "DensityOperator, got ndarray"),
+    "born_raw_effects": (lambda: born_probabilities(maximally_mixed(2), np.eye(2)[None]),
+                         "Povm, got ndarray"),
+    "trace_distance_a": (lambda: trace_distance(RAW_DENSITY, maximally_mixed(2)),
+                         "DensityOperator, got ndarray"),
+    "trace_distance_b": (lambda: trace_distance(maximally_mixed(2), RAW_DENSITY),
+                         "DensityOperator, got ndarray"),
+    "partial_trace_rho": (lambda: partial_trace(np.eye(4) / 4, (2, 2), [0]),
+                          "DensityOperator, got ndarray"),
+    "steer_none": (lambda: steer(None, 0), "SteeringAssemblage, got NoneType"),
+    "emit_table_none": (lambda: emit_table(None), "Report, got NoneType"),
+    "emit_table_dict": (lambda: emit_table({"payload": {}}, "csv"), "Report, got dict"),
+}
+
+
+@pytest.mark.parametrize("call,match", list(WRONG_TYPES.values()), ids=list(WRONG_TYPES))
+def test_wrong_argument_types_are_validation_errors(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
+
+
+def test_write_report_checks_the_report_before_opening_the_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValidationError, match="Report, got NoneType"):
+        write_report(None, path)
+    assert not path.exists()
+
+
+# partial_trace's dims are integers >= 1 and its keep indices integers >= 0,
+# through errors.check_integer: no negative dims reaching reshape, no float
+# or bool truncated to an index, no bare TypeError for a scalar keep.
+BAD_FACTORS = {
+    "negative_dims": ((-2, -2), [0]),
+    "zero_dim": ((0, 4), [0]),
+    "float_dim": ((2.7, 2), [0]),
+    "integral_float_dim": ((2.0, 2), [0]),
+    "bool_dim": ((True, 4), [0]),
+    "scalar_dims": (4, [0]),
+    "scalar_keep": ((2, 2), 0),
+    "bool_keep": ((2, 2), [True]),
+    "float_keep": ((2, 2), [1.0]),
+    "string_keep": ((2, 2), ["1"]),
+    "negative_keep": ((2, 2), [-1]),
+}
+
+
+@pytest.mark.parametrize("dims,keep", list(BAD_FACTORS.values()), ids=list(BAD_FACTORS))
+def test_partial_trace_factors_follow_the_integer_rule(dims, keep):
+    with pytest.raises(ConfigurationError):
+        partial_trace(SINGLET, dims, keep)
+
+
+def test_partial_trace_accepts_numpy_integers_and_any_iterable():
+    out = partial_trace(SINGLET, np.array([2, 2]), range(1, 2))
+    assert np.array_equal(out.matrix, partial_trace(SINGLET, (2, 2), [1]).matrix)
+    with pytest.raises(ShapeError, match="out of range"):
+        partial_trace(SINGLET, (2, 2), [2])

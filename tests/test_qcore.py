@@ -125,6 +125,43 @@ class TestTensor:
         with pytest.raises(CapacityError):
             tensor(big, big)
 
+    @pytest.mark.parametrize("da", [1, 2, 3, 4])
+    @pytest.mark.parametrize("db", [1, 2, 3, 4])
+    def test_matches_np_kron_bit_for_bit(self, da, db):
+        # tensor broadcasts one elementwise multiply; np.kron does the same
+        # multiply, so the products agree in every bit, not only to rounding.
+        rng = np.random.default_rng(100 * da + db)
+        for _ in range(5):
+            ka, kb = random_ket(da, rng), random_ket(db, rng)
+            out = tensor(ka, kb).amplitudes
+            assert out.tobytes() == np.kron(ka.amplitudes, kb.amplitudes).tobytes()
+            assert out.shape == (da * db,) and not out.flags.writeable
+            ra, rb = random_density(da, rng), random_density(db, rng)
+            out = tensor(ra, rb).matrix
+            assert out.tobytes() == np.kron(ra.matrix, rb.matrix).tobytes()
+            assert out.shape == (da * db, da * db) and not out.flags.writeable
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda d: ket(*np.eye(d)[0]), "amplitudes"),
+        (maximally_mixed, "matrix"),
+    ], ids=["ket", "density"])
+    def test_capacity_checked_before_any_product(self, make, field):
+        # 64 * 65 exceeds the cap of 4096. Each operand's array is swapped for
+        # one that has the right shape but fails when indexed, so reaching
+        # the product would raise AssertionError, not CapacityError.
+        class Unreadable:
+            def __init__(self, shape):
+                self.shape, self.size = shape, shape[0]
+
+            def __getitem__(self, key):
+                raise AssertionError("tensor built a product past the cap")
+
+        a, b = make(64), make(65)
+        for op in (a, b):
+            object.__setattr__(op, field, Unreadable(getattr(op, field).shape))
+        with pytest.raises(CapacityError, match="4160"):
+            tensor(a, b)
+
     def test_mixed_kinds_rejected(self):
         with pytest.raises(ShapeError):
             tensor(KET0, maximally_mixed(2))
@@ -139,6 +176,14 @@ class TestPartialTrace:
     def test_singlet_marginal(self):
         out = partial_trace(singlet_density(), (2, 2), [1])
         assert trace_distance(out, maximally_mixed(2)) < 1e-12
+
+    def test_singlet_marginal_bits_are_pinned(self):
+        # The shared marginal every remote preparation averages to; its
+        # rounding reaches the reports, so its bits must not move.
+        from nlbox.protocols import SINGLET_MARGINAL
+
+        assert SINGLET_MARGINAL.matrix.diagonal().tolist() == [0.4999999999999999 + 0j] * 2
+        assert SINGLET_MARGINAL.matrix[0, 1] == 0
 
     def test_random_2x3_marginal_valid(self, rng):
         # Oracle: eigenvalues of the reduced operator stay nonnegative and

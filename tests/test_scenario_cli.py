@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -12,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CNOT, SWAP
-from nlbox import boxes, cli
+from nlbox import boxes, cli, qcore, scenario
 from nlbox.cli import main
 from nlbox.errors import CapacityError, NlboxError, ScenarioParseError, ValidationError
 from nlbox.qcore import born_probabilities, computational_povm
 from nlbox.scenario import (
     MAX_BB84_BITS,
+    PROTOCOLS,
     REPORT_SCHEMA,
     emit_table,
     parse_scenario,
@@ -366,6 +368,61 @@ class TestEmission:
         a = emit_table(run_scenario(config), "csv")
         b = emit_table(run_scenario(config), "csv")
         assert a == b
+
+
+def containers(node):
+    """Every list and dict in a JSON-like tree, the root included."""
+    if isinstance(node, dict):
+        yield node
+        for value in node.values():
+            yield from containers(value)
+    elif isinstance(node, list):
+        yield node
+        for value in node:
+            yield from containers(value)
+
+
+class TestPayload:
+    """A report's payload is a shallow dict of the runner's fresh report:
+    equal to dataclasses.asdict of it, without the deep copy."""
+
+    @pytest.mark.parametrize("seed", [None, 7], ids=["default", "seed7"])
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+    def test_equals_asdict_of_the_runner_report(self, path, seed):
+        config = parse_scenario(path)
+        params = dict(config.params) if seed is None else {**config.params, "seed": seed}
+        protocol = PROTOCOLS[config.protocol]
+        expected = dataclasses.asdict(protocol.run(config.box, **protocol.parse(params)))
+        assert run_scenario(config, seed=seed).payload == expected
+
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+    def test_two_runs_share_no_list_or_dict(self, path):
+        config = parse_scenario(path)
+        first, second = run_scenario(config).payload, run_scenario(config).payload
+        assert not {id(c) for c in containers(first)} & {id(c) for c in containers(second)}
+        assert not {id(c) for c in containers(first)} & {id(c) for c in containers(config.raw)}
+
+    @pytest.mark.parametrize("stem", ["signaling_kent", "prep_problem"])
+    def test_runs_without_kron_or_asdict(self, monkeypatch, stem):
+        # Both scenarios exclude the remote preparations, so every excluded
+        # input goes through tensor; np.kron and asdict cost more than the
+        # work they do there, and a later edit must not bring them back.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("slow library call on the scenario path")
+
+        tensors = []
+
+        def counting_tensor(a, b):
+            tensors.append(1)
+            return qcore.tensor(a, b)
+
+        monkeypatch.setattr(np, "kron", forbidden)
+        monkeypatch.setattr(dataclasses, "asdict", forbidden)
+        monkeypatch.setattr(scenario, "asdict", forbidden, raising=False)
+        monkeypatch.setattr(boxes, "tensor", counting_tensor)
+        report = run_scenario(parse_scenario(SCENARIO_DIR / f"{stem}.scn"))
+        assert tensors
+        assert emit_table(report) == (GOLDEN_DIR / f"{stem}.default.json").read_text("utf-8")
 
 
 def density(m):
