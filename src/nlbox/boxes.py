@@ -12,6 +12,7 @@ excludes shows. A pure input off a plain Brun box's domain is a DomainError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +24,7 @@ from .errors import (
     DomainError,
     ShapeError,
     ValidationError,
+    check_instance,
     check_integer,
 )
 from .preparations import (
@@ -170,6 +172,12 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
     to the values-only SVD of R - I, whose count decides: f = 1 takes the same
     bordered solve, f > 1 the full SVD projector. Raises ConvergenceError when
     f = 0, a solve is singular, or h misses consistency by more than LOOP_RESIDUAL.
+
+    Consistency is the trace norm of the residual matrix M(sigma) - sigma, whose
+    coordinates are (R - I) h. The basis is orthonormal, so sqrt(dc) ||(R - I) h||_2
+    bounds that norm, and a bound within LOOP_RESIDUAL accepts h with no
+    eigenvalues. Only when the bound fails is the exact trace norm computed; it
+    then decides, and it is the residual a ConvergenceError carries.
     """
     if rho_in.dim != config.system_dim:
         raise ShapeError(f"input dim {rho_in.dim} != system dim {config.system_dim}")
@@ -205,10 +213,13 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"no loop fixed-point projector: {exc}", residual=np.inf) from exc
     h = h / h[:dc].sum()
-    residual = trace_norm((a @ h @ basis).reshape(dc, dc))
-    if not residual <= LOOP_RESIDUAL:
-        raise ConvergenceError(f"fixed-point residual {residual} exceeds {LOOP_RESIDUAL}",
-                               residual=residual)
+    r = a @ h
+    # ||r @ basis||_1 <= sqrt(dc) ||r @ basis||_F = sqrt(dc) ||r||_2, as the basis is orthonormal.
+    if not math.sqrt(dc * float(r @ r)) <= LOOP_RESIDUAL:
+        residual = trace_norm((r @ basis).reshape(dc, dc))
+        if not residual <= LOOP_RESIDUAL:
+            raise ConvergenceError(f"fixed-point residual {residual} exceeds {LOOP_RESIDUAL}",
+                                   residual=residual)
     return DensityOperator((h @ basis).reshape(dc, dc))
 
 
@@ -319,6 +330,8 @@ def apply_box(box: NonlinearBox, p: Preparation) -> DensityOperator:
     evolve under the box map, either on the effective density (state
     semantics) or member by member (decomposition semantics).
     """
+    check_instance(box, NonlinearBox, "apply_box's box")
+    check_instance(p, Preparation, "apply_box's p")
     if not classify_membership(p, box.membership):
         return box.config.apply_excluded(p, box.box_event)
     if box.semantics is Semantics.DECOMPOSITION:

@@ -14,7 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, DecompositionError, ShapeError, ValidationError, finite_float
+from .errors import (ConfigurationError, DecompositionError, ShapeError, ValidationError,
+                     check_instance, finite_float)
 from .qcore import DensityOperator, trace_distance
 from .tolerances import ATOL, DTOL, PURITY_MIN
 
@@ -146,6 +147,8 @@ def effective_density(p: Preparation) -> DensityOperator:
 def linearly_equivalent(p1: Preparation, p2: Preparation) -> bool:
     """True iff the two preparations give identical statistics under every
     linear transformation and measurement, i.e. equal effective densities."""
+    check_instance(p1, Preparation, "linearly_equivalent's p1")
+    check_instance(p2, Preparation, "linearly_equivalent's p2")
     if p1.dim != p2.dim:
         raise ShapeError(f"preparation dims differ: {p1.dim} vs {p2.dim}")
     return trace_distance(effective_density(p1), effective_density(p2)) <= DTOL
@@ -193,6 +196,8 @@ class MembershipPolicy:
 
 def classify_membership(p: Preparation, policy: MembershipPolicy) -> bool:
     """Decide whether a preparation belongs to the verifying set."""
+    check_instance(p, Preparation, "classify_membership's p")
+    check_instance(policy, MembershipPolicy, "classify_membership's policy")
     if policy.kind is PolicyKind.NAIVE_PURE:
         return all(state.purity() >= PURITY_MIN for _, state in p.ensemble)
     if policy.kind is PolicyKind.KENT_LIGHT_CONE:

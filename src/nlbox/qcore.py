@@ -31,7 +31,7 @@ def _freeze(obj, name, arr):
         arr = np.array(arr, dtype=complex)
     except ValueError as exc:  # a ragged sequence, such as effects of mixed sizes
         raise ShapeError(f"{name} is not a rectangular array ({exc})") from exc
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ValidationError(f"{name} has a non-finite entry")
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
@@ -67,6 +67,7 @@ class KetVector(_Validated):
 
     def overlap(self, other: "KetVector") -> complex:
         """Inner product <self|other>."""
+        check_instance(other, KetVector, "overlap's other")
         if self.dim != other.dim:
             raise ShapeError(f"ket dims differ: {self.dim} vs {other.dim}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -94,10 +95,10 @@ class DensityOperator(_Validated):
         m = _freeze(self, "matrix", self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ShapeError("density matrix must be square")
-        herm_gap = float(np.abs(m - m.conj().T).max())
+        herm_gap = float(np.maximum.reduce(np.abs(m - m.conj().T), axis=None))
         if not herm_gap <= ATOL:
             raise ValidationError(f"density matrix not Hermitian: max |M - M^dag| = {herm_gap}")
-        tr = complex(m.trace())
+        tr = complex(sum(m.diagonal().tolist()))
         if not abs(tr - 1.0) <= ATOL:
             raise ValidationError(f"density matrix trace {tr} deviates from 1 beyond {ATOL}")
         min_eig = float(np.linalg.eigvalsh(m)[0])
@@ -129,11 +130,13 @@ class Povm(_Validated):
         e = _freeze(self, "effects", self.effects)
         if e.ndim != 3 or e.size == 0 or e.shape[1] != e.shape[2]:
             raise ShapeError("POVM effects must be one or more square matrices of one size")
-        if not float(np.abs(e - e.conj().transpose(0, 2, 1)).max()) <= ATOL:
+        if not float(np.maximum.reduce(np.abs(e - e.conj().transpose(0, 2, 1)),
+                                       axis=None)) <= ATOL:
             raise ValidationError("POVM effect not Hermitian")
-        if not float(np.linalg.eigvalsh(e)[:, 0].min()) >= -ATOL:
+        if not float(np.minimum.reduce(np.linalg.eigvalsh(e)[:, 0])) >= -ATOL:
             raise ValidationError("POVM effect not positive semidefinite")
-        if not float(np.abs(e.sum(axis=0) - np.eye(e.shape[1])).max()) <= ATOL:
+        if not float(np.maximum.reduce(np.abs(np.add.reduce(e) - np.eye(e.shape[1])),
+                                       axis=None)) <= ATOL:
             raise ValidationError("POVM effects do not sum to the identity")
 
     @property
@@ -228,12 +231,14 @@ def born_probabilities(rho: DensityOperator, m: Povm) -> np.ndarray:
     if rho.dim != m.dim:
         raise ShapeError(f"state dim {rho.dim} vs POVM dim {m.dim}")
     probs = np.einsum("kij,ji->k", m.effects, rho.matrix).real
-    if probs.min() < -BORN_CLAMP:
-        raise ValidationError(f"Born probability {probs.min()} below clamp threshold")
-    probs = np.maximum(probs, 0.0)
-    if not abs(float(probs.sum()) - 1.0) <= ATOL:
+    # The checks read Python floats; the clamp itself stays np.maximum, which fixes the bits.
+    values = probs.tolist()
+    low = min(values)
+    if low < -BORN_CLAMP:
+        raise ValidationError(f"Born probability {low} below clamp threshold")
+    if not abs(sum(p for p in values if p > 0.0) - 1.0) <= ATOL:
         raise ValidationError("Born probabilities do not sum to 1")
-    return probs
+    return np.maximum(probs, 0.0)
 
 
 @cache
@@ -302,7 +307,10 @@ def maximally_mixed(dim: int) -> DensityOperator:
 
 
 def basis_povm(kets) -> Povm:
-    """Projective measurement onto an orthonormal set of kets."""
+    """Projective measurement onto an orthonormal set of kets, any iterable of them."""
+    kets = tuple(kets)
+    for k in kets:
+        check_instance(k, KetVector, "basis_povm's ket")
     if len({k.dim for k in kets}) != 1:
         raise ShapeError("basis kets must share one dimension")
     v = np.array([k.amplitudes for k in kets])

@@ -33,7 +33,9 @@ LOOP_FIXED_CUT = 1e-9
 # LOOP_FIXED_CUT, and LOOP_GAP**2 = 1e-10 far above its Gram's rounding (~1e-13).
 LOOP_GAP = 1e-5
 
-# A Deutsch loop state is accepted when ||M(sigma) - sigma||_1 is at most this.
+# A Deutsch loop state is accepted when ||M(sigma) - sigma||_1 is at most this. The
+# bound sqrt(dc) times the residual's Frobenius norm decides when it is within this;
+# else the exact trace norm decides, and a ConvergenceError carries that exact value.
 LOOP_RESIDUAL = 1e-8
 
 # Singular values of the stacked input densities above this count toward completeness.

@@ -8,13 +8,13 @@ different outputs, which is exactly what no linear map can reproduce.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxes import NonlinearBox, apply_box
-from .errors import (MisuseError, RankError, ShapeError, ValidationError, check_integer,
-                     check_tol, finite_float)
+from .errors import (MisuseError, RankError, ShapeError, ValidationError, check_instance,
+                     check_integer, check_tol, finite_float)
 from .preparations import Preparation, classify_membership, linearly_equivalent
 from .qcore import DensityOperator, Povm, _hermitian_basis, _traceless_basis, trace_distance
 from .tolerances import ATOL, COMPLETENESS_CUT, DTOL
@@ -33,12 +33,18 @@ class StatsTable:
         (a bool is not) is a ValidationError
     sample_counts: optional dict, row key -> integer shot count >= 1; presence
         marks the table as empirical frequencies, not exact probabilities.
+
+    The rows are also kept as one read-only (preparation x outcome) float
+    block, in the order of preparations and of measurements, for the fit.
+    A table unpickles through its constructor, which checks it and builds
+    the block afresh.
     """
 
     preparations: tuple
     measurements: tuple
     probabilities: dict
     sample_counts: dict | None = None
+    _block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for what, pairs in (("preparations", self.preparations),
@@ -61,6 +67,7 @@ class StatsTable:
         for label, m in meas.items():
             if not isinstance(m, Povm):
                 raise ValidationError(f"measurement {label!r} is not a Povm")
+        outcomes = {label: m.n_outcomes for label, m in meas.items()}
         din = {rho.dim for rho in preps.values()}
         if len(din) != 1:
             raise ShapeError("all input densities must share one dimension")
@@ -72,21 +79,30 @@ class StatsTable:
             if not (isinstance(cell, tuple) and len(cell) == 2):
                 raise ValidationError(f"probability key {cell!r} is not a (preparation, "
                                       "measurement) label pair")
-            if not np.iterable(row):
-                raise ValidationError(f"row {cell} is not a sequence of probabilities")
+            try:
+                entries = iter(row)
+            except TypeError:
+                raise ValidationError(f"row {cell} is not a sequence of probabilities") from None
             pl, ml = cell
-            rows[cell] = row = tuple(map(finite_float, row))
-            if pl not in preps or ml not in meas:
+            rows[cell] = row = tuple(map(finite_float, entries))
+            if pl not in preps or ml not in outcomes:
                 raise ValidationError(f"probability row references unknown labels ({pl}, {ml})")
-            if len(row) != meas[ml].n_outcomes:
+            if len(row) != outcomes[ml]:
                 raise ShapeError(f"row ({pl}, {ml}) has wrong outcome count")
             if not min(row) >= -ATOL or not abs(sum(row) - 1.0) <= ATOL:  # a nan fails the sum
                 raise ValidationError(f"row ({pl}, {ml}) is not a probability distribution")
         object.__setattr__(self, "probabilities", rows)
-        missing = [(pl, ml) for pl in preps for ml in meas if (pl, ml) not in self.probabilities]
-        if missing:
-            raise ValidationError(f"no probability row for {missing[0]}; a table needs one "
-                                  "for every preparation x measurement")
+        block = []
+        for pl in preps:
+            for ml in meas:
+                row = rows.get((pl, ml))
+                if row is None:
+                    raise ValidationError(f"no probability row for {(pl, ml)}; a table needs "
+                                          "one for every preparation x measurement")
+                block += row
+        block = np.array(block, dtype=float).reshape(len(preps), -1)
+        block.setflags(write=False)
+        object.__setattr__(self, "_block", block)  # derived once from the checked rows
         if self.sample_counts is not None and not self.sample_counts:
             raise ValidationError("sample_counts is empty")
         for cell, n in (self.sample_counts or {}).items():
@@ -94,6 +110,10 @@ class StatsTable:
                 raise ValidationError(f"sample count for {cell} has no probability row")
             if math.isnan(finite_float(check_integer(n, f"sample count for {cell}", least=1))):
                 raise ValidationError(f"sample count for {cell} exceeds the float range")
+
+    def __reduce__(self):
+        return type(self), (self.preparations, self.measurements, self.probabilities,
+                            self.sample_counts)
 
     @property
     def input_dim(self) -> int:
@@ -147,6 +167,7 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
     small singular values. The Choi matrix is then two matmuls and a
     transpose of the bases.
     """
+    check_instance(table, StatsTable, "fit_linear_map's table")
     din, dout = table.input_dim, table.output_dim
     n = din * dout
     out_basis = _traceless_basis(dout)
@@ -165,8 +186,7 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
     effects = np.concatenate([m.effects for _, m in table.measurements])
     e = np.einsum("aij,rji->ra", out_basis, effects).real
     y0 = np.trace(effects, axis1=-2, axis2=-1).real / dout
-    y = np.array([[p for ml, _ in table.measurements for p in table.probabilities[pl, ml]]
-                  for pl, _ in table.preparations], dtype=float).T - y0[:, None]
+    y = table._block.T - y0[:, None]
 
     w, *_ = np.linalg.lstsq(e, y, rcond=None)
     z = (w @ u / s) @ vt
@@ -181,6 +201,7 @@ def sample_table(table: StatsTable, n: int, rng: np.random.Generator) -> StatsTa
     """Replace exact probabilities with multinomial frequencies at n shots
     per (preparation, measurement) cell; ConfigurationError unless n is an
     integer of at least 1."""
+    check_instance(table, StatsTable, "sample_table's table")
     n = check_integer(n, "n (shots per cell, at least 1 shot)", least=1)
     probs = {}
     for key, row in sorted(table.probabilities.items()):
@@ -197,6 +218,7 @@ def sampled_tolerance(table: StatsTable) -> float:
     """Three-sigma binomial tolerance for an empirical table, never below
     DTOL: a table whose cells all read 0 or 1 has sigma 0, but its fit still
     rounds, so it is judged no more strictly than an exact table."""
+    check_instance(table, StatsTable, "sampled_tolerance's table")
     if not table.is_sampled():
         raise MisuseError("table carries no sample counts")
     return max(DTOL, *(3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
@@ -208,6 +230,7 @@ def linearity_verdict(table: StatsTable, tol: float | None = None):
     """(fit, tol, verdict) for the table. The default tol is the sampled
     tolerance for an empirical table and DTOL for an exact one; an explicit
     tol that is not a finite non-negative real number is a ConfigurationError."""
+    check_instance(table, StatsTable, "linearity_verdict's table")
     if tol is None:
         tol = sampled_tolerance(table) if table.is_sampled() else DTOL
     else:
@@ -228,6 +251,7 @@ def affinity_violation(box: NonlinearBox, p1: Preparation, p2: Preparation) -> f
     Zero for every linear box; strictly positive values witness that
     mixing fails to distribute over the box's evolution.
     """
+    check_instance(box, NonlinearBox, "affinity_violation's box")
     if not linearly_equivalent(p1, p2):
         raise MisuseError("affinity violation requires linearly equivalent preparations")
     if not (classify_membership(p1, box.membership)

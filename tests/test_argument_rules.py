@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import make_box
-from nlbox.boxes import BrunBoxConfig, DeutschBoxConfig, KentBoxConfig
+from nlbox.boxes import BrunBoxConfig, DeutschBoxConfig, KentBoxConfig, apply_box
 from nlbox.errors import ConfigurationError, DecompositionError, ShapeError, ValidationError
 from nlbox.preparations import (
     MembershipPolicy,
@@ -26,6 +26,8 @@ from nlbox.preparations import (
     Provenance,
     ProvenanceTag,
     SpacetimeEvent,
+    classify_membership,
+    linearly_equivalent,
 )
 from nlbox.protocols import MAX_BB84_BITS, run_bb84_attack, run_signaling_test, run_verification
 from nlbox.protocols import SINGLET
@@ -36,6 +38,7 @@ from nlbox.qcore import (
     KET1,
     KET_PLUS,
     Unitary,
+    basis_povm,
     born_probabilities,
     computational_povm,
     ket,
@@ -45,7 +48,14 @@ from nlbox.qcore import (
 )
 from nlbox.scenario import emit_table, write_report
 from nlbox.steering import EnsembleDecomposition, steer
-from nlbox.witness import StatsTable, linearity_verdict, sample_table
+from nlbox.witness import (
+    StatsTable,
+    affinity_violation,
+    fit_linear_map,
+    linearity_verdict,
+    sample_table,
+    sampled_tolerance,
+)
 
 HUGE = 10 ** 400  # an exact int that no float can hold
 
@@ -225,6 +235,8 @@ def test_malformed_containers_are_typed_errors(call, match):
 # attribute it lacks (a bare AttributeError) before these checks: each case
 # is the call and the expected type its error names.
 RAW_DENSITY = np.eye(2) / 2
+PREP = Preparation(((1.0, KET0.projector()),), RECORDS, "p")
+NAIVE = MembershipPolicy(PolicyKind.NAIVE_PURE)
 WRONG_TYPES = {
     "born_raw_density": (lambda: born_probabilities(RAW_DENSITY, computational_povm(2)),
                          "DensityOperator, got ndarray"),
@@ -239,6 +251,25 @@ WRONG_TYPES = {
     "steer_none": (lambda: steer(None, 0), "SteeringAssemblage, got NoneType"),
     "emit_table_none": (lambda: emit_table(None), "Report, got NoneType"),
     "emit_table_dict": (lambda: emit_table({"payload": {}}, "csv"), "Report, got dict"),
+    "apply_box_raw_density": (lambda: apply_box(BOX, RAW_DENSITY),
+                              "apply_box's p must be a Preparation, got ndarray"),
+    "apply_box_none_box": (lambda: apply_box(None, PREP), "NonlinearBox, got NoneType"),
+    "classify_membership_none": (lambda: classify_membership(None, NAIVE),
+                                 "Preparation, got NoneType"),
+    "classify_membership_raw_policy": (lambda: classify_membership(PREP, "naive_pure"),
+                                       "MembershipPolicy, got str"),
+    "linearly_equivalent_none": (lambda: linearly_equivalent(None, None),
+                                 "Preparation, got NoneType"),
+    "ket_overlap_raw": (lambda: KET0.overlap(np.array([1.0, 0.0])), "KetVector, got ndarray"),
+    "basis_povm_raw_kets": (lambda: basis_povm([np.array([1.0, 0.0]), np.array([0.0, 1.0])]),
+                            "KetVector, got ndarray"),
+    "fit_linear_map_none": (lambda: fit_linear_map(None), "StatsTable, got NoneType"),
+    "linearity_verdict_none": (lambda: linearity_verdict(None), "StatsTable, got NoneType"),
+    "sample_table_none": (lambda: sample_table(None, 10, np.random.default_rng(0)),
+                          "StatsTable, got NoneType"),
+    "sampled_tolerance_none": (lambda: sampled_tolerance(None), "StatsTable, got NoneType"),
+    "affinity_violation_none_box": (lambda: affinity_violation(None, PREP, PREP),
+                                    "NonlinearBox, got NoneType"),
 }
 
 

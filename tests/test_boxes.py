@@ -481,6 +481,56 @@ class TestDeutsch:
             cfg.apply(KET_PLUS.projector())
         assert 0.0 <= exc.value.residual <= 1e-8
 
+    @staticmethod
+    def seed5_dc8_loop():
+        rng = np.random.default_rng(5)
+        return DeutschBoxConfig(random_unitary(16, rng), 8), random_density(2, rng)
+
+    @staticmethod
+    def spy_on_eigvalsh(monkeypatch):
+        """Record the shape of each np.linalg.eigvalsh call's matrix."""
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return calls
+
+    def test_bound_certifies_the_residual_without_eigenvalues(self, monkeypatch):
+        # sqrt(dc) ||(R - I) h||_2 <= LOOP_RESIDUAL decides; the one eigvalsh
+        # is the loop state's own validation.
+        cfg, rho = self.seed5_dc8_loop()
+        calls = self.spy_on_eigvalsh(monkeypatch)
+        deutsch_fixed_point(cfg, rho)
+        assert calls == [(8, 8)]
+
+    def test_exact_residual_decides_when_the_bound_fails(self, monkeypatch):
+        cfg, rho = self.seed5_dc8_loop()
+        star = deutsch_fixed_point(cfg, rho).matrix
+        # The residual matrix the solver forms, read from its exact path.
+        seen = []
+
+        def trace_norm_spy(mat):
+            seen.append(mat)
+            return trace_norm(mat)
+
+        monkeypatch.setattr(boxes, "trace_norm", trace_norm_spy)
+        monkeypatch.setattr(boxes, "LOOP_RESIDUAL", -1.0)
+        with pytest.raises(ConvergenceError) as exc:
+            deutsch_fixed_point(cfg, rho)
+        exact = exc.value.residual
+        assert exact == trace_norm(seen[0])
+        bound = np.sqrt(8) * np.linalg.norm(seen[0])
+        assert 0.0 < exact < 0.99 * bound
+        # Between the two, only the exact trace norm accepts the same state.
+        monkeypatch.setattr(boxes, "LOOP_RESIDUAL", 0.5 * (exact + bound))
+        calls = self.spy_on_eigvalsh(monkeypatch)
+        again = deutsch_fixed_point(cfg, rho).matrix
+        assert calls == [(8, 8), (8, 8)] and len(seen) == 2
+        assert again.tobytes() == star.tobytes()
+
     def test_unique_fixed_point_takes_one_bordered_solve(self, monkeypatch):
         rng = np.random.default_rng(5)
         cfg = DeutschBoxConfig(random_unitary(16, rng), 8)

@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from nlbox.qcore import (
     trace_distance,
 )
 from nlbox.rand import random_cptp_kraus, random_density, random_ket, random_unitary
+from nlbox.tolerances import ATOL, BORN_CLAMP
 
 
 def singlet_density():
@@ -81,6 +83,10 @@ class TestConstructors:
     def test_povm_rejects_single_matrix(self):
         with pytest.raises(ShapeError):
             Povm(np.eye(2))
+
+    def test_basis_povm_takes_any_iterable_of_kets(self):
+        povm = basis_povm(k for k in HADAMARD_BASIS)
+        assert np.array_equal(povm.effects, basis_povm(HADAMARD_BASIS).effects)
 
     def test_povm_rejects_mixed_sizes(self):
         with pytest.raises(ShapeError):
@@ -258,6 +264,224 @@ class TestBorn:
                 probs = born_probabilities(rho, computational_povm(dim))
                 assert probs.min() >= 0.0
                 assert abs(probs.sum() - 1.0) < 1e-9
+
+
+class TestBornBits:
+    """The Born rule's output bits are np.maximum over the one einsum; its
+    checks read Python floats, which must not touch those bits."""
+
+    @staticmethod
+    def expected(rho, povm):
+        return np.maximum(np.einsum("kij,ji->k", povm.effects, rho.matrix).real, 0.0)
+
+    @staticmethod
+    def clamp_povm(c):
+        """A qubit POVM whose first effect has eigenvalue -c on |0>, within
+        the POVM's own positivity tolerance: on |0><0| it reads -c."""
+        return Povm((np.diag([-c, 0.5]), np.diag([1.0 + c, 0.5])))
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 8), k=st.integers(1, 10))
+    def test_matches_the_clamped_einsum_bit_for_bit(self, seed, dim, k):
+        rng = np.random.default_rng(seed)
+        rho, povm = random_density(dim, rng), random_povm(dim, k, rng)
+        assert born_probabilities(rho, povm).tobytes() == self.expected(rho, povm).tobytes()
+
+    @pytest.mark.parametrize("c", [0.0, BORN_CLAMP * (1 - 1e-3), BORN_CLAMP / 2, 1e-300],
+                             ids=["zero", "just_above_the_clamp", "half_the_clamp", "tiny"])
+    def test_clamped_values_keep_their_bits(self, c):
+        rho = KET0.projector()
+        probs = born_probabilities(rho, self.clamp_povm(c))
+        assert probs.tobytes() == self.expected(rho, self.clamp_povm(c)).tobytes()
+        assert probs[0] == 0.0 and not np.signbit(probs[0])
+
+    def test_negative_zero_entries_keep_their_bits(self):
+        # -0.0 in an effect and in the density. The output carries no sign bit:
+        # np.maximum(-0.0, 0.0) is +0.0, where Python's max(-0.0, 0.0) is -0.0.
+        povm = Povm((np.diag([-0.0, 1.0]), np.diag([1.0, -0.0])))
+        rho = DensityOperator(np.diag([1.0, -0.0]))
+        probs = born_probabilities(rho, povm)
+        assert probs.tobytes() == self.expected(rho, povm).tobytes()
+        assert not np.signbit(probs).any()
+
+    def test_below_the_clamp_is_an_error_naming_the_value(self):
+        c = BORN_CLAMP * (1 + 1e-3)
+        raw = np.einsum("kij,ji->k", self.clamp_povm(c).effects, KET0.projector().matrix).real
+        with pytest.raises(ValidationError) as exc:
+            born_probabilities(KET0.projector(), self.clamp_povm(c))
+        assert str(exc.value) == f"Born probability {raw.min()} below clamp threshold"
+
+
+def reference_freeze(arr, name):
+    """_freeze's checks as they read before they reduced with logical_and."""
+    try:
+        arr = np.array(arr, dtype=complex)
+    except ValueError as exc:
+        raise ShapeError(f"{name} is not a rectangular array ({exc})") from exc
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} has a non-finite entry")
+    return arr
+
+
+def reference_density_checks(matrix):
+    """DensityOperator's checks as they read before they reduced with ufuncs
+    and summed the trace from a list."""
+    m = reference_freeze(matrix, "matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ShapeError("density matrix must be square")
+    herm_gap = float(np.abs(m - m.conj().T).max())
+    if not herm_gap <= ATOL:
+        raise ValidationError(f"density matrix not Hermitian: max |M - M^dag| = {herm_gap}")
+    tr = complex(m.trace())
+    if not abs(tr - 1.0) <= ATOL:
+        raise ValidationError(f"density matrix trace {tr} deviates from 1 beyond {ATOL}")
+    min_eig = float(np.linalg.eigvalsh(m)[0])
+    if not min_eig >= -ATOL:
+        raise ValidationError(f"density matrix has eigenvalue {min_eig} < -{ATOL}")
+
+
+def reference_povm_checks(effects):
+    """Povm's checks as they read before they reduced with ufuncs."""
+    e = reference_freeze(effects, "effects")
+    if e.ndim != 3 or e.size == 0 or e.shape[1] != e.shape[2]:
+        raise ShapeError("POVM effects must be one or more square matrices of one size")
+    if not float(np.abs(e - e.conj().transpose(0, 2, 1)).max()) <= ATOL:
+        raise ValidationError("POVM effect not Hermitian")
+    if not float(np.linalg.eigvalsh(e)[:, 0].min()) >= -ATOL:
+        raise ValidationError("POVM effect not positive semidefinite")
+    if not float(np.abs(e.sum(axis=0) - np.eye(e.shape[1])).max()) <= ATOL:
+        raise ValidationError("POVM effects do not sum to the identity")
+
+
+def outcome(check, arr):
+    """None if check(arr) accepts, else the type and message of its error;
+    any warning is an error here, as it is in the whole suite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            check(arr)
+        except Exception as exc:  # any type: the type is what is compared
+            return type(exc), str(exc)
+    return None
+
+
+def assert_same_outcome(got, want):
+    """got == want, except that a trace message may differ in the last digits
+    of its trace: the trace is now summed in another order (see CHANGES.md)."""
+    prefix = "density matrix trace "
+    if got and want and got[0] is want[0] and got[1].startswith(prefix) \
+            and want[1].startswith(prefix):
+        trace = [complex(msg[len(prefix):].split(" ")[0]) for msg in (got[1], want[1])]
+        assert abs(trace[0] - trace[1]) <= 8 * np.finfo(float).eps
+        assert got[1].split(" ", 4)[4] == want[1].split(" ", 4)[4]
+    else:
+        assert got == want
+
+
+# What the property puts at a threshold: each gap at ATOL * (1 -+ 1e-3), or
+# a non-finite entry.
+EDGES = ["none", "hermitian", "trace", "eigenvalue", "nan", "inf", "-inf"]
+
+
+def put_non_finite(arr, edge, rng):
+    index = tuple(rng.integers(0, n) for n in arr.shape)
+    value = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[edge]
+    arr[index] = complex(value, 0.0) if rng.random() < 0.5 else complex(0.0, value)
+
+
+def put_hermitian_gap(mat, gap):
+    """Make max |M - M^dag| equal gap, off the diagonal if there is one."""
+    if mat.shape[0] == 1:
+        mat[0, 0] += 0.5j * gap
+    else:
+        mat[0, -1] += gap
+
+
+def density_at_edge(dim, edge, offset, sign, rng):
+    """A random density with one edge put at offset (the trace moved by
+    sign * offset), or with no edge."""
+    m = random_density(dim, rng).matrix.copy()
+    if edge == "eigenvalue" and dim > 1:
+        # Eigenvalues -offset and a positive rest summing to 1 + offset.
+        lam = np.concatenate([[-offset], rng.dirichlet(np.ones(dim - 1)) * (1 + offset)])
+        v = random_unitary(dim, rng).matrix
+        m = (v * lam) @ v.conj().T
+        m = 0.5 * (m + m.conj().T)
+    elif edge in ("trace", "eigenvalue"):
+        m[0, 0] += sign * offset
+    elif edge == "hermitian":
+        put_hermitian_gap(m, offset)
+    elif edge != "none":
+        put_non_finite(m, edge, rng)
+    return m
+
+
+def povm_at_edge(dim, k, edge, offset, sign, rng):
+    """The effects of a random k-outcome POVM with one edge put at offset
+    (the sum moved off the identity by sign * offset), or with no edge."""
+    e = random_povm(dim, k, rng).effects.copy()
+    if edge == "eigenvalue" and k > 1:
+        # Move weight along the first effect's lowest eigenvector to the
+        # second effect, so the first reads -offset and the sum is kept.
+        w, v = np.linalg.eigh(e[0])
+        shift = (w[0] + offset) * np.outer(v[:, 0], v[:, 0].conj())
+        e[0] -= shift
+        e[1] += shift
+        e = 0.5 * (e + e.conj().transpose(0, 2, 1))
+    elif edge in ("trace", "eigenvalue"):
+        e[0, 0, 0] += sign * offset
+    elif edge == "hermitian":
+        put_hermitian_gap(e[rng.integers(0, k)], offset)
+    elif edge != "none":
+        put_non_finite(e, edge, rng)
+    return e
+
+
+def edge_args(draw):
+    """The drawn edge, offset ATOL * (1 -+ 1e-3), sign and generator."""
+    return (draw(st.sampled_from(EDGES)), ATOL * (1 + draw(st.sampled_from([-1e-3, 1e-3]))),
+            draw(st.sampled_from([-1.0, 1.0])),
+            np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+
+
+class TestChecksMatchTheirReference:
+    """The validated constructors reduce with ufuncs and read the trace from
+    a list; every accept, reject, error type and message stays as it was."""
+
+    @settings(max_examples=400)
+    @given(data=st.data(), dim=st.integers(1, 8))
+    def test_density_operator(self, data, dim):
+        m = density_at_edge(dim, *edge_args(data.draw))
+        assert_same_outcome(outcome(DensityOperator, m), outcome(reference_density_checks, m))
+
+    @settings(max_examples=400)
+    @given(data=st.data(), dim=st.integers(1, 8), k=st.integers(1, 4))
+    def test_povm(self, data, dim, k):
+        e = povm_at_edge(dim, k, *edge_args(data.draw))
+        assert outcome(Povm, e) == outcome(reference_povm_checks, e)
+
+    @pytest.mark.parametrize("edge,message", [
+        ("hermitian", "density matrix not Hermitian"), ("trace", "density matrix trace"),
+        ("eigenvalue", "density matrix has eigenvalue"),
+        ("hermitian", "POVM effect not Hermitian"), ("trace", "do not sum to the identity"),
+        ("eigenvalue", "not positive semidefinite"),
+    ], ids=["density_hermitian", "density_trace", "density_eigenvalue",
+            "povm_hermitian", "povm_sum", "povm_eigenvalue"])
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_edges_sit_at_their_thresholds(self, edge, message, dim):
+        # Below ATOL the check passes; above it, that check is the one that fails.
+        for scale, fails in ((1 - 1e-3, False), (1 + 1e-3, True)):
+            for sign in (-1.0, 1.0):
+                rng = np.random.default_rng(dim)
+                if message.startswith("density"):
+                    got = outcome(DensityOperator, density_at_edge(dim, edge, ATOL * scale,
+                                                                   sign, rng))
+                else:
+                    got = outcome(Povm, povm_at_edge(dim, 3, edge, ATOL * scale, sign, rng))
+                if fails:
+                    assert got is not None and message in got[1]
+                else:
+                    assert got is None
 
 
 class TestTraceDistance:

@@ -1,3 +1,6 @@
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,46 @@ from nlbox.witness import (
 )
 
 KET_I = ket(1 / np.sqrt(2), 1j / np.sqrt(2))
+
+
+def old_y(table):
+    """The fit's observations as fit_linear_map built them before a table
+    kept its block: one row per preparation, in table order."""
+    return np.array([[p for ml, _ in table.measurements for p in table.probabilities[pl, ml]]
+                     for pl, _ in table.preparations], dtype=float)
+
+
+def fit_bits(fit):
+    return fit.choi.tobytes(), np.array([fit.residual, fit.choi_min_eig]).tobytes()
+
+
+def assert_fit_reads_the_old_y(table):
+    """fit_linear_map on the table, and on a twin whose block is the old y,
+    agree in every bit, or both raise RankError."""
+    twin = object.__new__(StatsTable)
+    twin.__dict__.update(table.__dict__, _block=old_y(table))
+    fits = []
+    for t in (table, twin):
+        try:
+            fits.append(fit_bits(fit_linear_map(t)))
+        except RankError:
+            fits.append(RankError)
+    assert fits[0] == fits[1]
+
+
+@pytest.fixture(autouse=True, scope="module")
+def every_table_fits_as_from_the_old_y():
+    """Every table these tests build is also fitted from the old y, as it
+    is built."""
+    post_init = StatsTable.__post_init__
+
+    def checked(self):
+        post_init(self)
+        assert_fit_reads_the_old_y(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StatsTable, "__post_init__", checked)
+        yield
 
 TOMO_INPUTS = (
     ("zero", KET0.projector()),
@@ -230,6 +273,49 @@ class TestStatsTable:
                            probabilities={("a", "m"): [1, np.float64(0.0)]})
         row = table.probabilities["a", "m"]
         assert row == (1.0, 0.0) and [type(x) for x in row] == [float, float]
+
+    @staticmethod
+    def ragged_table():
+        """Measurements of 2, 3 and 1 outcomes; rows given in an order that is
+        not preparations x measurements."""
+        trine = Povm(tuple(2 / 3 * np.outer(v, v) for v in
+                           ([1.0, 0.0], [-0.5, np.sqrt(3) / 2], [-0.5, -np.sqrt(3) / 2])))
+        povms = (("comp", computational_povm(2)), ("trine", trine),
+                 ("trivial", Povm((np.eye(2),))))
+        probs = {(pl, ml): tuple(born_probabilities(rho, m))
+                 for ml, m in reversed(povms) for pl, rho in reversed(TOMO_INPUTS)}
+        return StatsTable(preparations=TOMO_INPUTS, measurements=povms, probabilities=probs)
+
+    def test_block_is_the_old_y(self):
+        table = self.ragged_table()
+        assert list(table.probabilities) != [(pl, ml) for pl, _ in table.preparations
+                                             for ml, _ in table.measurements]
+        assert table._block.shape == (4, 6)
+        assert table._block.tobytes() == old_y(table).tobytes()
+
+    def test_block_is_read_only(self):
+        with pytest.raises(ValueError):
+            self.ragged_table()._block[0, 0] = 0.5
+
+    def test_missing_row_error_names_the_first_missing_pair(self):
+        table = self.ragged_table()
+        probs = dict(table.probabilities)
+        for cell in (("iplus", "comp"), ("one", "trivial"), ("one", "trine")):
+            del probs[cell]
+        first = [(pl, ml) for pl, _ in table.preparations for ml, _ in table.measurements
+                 if (pl, ml) not in probs][0]
+        assert first == ("one", "trine")
+        with pytest.raises(ValidationError, match=re.escape(f"no probability row for {first};")):
+            StatsTable(preparations=table.preparations, measurements=table.measurements,
+                       probabilities=probs)
+
+    def test_sampling_and_pickling_rebuild_the_block(self, rng):
+        table = self.ragged_table()
+        for copy in (sample_table(table, 100, rng), pickle.loads(pickle.dumps(table))):
+            assert copy._block is not table._block
+            assert not copy._block.flags.writeable
+            assert copy._block.tobytes() == old_y(copy).tobytes()
+        assert pickle.loads(pickle.dumps(table))._block.tobytes() == table._block.tobytes()
 
     def test_accepts_a_numpy_integer_count(self):
         table = StatsTable(preparations=(("a", KET0.projector()),),
