@@ -15,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
 from .errors import (
+    CapacityError,
     ConfigurationError,
     ConvergenceError,
     DomainError,
@@ -49,7 +51,8 @@ from .qcore import (
     tensor,
     trace_norm,
 )
-from .tolerances import ATOL, LOOP_FIXED_CUT, LOOP_GAP, LOOP_RESIDUAL, OVERLAP_CUT, PURITY_MIN
+from .tolerances import (ATOL, LOOP_FIXED_CUT, LOOP_GAP, LOOP_RESIDUAL, MAX_LOOP_DIM, OVERLAP_CUT,
+                         PURITY_MIN)
 
 
 class Semantics(str, Enum):
@@ -129,6 +132,9 @@ class DeutschBoxConfig:
         if not isinstance(self.unitary, Unitary):
             raise ConfigurationError("a Deutsch box needs a Unitary")
         check_integer(self.ctc_dim, "ctc_dim", least=1)
+        if self.ctc_dim > MAX_LOOP_DIM:
+            raise CapacityError(f"ctc_dim {self.ctc_dim} exceeds the loop dimension cap "
+                                f"{MAX_LOOP_DIM}")
         if self.unitary.dim % self.ctc_dim != 0:
             raise ShapeError("unitary dim must be system_dim * ctc_dim")
 
@@ -161,7 +167,8 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
 
     The loop superoperator M: sigma -> Tr_S[U (rho_in (x) sigma) U^dag] preserves
     Hermiticity, so it is solved in real coordinates, as its real matrix R in the
-    Hermitian basis of `qcore`. The limit projects the coordinates of I/dc onto
+    Hermitian basis of `qcore`; R - I is gathered from M's entries by a plan built
+    once per dc (see `_loop_matrix`). The limit projects the coordinates of I/dc onto
     ker(R - I) along ran(R - I), F (L^T F)^-1 L^T, where the columns of F and L
     are the right and left singular vectors of R - I for its f singular values at
     most LOOP_FIXED_CUT. For f = 1, L is the trace row t, as t^T (R - I) = 0, and
@@ -183,13 +190,8 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
         raise ShapeError(f"input dim {rho_in.dim} != system dim {config.system_dim}")
     dc = config.ctc_dim
     n = dc * dc
-    t = config.unitary.matrix.reshape(rho_in.dim, dc, rho_in.dim, dc)
-    # M[(c, d), (a, b)] = sum_sy k[(c, a), (s, y)] conj(t[s, d, y, b]).
-    k = np.einsum("scxa,xy->casy", t, rho_in.matrix).reshape(n, -1)
-    m = (k @ t.conj().transpose(0, 2, 1, 3).reshape(-1, n)).reshape(dc, dc, dc, dc)
+    a = _loop_matrix(config.unitary.matrix, rho_in.matrix, dc)
     basis = _hermitian_basis(dc)
-    a = (basis.conj() @ m.transpose(0, 2, 1, 3).reshape(n, n) @ basis.T).real.copy()
-    a.flat[:: n + 1] -= 1.0
     border = np.zeros((n + 1, n + 1))
     border[:n, :n] = a
     border[:dc, n] = border[n, :dc] = 1.0
@@ -221,6 +223,50 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
             raise ConvergenceError(f"fixed-point residual {residual} exceeds {LOOP_RESIDUAL}",
                                    residual=residual)
     return DensityOperator((h @ basis).reshape(dc, dc))
+
+
+def _loop_matrix(u: np.ndarray, rho_in: np.ndarray, dc: int) -> np.ndarray:
+    """R - I as a new (dc^2, dc^2) array, R the real matrix, in the Hermitian basis
+    B of `qcore`, of the loop map of the unitary matrix u on the system density
+    matrix rho_in: R[k, l] = Re sum_ij conj(B[k, i]) M[i, j] B[l, j], gathered from
+    M's entries by `_loop_plan`."""
+    ds, n = rho_in.shape[0], dc * dc
+    t = u.reshape(ds, dc, ds, dc)
+    # M[(c, d), (a, b)] = sum_sy k[(c, a), (s, y)] conj(t[s, d, y, b]), held at [(c, a), (d, b)].
+    k = np.einsum("scxa,xy->casy", t, rho_in).reshape(n, -1)
+    m = k @ t.conj().transpose(0, 2, 1, 3).reshape(-1, n)
+    idx, w = _loop_plan(dc)
+    a = np.einsum("ij,ij->i", m.view(float).ravel().take(idx), w).reshape(n, n)
+    a.flat[:: n + 1] -= 1.0
+    return a
+
+
+@cache
+def _loop_plan(dc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (dc^4, 4) arrays idx and w, built once per dc, such that
+    R.flat[p] = sum_q w[p, q] m.flat[idx[p, q]] for m the float view of the loop
+    map's entries M[(c, d), (a, b)] held at [(c, a), (d, b)].
+
+    A row of B has at most two nonzeros (a diagonal unit's single one is padded
+    with a zero), so R[k, l] sums four terms Re(conj(B[k, i]) B[l, j] M[i, j]).
+    Each coefficient is real or purely imaginary: a real w reads Re M[i, j] with
+    weight w, an imaginary i w' reads Im M[i, j] with weight -w'."""
+    basis = _hermitian_basis(dc)
+    n = dc * dc
+    rows, cols = np.nonzero(basis)
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # 0 or 1 within its row
+    col = np.zeros((n, 2), dtype=np.intp)
+    val = np.zeros((n, 2), dtype=complex)
+    col[rows, slot], val[rows, slot] = cols, basis[rows, cols]
+    hi, lo = np.divmod(col, dc)
+    # Term [k, l, s, t] reads M[(c, d), (a, b)] for (c, d) = col[k, s], (a, b) = col[l, t].
+    flat = (hi * dc**3 + lo * dc)[:, None, :, None] + (hi * dc**2 + lo)[None, :, None, :]
+    coef = val.conj()[:, None, :, None] * val[None, :, None, :]
+    idx = (2 * flat + (coef.imag != 0)).reshape(n * n, 4)
+    w = (coef.real - coef.imag).reshape(n * n, 4)  # one of the two parts is zero
+    idx.setflags(write=False)
+    w.setflags(write=False)
+    return idx, w
 
 
 def _one_fixed_direction(border: np.ndarray, dc: int) -> bool:

@@ -1,8 +1,9 @@
 """Global numeric tolerances, shared by every module.
 
 Validity checks (hermiticity, normalization, positivity) use ATOL; derived
-equalities between computed quantities use DTOL. These are configuration
-constants, not per-call parameters.
+equalities between computed quantities use DTOL; MAX_TENSOR_DIM and
+MAX_LOOP_DIM cap the dimensions that memory grows with. These are
+configuration constants, not per-call parameters.
 """
 
 # Validity tolerance for type invariants.
@@ -16,6 +17,10 @@ PURITY_MIN = 1.0 - 1e-9
 
 # Total dimension cap for tensor products.
 MAX_TENSOR_DIM = 2 ** 12
+
+# Loop dimension cap for a Deutsch box: its per-dimension caches (the Hermitian
+# basis and the loop-matrix plan) grow as ctc_dim**4, 4 MiB for the plan at 16.
+MAX_LOOP_DIM = 16
 
 # Eigenvalues below this are treated as zero when computing ranks.
 RANK_CUT = 1e-10

@@ -29,6 +29,7 @@ from nlbox.boxes import (
     deutsch_fixed_point,
 )
 from nlbox.errors import (
+    CapacityError,
     ConfigurationError,
     ConvergenceError,
     DomainError,
@@ -61,7 +62,7 @@ from nlbox.qcore import (
     trace_norm,
 )
 from nlbox.rand import random_cptp_kraus, random_density, random_ket, random_unitary
-from nlbox.tolerances import ATOL, LOOP_FIXED_CUT, LOOP_RESIDUAL, PURITY_MIN
+from nlbox.tolerances import ATOL, LOOP_FIXED_CUT, LOOP_RESIDUAL, MAX_LOOP_DIM, PURITY_MIN
 
 KET_I = ket(1 / np.sqrt(2), 1j / np.sqrt(2))
 
@@ -255,13 +256,11 @@ def svd_count_fixed_point(u, rho_in_mat, d_ctc):
     """The loop state as the solver found it while the values-only SVD of R - I
     counted the fixed directions f for every loop: f = 1 took the bordered
     solve, f > 1 the full SVD projector. Returns f and the state's matrix;
-    f = 0, a singular solve and a residual above LOOP_RESIDUAL raise."""
-    d_sys, n = rho_in_mat.shape[0], d_ctc * d_ctc
-    t = u.reshape(d_sys, d_ctc, d_sys, d_ctc)
-    k = np.einsum("scxa,xy->casy", t, rho_in_mat).reshape(n, -1)
-    m = (k @ t.conj().transpose(0, 2, 1, 3).reshape(-1, n)).reshape(d_ctc, d_ctc, d_ctc, d_ctc)
+    f = 0, a singular solve and a residual above LOOP_RESIDUAL raise. R - I is
+    the solver's own (see test_loop_matrix_matches_the_dense_basis_change)."""
+    n = d_ctc * d_ctc
+    a = boxes._loop_matrix(u, rho_in_mat, d_ctc)
     basis = _hermitian_basis(d_ctc)
-    a = (basis.conj() @ m.transpose(0, 2, 1, 3).reshape(n, n) @ basis.T).real - np.eye(n)
     n_fixed = np.count_nonzero(np.linalg.svd(a, compute_uv=False) <= LOOP_FIXED_CUT)
     if n_fixed == 0:
         raise ConvergenceError("no fixed direction")
@@ -281,12 +280,12 @@ def svd_count_fixed_point(u, rho_in_mat, d_ctc):
 
 
 @st.composite
-def loops(draw):
+def loops(draw, d_sys=st.sampled_from([2, 3]), d_ctc=st.integers(2, 8)):
     """(U, rho_in, d_ctc): a random loop, or one of the degenerate
     families whose fixed space has more than one direction or nearly does."""
     family = draw(st.sampled_from(["random", "unitary_on_loop", "identity", "repeated_blocks",
                                    "permutation", "near_identity"]))
-    d_sys, d_ctc = draw(st.sampled_from([2, 3])), draw(st.integers(2, 8))
+    d_sys, d_ctc = draw(d_sys), draw(d_ctc)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = d_sys * d_ctc
     if family == "random":
@@ -295,8 +294,8 @@ def loops(draw):
         u = np.kron(np.eye(d_sys), random_unitary(d_ctc, rng).matrix)
     elif family == "identity":
         u = np.eye(dim, dtype=complex)
-    elif family == "repeated_blocks":  # kron(I_2, W), or kron(I_3, W) when dim is odd
-        blocks = 2 if dim % 2 == 0 else 3
+    elif family == "repeated_blocks":  # kron(I_b, W) for the least b of 2, 3 and dim dividing dim
+        blocks = next(b for b in (2, 3, dim) if dim % b == 0)
         u = np.kron(np.eye(blocks), random_unitary(dim // blocks, rng).matrix)
     elif family == "permutation":
         u = np.eye(dim, dtype=complex)[rng.permutation(dim)]
@@ -365,6 +364,38 @@ class TestDeutsch:
         # TypeError inside the fixed-point solve.
         with pytest.raises(error):
             DeutschBoxConfig(unitary, ctc_dim)
+
+    def test_config_rejects_a_loop_above_the_cap(self):
+        with mock.patch.object(boxes, "_hermitian_basis", wraps=_hermitian_basis) as basis:
+            with pytest.raises(CapacityError, match="loop dimension cap"):
+                DeutschBoxConfig(Unitary(np.eye(MAX_LOOP_DIM + 1)), MAX_LOOP_DIM + 1)
+        assert not basis.called
+
+    def test_loop_at_the_cap_solves(self, rng):
+        cfg = DeutschBoxConfig(Unitary(random_unitary(2 * MAX_LOOP_DIM, rng).matrix), MAX_LOOP_DIM)
+        assert_density(deutsch_fixed_point(cfg, random_density(2, rng)).matrix)
+
+    @settings(max_examples=150)
+    @given(loop=loops(d_sys=st.integers(1, 3), d_ctc=st.integers(1, 8)))
+    def test_loop_matrix_matches_the_dense_basis_change(self, loop):
+        # The gathered R - I against Re(conj(B) X B^T) - I, the two dense
+        # products with the Hermitian basis, on the same loop-map entries X.
+        u, rho, d_ctc = loop
+        d_sys, n = rho.dim, d_ctc * d_ctc
+        t = u.reshape(d_sys, d_ctc, d_sys, d_ctc)
+        k = np.einsum("scxa,xy->casy", t, rho.matrix).reshape(n, -1)
+        m = (k @ t.conj().transpose(0, 2, 1, 3).reshape(-1, n)).reshape(d_ctc, d_ctc, d_ctc, d_ctc)
+        basis = _hermitian_basis(d_ctc)
+        dense = (basis.conj() @ m.transpose(0, 2, 1, 3).reshape(n, n) @ basis.T).real - np.eye(n)
+        assert np.max(np.abs(boxes._loop_matrix(u, rho.matrix, d_ctc) - dense)) <= 1e-15
+
+    @pytest.mark.parametrize("d_ctc", [1, 2, 5, 8])
+    def test_loop_plan_is_built_once_and_read_only(self, d_ctc):
+        plan = boxes._loop_plan(d_ctc)
+        assert boxes._loop_plan(d_ctc) is plan
+        for array in plan:
+            assert array.shape == (d_ctc**4, 4)
+            assert not array.flags.writeable
 
     def test_swap_fixed_point_is_input(self, rng):
         cfg = DeutschBoxConfig(Unitary(SWAP), 2)

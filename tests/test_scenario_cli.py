@@ -26,6 +26,7 @@ from nlbox.scenario import (
     parse_stats,
     run_scenario,
 )
+from nlbox.tolerances import MAX_LOOP_DIM
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "nlbox" / "scenarios"
 BUNDLED = sorted(SCENARIO_DIR.glob("*.scn"))
@@ -91,7 +92,11 @@ class TestParsing:
             parse_scenario(write_scenario(tmp_path, doc))
 
 
-IDENTITY_4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+def identity_json(d):
+    return [[[float(i == j), 0.0] for j in range(d)] for i in range(d)]
+
+
+IDENTITY_4 = identity_json(4)
 NAN_IDENTITY_2 = [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 NAN_IDENTITY_4 = [[[math.nan, 0.0]] + IDENTITY_4[0][1:]] + IDENTITY_4[1:]
 HUGE = 10 ** 400  # an exact JSON integer that no float can hold
@@ -121,6 +126,9 @@ MALFORMED = [
     ("linear_without_kraus", "verification", ("box",), {"kind": "linear"}, 3),
     ("ctc_dim_not_number", "verification", ("box",),
      {"kind": "deutsch", "unitary": IDENTITY_4, "ctc_dim": "x"}, 3),
+    ("ctc_dim_above_cap", "verification", ("box",),
+     {"kind": "deutsch", "unitary": identity_json(MAX_LOOP_DIM + 1), "ctc_dim": MAX_LOOP_DIM + 1},
+     3),
     ("kraus_nan", "verification", ("box",), {"kind": "linear", "kraus": [NAN_IDENTITY_2]}, 3),
     ("psi_basis_nan", "verification", ("box", "psi_basis"), NAN_IDENTITY_2, 3),
     ("unitary_nan", "verification", ("box",),
