@@ -30,7 +30,6 @@ from .qcore import (
     Povm,
     Unitary,
     born_probabilities,
-    partial_trace,
     tensor,
     trace_distance,
 )

@@ -17,7 +17,8 @@ class ShapeError(ValidationError):
 
 
 class CapacityError(ValidationError):
-    """A tensor product would exceed the configured dimension cap."""
+    """A size would exceed its cap: a tensor product's dimension (MAX_TENSOR_DIM),
+    a Deutsch loop dimension (MAX_LOOP_DIM) or a BB84 bit count (MAX_BB84_BITS)."""
 
 
 class ConfigurationError(ValidationError):

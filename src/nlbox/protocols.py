@@ -23,11 +23,11 @@ from .preparations import (
 from .qcore import (
     COMPUTATIONAL_BASIS,
     HADAMARD_BASIS,
+    DensityOperator,
     KetVector,
     basis_povm,
     born_probabilities,
     computational_povm,
-    partial_trace,
     trace_distance,
 )
 from .steering import assemblage_from
@@ -60,7 +60,7 @@ _BB84_BATCH = 1 << 16
 # The sender's and receiver's shared singlet, built and validated once, and
 # the receiver's half of it: the state assigned without the heralding record.
 SINGLET = KetVector(np.array([0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0], dtype=complex)).projector()
-SINGLET_MARGINAL = partial_trace(SINGLET, (2, 2), [1])
+SINGLET_MARGINAL = DensityOperator(np.trace(SINGLET.matrix.reshape(2, 2, 2, 2), axis1=0, axis2=2))
 
 
 # What probes a box without domain states of its own: computational, then Hadamard.
@@ -96,7 +96,7 @@ def _steered(basis, alice_event: SpacetimeEvent, labels):
     The singlet heralds the state orthogonal to the sender's outcome.
     """
     provenance = Provenance(ProvenanceTag.REMOTE_STEERED, (alice_event,))
-    assemblage = assemblage_from(SINGLET, 2, 2, basis_povm(basis))
+    assemblage = assemblage_from(SINGLET, basis_povm(basis))
     return [(p_i, Preparation(ensemble=((1.0, heralded),), provenance=provenance,
                               label=label, unconditioned=SINGLET_MARGINAL))
             for (p_i, heralded), label in zip(assemblage.heralded, labels)]

@@ -8,20 +8,12 @@ purity are kept once computed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    ConfigurationError,
-    ShapeError,
-    ValidationError,
-    check_instance,
-    check_integer,
-)
+from .errors import CapacityError, ShapeError, ValidationError, check_instance
 from .tolerances import ATOL, BORN_CLAMP, MAX_TENSOR_DIM
 
 
@@ -154,7 +146,7 @@ class Unitary(_Validated):
 
     def __post_init__(self):
         m = _freeze(self, "matrix", self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ShapeError("unitary must be square")
         gap = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
         if not gap <= ATOL:
@@ -165,63 +157,18 @@ class Unitary(_Validated):
         return self.matrix.shape[0]
 
 
-def tensor(a, b):
-    """Kronecker product of two kets or two density operators.
+def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
+    """Kronecker product of two density operators.
 
-    A broadcast product of the two arrays, reshaped: the same elementwise
+    A broadcast product of the two matrices, reshaped: the same elementwise
     multiply that np.kron does, so the same bits, without its dispatch.
     """
-    kets = isinstance(a, KetVector) and isinstance(b, KetVector)
-    if not (kets or isinstance(a, DensityOperator) and isinstance(b, DensityOperator)):
-        raise ShapeError("tensor expects two kets or two density operators")
+    if not (isinstance(a, DensityOperator) and isinstance(b, DensityOperator)):
+        raise ShapeError("tensor expects two density operators")
     n = a.dim * b.dim
     if n > MAX_TENSOR_DIM:
         raise CapacityError(f"tensor dimension {n} exceeds the cap {MAX_TENSOR_DIM}")
-    if kets:
-        return KetVector((a.amplitudes[:, None] * b.amplitudes[None, :]).reshape(n))
     return DensityOperator((a.matrix[:, None, :, None] * b.matrix[None, :, None, :]).reshape(n, n))
-
-
-def _integers(values, name, least):
-    """values as a tuple of ints, each through errors.check_integer."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ConfigurationError(
-            f"{name} must be an iterable of integers, got {values!r}") from None
-    return tuple(check_integer(v, f"{name} entry", least) for v in values)
-
-
-def partial_trace(rho: DensityOperator, dims, keep) -> DensityOperator:
-    """Trace out all factors not listed in `keep`.
-
-    `dims` are the factor dimensions, integers >= 1 whose product must equal
-    rho.dim; `keep` is an iterable of factor indices, integers >= 0, to retain.
-    """
-    check_instance(rho, DensityOperator, "partial_trace's rho")
-    dims = _integers(dims, "partial_trace dims", 1)
-    if math.prod(dims) != rho.dim:
-        raise ShapeError(f"factor dims {dims} do not multiply to {rho.dim}")
-    n = len(dims)
-    keep = sorted(set(_integers(keep, "partial_trace keep", 0)))
-    if not keep or any(k >= n for k in keep):
-        raise ShapeError(f"keep indices {keep} out of range for {n} factors")
-    reduced = _partial_trace_raw(rho.matrix, dims, keep)
-    return DensityOperator(reduced)
-
-
-def _partial_trace_raw(mat: np.ndarray, dims, keep) -> np.ndarray:
-    n = len(dims)
-    t = mat.reshape(dims + tuple(dims))
-    row = list(range(n))
-    col = list(range(n, 2 * n))
-    for i in range(n):
-        if i not in keep:
-            col[i] = row[i]
-    out = [row[i] for i in keep] + [col[i] for i in keep]
-    reduced = np.einsum(t, row + col, out)
-    dk = int(np.prod([dims[i] for i in keep]))
-    return reduced.reshape(dk, dk)
 
 
 def born_probabilities(rho: DensityOperator, m: Povm) -> np.ndarray:

@@ -47,6 +47,8 @@ class EnsembleDecomposition:
 class SteeringAssemblage:
     """A bipartite state, a measurement on A, and what each outcome heralds on B.
 
+    A's dimension is the POVM's, and B's is the state's divided by it.
+
     The constructor is where nlbox conditions a bipartite state: it
     conditions on every effect at once and keeps the result. `outcomes[i]`
     is outcome i's (probability, heralded DensityOperator), or None when
@@ -57,8 +59,6 @@ class SteeringAssemblage:
     """
 
     state_ab: DensityOperator
-    dim_a: int
-    dim_b: int
     povm_a: Povm
     outcomes: tuple = field(init=False, repr=False)
     heralded: tuple = field(init=False, repr=False)
@@ -68,11 +68,12 @@ class SteeringAssemblage:
             raise ValidationError("state_ab must be a DensityOperator")
         if not isinstance(self.povm_a, Povm):
             raise ValidationError("povm_a must be a Povm")
-        if self.dim_a * self.dim_b != self.state_ab.dim:
-            raise ShapeError("dim_a * dim_b must equal the bipartite dimension")
-        if self.povm_a.dim != self.dim_a:
-            raise ShapeError("POVM acts on A, dimensions differ")
-        t = self.state_ab.matrix.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
+        dim_a = self.povm_a.dim
+        dim_b, rest = divmod(self.state_ab.dim, dim_a)
+        if rest:
+            raise ShapeError(f"POVM dimension {dim_a} on A does not divide the "
+                             f"bipartite dimension {self.state_ab.dim}")
+        t = self.state_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
         blocks = np.einsum("kxa,ajxc->kjc", self.povm_a.effects, t)
         probs = np.einsum("kjj->k", blocks).real
         heralds = probs >= ZERO_PROB
@@ -82,6 +83,14 @@ class SteeringAssemblage:
                          for p, h, c in zip(probs, heralds, conds))
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "heralded", tuple(o for o in outcomes if o is not None))
+
+    @property
+    def dim_a(self) -> int:
+        return self.povm_a.dim
+
+    @property
+    def dim_b(self) -> int:
+        return self.state_ab.dim // self.dim_a
 
     @property
     def n_outcomes(self) -> int:
@@ -122,8 +131,7 @@ def hjw_assemblage(d: EnsembleDecomposition) -> SteeringAssemblage:
     lams, vecs = _rank_space(sum(f.conj().T @ f for f in factors))
     psi = (np.sqrt(lams)[:, None] * vecs.T).reshape(-1)
     effects = [a.T @ a.conj() for a in (f @ vecs / np.sqrt(lams) for f in factors)]
-    return assemblage_from(KetVector(psi / np.linalg.norm(psi)).projector(), len(lams),
-                           d.sigma_b.dim, Povm(effects))
+    return assemblage_from(KetVector(psi / np.linalg.norm(psi)).projector(), Povm(effects))
 
 
 def steer(assemblage: SteeringAssemblage, outcome: int):
@@ -144,9 +152,8 @@ def steer(assemblage: SteeringAssemblage, outcome: int):
     return result
 
 
-def assemblage_from(state_ab: DensityOperator, dim_a: int, dim_b: int,
-                    povm_a: Povm) -> SteeringAssemblage:
+def assemblage_from(state_ab: DensityOperator, povm_a: Povm) -> SteeringAssemblage:
     """The assemblage of an explicit state and measurement on A; its
     constructor computes what each outcome heralds, and outcomes with
     probability below ZERO_PROB are left out of the heralded set."""
-    return SteeringAssemblage(state_ab, dim_a, dim_b, povm_a)
+    return SteeringAssemblage(state_ab, povm_a)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOX_EVENT, SWAP, make_box
+from conftest import BOX_EVENT, SWAP, make_box, reduced_matrix
 from nlbox import boxes, protocols
 from nlbox.boxes import (
     BrunBoxConfig,
@@ -49,7 +49,6 @@ from nlbox.qcore import (
     born_probabilities,
     computational_povm,
     ket,
-    partial_trace,
     trace_distance,
 )
 from nlbox.rand import random_cptp_kraus, random_unitary
@@ -218,7 +217,7 @@ def partial_trace_readout(box, basis, name):
     labels = (f"remote_{name}_0", f"remote_{name}_1")
     for p_i, prep in protocols._steered(basis, protocols.DEFAULT_ALICE_EVENT, labels):
         out = boxes.apply_box(box, prep)
-        reduced = out if out.dim == 2 else partial_trace(out, (2, 2), [0])
+        reduced = out if out.dim == 2 else DensityOperator(reduced_matrix(out.matrix, (2, 2), 0))
         q += p_i * born_probabilities(reduced, computational_povm(2))
     return q
 

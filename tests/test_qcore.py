@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reduced_matrix
 from nlbox.boxes import LinearBoxConfig
 from nlbox.errors import CapacityError, ShapeError, ValidationError
 from nlbox.qcore import (
@@ -25,7 +26,6 @@ from nlbox.qcore import (
     computational_povm,
     ket,
     maximally_mixed,
-    partial_trace,
     tensor,
     trace_distance,
 )
@@ -98,6 +98,16 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             Unitary(np.array([[1, 1], [0, 1]], dtype=complex))
 
+    @pytest.mark.parametrize("make", [
+        lambda: DensityOperator(np.zeros((0, 0))),
+        lambda: Unitary(np.zeros((0, 0))),
+        lambda: Povm(np.zeros((1, 0, 0))),
+        lambda: LinearBoxConfig(np.zeros((1, 0, 0))),
+    ], ids=["density", "unitary", "povm", "kraus"])
+    def test_rejects_empty_matrix(self, make):
+        with pytest.raises(ShapeError):
+            make()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("make", [
         lambda x: KetVector(np.array([x, 0.0])),
@@ -112,19 +122,9 @@ class TestConstructors:
 
 
 class TestTensor:
-    def test_basis_kets(self):
-        out = tensor(KET0, KET1)
-        assert np.allclose(out.amplitudes, [0, 1, 0, 0])
-
     def test_identity_densities(self):
         out = tensor(maximally_mixed(2), maximally_mixed(2))
         assert np.allclose(out.matrix, np.eye(4) / 4)
-
-    def test_plus_plus_uniform(self):
-        # Oracle: direct 4-entry Kronecker product of (1,1)/sqrt(2) with itself.
-        expected = np.full(4, 0.5, dtype=complex)
-        out = tensor(KET_PLUS, KET_PLUS)
-        assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
     def test_capacity_error(self):
         big = maximally_mixed(70)
@@ -138,20 +138,12 @@ class TestTensor:
         # multiply, so the products agree in every bit, not only to rounding.
         rng = np.random.default_rng(100 * da + db)
         for _ in range(5):
-            ka, kb = random_ket(da, rng), random_ket(db, rng)
-            out = tensor(ka, kb).amplitudes
-            assert out.tobytes() == np.kron(ka.amplitudes, kb.amplitudes).tobytes()
-            assert out.shape == (da * db,) and not out.flags.writeable
             ra, rb = random_density(da, rng), random_density(db, rng)
             out = tensor(ra, rb).matrix
             assert out.tobytes() == np.kron(ra.matrix, rb.matrix).tobytes()
             assert out.shape == (da * db, da * db) and not out.flags.writeable
 
-    @pytest.mark.parametrize("make,field", [
-        (lambda d: ket(*np.eye(d)[0]), "amplitudes"),
-        (maximally_mixed, "matrix"),
-    ], ids=["ket", "density"])
-    def test_capacity_checked_before_any_product(self, make, field):
+    def test_capacity_checked_before_any_product(self):
         # 64 * 65 exceeds the cap of 4096. Each operand's array is swapped for
         # one that has the right shape but fails when indexed, so reaching
         # the product would raise AssertionError, not CapacityError.
@@ -162,9 +154,9 @@ class TestTensor:
             def __getitem__(self, key):
                 raise AssertionError("tensor built a product past the cap")
 
-        a, b = make(64), make(65)
+        a, b = maximally_mixed(64), maximally_mixed(65)
         for op in (a, b):
-            object.__setattr__(op, field, Unreadable(getattr(op, field).shape))
+            object.__setattr__(op, "matrix", Unreadable(op.matrix.shape))
         with pytest.raises(CapacityError, match="4160"):
             tensor(a, b)
 
@@ -172,45 +164,25 @@ class TestTensor:
         with pytest.raises(ShapeError):
             tensor(KET0, maximally_mixed(2))
 
-
-class TestPartialTrace:
-    def test_product_state(self):
-        rho = tensor(KET0.projector(), KET1.projector())
-        out = partial_trace(rho, (2, 2), [1])
-        assert trace_distance(out, KET1.projector()) < 1e-12
-
-    def test_singlet_marginal(self):
-        out = partial_trace(singlet_density(), (2, 2), [1])
-        assert trace_distance(out, maximally_mixed(2)) < 1e-12
-
-    def test_singlet_marginal_bits_are_pinned(self):
-        # The shared marginal every remote preparation averages to; its
-        # rounding reaches the reports, so its bits must not move.
-        from nlbox.protocols import SINGLET_MARGINAL
-
-        assert SINGLET_MARGINAL.matrix.diagonal().tolist() == [0.4999999999999999 + 0j] * 2
-        assert SINGLET_MARGINAL.matrix[0, 1] == 0
-
-    def test_random_2x3_marginal_valid(self, rng):
-        # Oracle: eigenvalues of the reduced operator stay nonnegative and
-        # sum to one.
-        for _ in range(20):
-            rho = random_density(6, rng)
-            out = partial_trace(rho, (2, 3), [0])
-            eigs = np.linalg.eigvalsh(out.matrix)
-            assert eigs.min() >= -1e-9
-            assert abs(eigs.sum() - 1.0) < 1e-9
-
-    def test_inconsistent_dims(self):
-        with pytest.raises(ShapeError):
-            partial_trace(maximally_mixed(4), (2, 3), [0])
+    def test_kets_rejected(self):
+        with pytest.raises(ShapeError, match="two density operators"):
+            tensor(KET0, KET1)
 
     def test_roundtrip_property(self, rng):
         for _ in range(25):
             a = random_density(2, rng)
             b = random_density(3, rng)
-            back = partial_trace(tensor(a, b), (2, 3), [0])
+            back = DensityOperator(reduced_matrix(tensor(a, b).matrix, (2, 3), 0))
             assert trace_distance(back, a) < 1e-9
+
+
+def test_singlet_marginal_bits_are_pinned():
+    # The shared marginal every remote preparation averages to; its
+    # rounding reaches the reports, so its bits must not move.
+    from nlbox.protocols import SINGLET_MARGINAL
+
+    assert SINGLET_MARGINAL.matrix.diagonal().tolist() == [0.4999999999999999 + 0j] * 2
+    assert SINGLET_MARGINAL.matrix[0, 1] == 0
 
 
 def reference_born(rho, povm):

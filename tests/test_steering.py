@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlbox.errors import DecompositionError, MisuseError, ValidationError
+from conftest import reduced_matrix
+from nlbox.errors import DecompositionError, MisuseError, ShapeError, ValidationError
 from nlbox.qcore import (
     KET0,
     KET1,
@@ -12,8 +13,8 @@ from nlbox.qcore import (
     DensityOperator,
     KetVector,
     Povm,
-    _partial_trace_raw,
     basis_povm,
+    computational_povm,
     ket,
     maximally_mixed,
     trace_distance,
@@ -36,8 +37,7 @@ def singlet():
 
 
 def b_marginal(state_ab, dim_a, dim_b):
-    return DensityOperator(
-        _partial_trace_raw(state_ab.matrix, (dim_a, dim_b), [1]))
+    return DensityOperator(reduced_matrix(state_ab.matrix, (dim_a, dim_b), 1))
 
 
 def purify(sigma):
@@ -64,7 +64,7 @@ def reference_condition(state_ab, dim_a, dim_b, effect):
     """Per-effect conditioning through the full (E (x) I) rho product."""
     weighted = np.kron(effect, np.eye(dim_b)) @ state_ab.matrix
     prob = float(np.trace(weighted).real)
-    return prob, _partial_trace_raw(weighted, (dim_a, dim_b), [1]) / prob
+    return prob, reduced_matrix(weighted, (dim_a, dim_b), 1) / prob
 
 
 def random_member(dim, rng, support=None):
@@ -355,14 +355,13 @@ class TestHjwAgainstPureReference:
 
 class TestSteer:
     def test_singlet_computational(self):
-        asm = assemblage_from(singlet().projector(), 2, 2, basis_povm((KET0, KET1)))
+        asm = assemblage_from(singlet().projector(), basis_povm((KET0, KET1)))
         p, rho = steer(asm, 0)
         assert abs(p - 0.5) < 1e-12
         assert trace_distance(rho, KET1.projector()) < 1e-12
 
     def test_singlet_hadamard(self):
-        asm = assemblage_from(singlet().projector(), 2, 2,
-                              basis_povm((KET_PLUS, KET_MINUS)))
+        asm = assemblage_from(singlet().projector(), basis_povm((KET_PLUS, KET_MINUS)))
         p, rho = steer(asm, 0)
         assert abs(p - 0.5) < 1e-12
         assert trace_distance(rho, KET_MINUS.projector()) < 1e-12
@@ -371,7 +370,7 @@ class TestSteer:
         amps = np.kron(KET_PLUS.amplitudes, KET0.amplitudes)
         state = KetVector(amps).projector()
         for povm in (basis_povm((KET0, KET1)), basis_povm((KET_PLUS, KET_MINUS))):
-            asm = assemblage_from(state, 2, 2, povm)
+            asm = assemblage_from(state, povm)
             for i in range(2):
                 try:
                     p, rho = steer(asm, i)
@@ -380,27 +379,31 @@ class TestSteer:
                 assert trace_distance(rho, KET0.projector()) < 1e-12
 
     def test_outcome_out_of_range(self):
-        asm = assemblage_from(singlet().projector(), 2, 2, basis_povm((KET0, KET1)))
+        asm = assemblage_from(singlet().projector(), basis_povm((KET0, KET1)))
         with pytest.raises(MisuseError):
             steer(asm, 5)
 
     @pytest.mark.parametrize("outcome", [-1, 1.5, "0", True, False])
     def test_outcome_not_an_index(self, outcome):
-        asm = assemblage_from(singlet().projector(), 2, 2, basis_povm((KET0, KET1)))
+        asm = assemblage_from(singlet().projector(), basis_povm((KET0, KET1)))
         with pytest.raises(MisuseError):
             steer(asm, outcome)
 
     def test_rejects_raw_array_state(self):
         with pytest.raises(ValidationError):
-            assemblage_from(np.eye(4) / 4, 2, 2, basis_povm((KET0, KET1)))
+            assemblage_from(np.eye(4) / 4, basis_povm((KET0, KET1)))
 
     def test_rejects_raw_array_povm(self):
         with pytest.raises(ValidationError):
-            assemblage_from(singlet().projector(), 2, 2, np.eye(2))
+            assemblage_from(singlet().projector(), np.eye(2))
+
+    def test_rejects_povm_dimension_not_dividing_the_state(self):
+        with pytest.raises(ShapeError, match="POVM dimension 4 on A does not divide"):
+            assemblage_from(maximally_mixed(6), computational_povm(4))
 
     def test_zero_probability_outcome(self):
         state = KetVector(np.kron(KET0.amplitudes, KET0.amplitudes)).projector()
-        asm = assemblage_from(state, 2, 2, basis_povm((KET0, KET1)))
+        asm = assemblage_from(state, basis_povm((KET0, KET1)))
         with pytest.raises(MisuseError):
             steer(asm, 1)
 
@@ -408,7 +411,7 @@ class TestSteer:
         # |0>|+> under a three-outcome POVM on A whose middle effect never fires.
         state = KetVector(np.kron(KET0.amplitudes, KET_PLUS.amplitudes)).projector()
         half0 = 0.5 * KET0.projector().matrix
-        asm = assemblage_from(state, 2, 2, Povm((half0, KET1.projector().matrix, half0)))
+        asm = assemblage_from(state, Povm((half0, KET1.projector().matrix, half0)))
         assert len(asm.heralded) == 2
         for p, rho in asm.heralded:
             assert abs(p - 0.5) < 1e-12
@@ -421,7 +424,8 @@ class TestSteer:
             state = random_density(dim_a * dim_b, rng)
             u = random_unitary(dim_a, rng).matrix
             povm = basis_povm(tuple(KetVector(u[:, j]) for j in range(dim_a)))
-            asm = assemblage_from(state, dim_a, dim_b, povm)
+            asm = assemblage_from(state, povm)
+            assert (asm.dim_a, asm.dim_b) == (dim_a, dim_b)
             assert len(asm.heralded) == dim_a
             for i, (effect, (p, rho)) in enumerate(zip(povm.effects, asm.heralded)):
                 ref_p, ref_rho = reference_condition(state, dim_a, dim_b, effect)
@@ -445,7 +449,7 @@ class TestSteer:
             validate(self)
 
         monkeypatch.setattr(DensityOperator, "__post_init__", counting)
-        asm = assemblage_from(state, 2, 2, povm)
+        asm = assemblage_from(state, povm)
         steer(asm, 0)
         steer(asm, 1)
         assert len(calls) == 2
