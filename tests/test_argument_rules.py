@@ -42,6 +42,7 @@ from nlbox.qcore import (
     computational_povm,
     ket,
     maximally_mixed,
+    tensor,
     trace_distance,
 )
 from nlbox.scenario import emit_table, write_report
@@ -244,6 +245,8 @@ WRONG_TYPES = {
                          "DensityOperator, got ndarray"),
     "trace_distance_b": (lambda: trace_distance(maximally_mixed(2), RAW_DENSITY),
                          "DensityOperator, got ndarray"),
+    "tensor_a": (lambda: tensor(RAW_DENSITY, maximally_mixed(2)), "two density operators"),
+    "tensor_b": (lambda: tensor(maximally_mixed(2), RAW_DENSITY), "two density operators"),
     "steer_none": (lambda: steer(None, 0), "SteeringAssemblage, got NoneType"),
     "emit_table_none": (lambda: emit_table(None), "Report, got NoneType"),
     "emit_table_dict": (lambda: emit_table({"payload": {}}, "csv"), "Report, got dict"),

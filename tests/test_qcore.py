@@ -122,6 +122,15 @@ class TestConstructors:
 
 
 class TestTensor:
+    def test_basis_projectors(self):
+        out = tensor(KET0.projector(), KET1.projector())
+        assert np.allclose(out.matrix, ket(0, 1, 0, 0).projector().matrix)
+
+    def test_plus_plus_uniform(self):
+        # Oracle: |++><++| has every one of its 16 entries equal to 1/4.
+        out = tensor(KET_PLUS.projector(), KET_PLUS.projector())
+        assert np.allclose(out.matrix, np.full((4, 4), 0.25), atol=1e-12)
+
     def test_identity_densities(self):
         out = tensor(maximally_mixed(2), maximally_mixed(2))
         assert np.allclose(out.matrix, np.eye(4) / 4)
@@ -168,6 +177,12 @@ class TestTensor:
         with pytest.raises(ShapeError, match="two density operators"):
             tensor(KET0, KET1)
 
+    def test_kets_past_the_cap_rejected_by_kind(self):
+        # The operand kinds are checked before the cap: 64 * 65 kets are a
+        # ShapeError, not a CapacityError.
+        with pytest.raises(ShapeError, match="two density operators"):
+            tensor(ket(*np.eye(64)[0]), ket(*np.eye(65)[0]))
+
     def test_roundtrip_property(self, rng):
         for _ in range(25):
             a = random_density(2, rng)
@@ -183,6 +198,15 @@ def test_singlet_marginal_bits_are_pinned():
 
     assert SINGLET_MARGINAL.matrix.diagonal().tolist() == [0.4999999999999999 + 0j] * 2
     assert SINGLET_MARGINAL.matrix[0, 1] == 0
+
+
+def test_singlet_marginal_is_maximally_mixed_on_either_side():
+    from nlbox.protocols import SINGLET, SINGLET_MARGINAL
+
+    assert trace_distance(SINGLET_MARGINAL, maximally_mixed(2)) < 1e-12
+    for keep in (0, 1):
+        oracle = DensityOperator(reduced_matrix(SINGLET.matrix, (2, 2), keep))
+        assert trace_distance(SINGLET_MARGINAL, oracle) < 1e-12
 
 
 def reference_born(rho, povm):

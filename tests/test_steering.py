@@ -401,6 +401,40 @@ class TestSteer:
         with pytest.raises(ShapeError, match="POVM dimension 4 on A does not divide"):
             assemblage_from(maximally_mixed(6), computational_povm(4))
 
+    @pytest.mark.parametrize("dim_ab,dim_a", [(4, 3), (9, 2), (2, 4)],
+                             ids=["4_by_3", "9_by_2", "2_by_4"])
+    def test_shape_rule_over_dimensions(self, dim_ab, dim_a):
+        with pytest.raises(ShapeError, match=f"POVM dimension {dim_a} on A does not divide "
+                                             f"the bipartite dimension {dim_ab}"):
+            assemblage_from(maximally_mixed(dim_ab), computational_povm(dim_a))
+
+    @pytest.mark.parametrize("dim_a,dim_b", [(2, 2), (2, 3), (3, 2)])
+    def test_mixed_product_state_heralds_its_b_factor(self, dim_a, dim_b):
+        # No outcome on A moves B when the state is rho_A (x) rho_B.
+        rng = np.random.default_rng(10 * dim_a + dim_b)
+        rho_a, rho_b = random_density(dim_a, rng), random_density(dim_b, rng)
+        state = DensityOperator(np.kron(rho_a.matrix, rho_b.matrix))
+        u = random_unitary(dim_a, rng).matrix
+        povm = basis_povm(tuple(KetVector(u[:, j]) for j in range(dim_a)))
+        asm = assemblage_from(state, povm)
+        assert (asm.dim_a, asm.dim_b) == (dim_a, dim_b)
+        assert len(asm.heralded) == dim_a
+        for p, rho in asm.heralded:
+            assert trace_distance(rho, rho_b) < 1e-9
+
+    @pytest.mark.parametrize("dim_a,dim_b", [(2, 2), (2, 3), (3, 2)])
+    def test_heralded_states_are_valid_densities(self, dim_a, dim_b):
+        # Oracle: each heralded operator's eigenvalues are nonnegative and
+        # sum to one, and the outcome probabilities sum to one.
+        rng = np.random.default_rng(100 + 10 * dim_a + dim_b)
+        for _ in range(20):
+            asm = assemblage_from(random_density(dim_a * dim_b, rng), computational_povm(dim_a))
+            assert abs(sum(p for p, _ in asm.heralded) - 1.0) < 1e-9
+            for _, rho in asm.heralded:
+                eigs = np.linalg.eigvalsh(rho.matrix)
+                assert eigs.min() >= -1e-9
+                assert abs(eigs.sum() - 1.0) < 1e-9
+
     def test_zero_probability_outcome(self):
         state = KetVector(np.kron(KET0.amplitudes, KET0.amplitudes)).projector()
         asm = assemblage_from(state, basis_povm((KET0, KET1)))
