@@ -101,7 +101,8 @@ def _mix(ensemble) -> DensityOperator:
     """Weighted average of validated members; a lone weight-1 member is returned as it is."""
     if len(ensemble) == 1 and ensemble[0][0] == 1.0:
         return ensemble[0][1]
-    return DensityOperator(sum(w * state.matrix for w, state in ensemble))
+    return DensityOperator(sum(w * state.matrix for w, state in ensemble),
+                           _neg=sum(w * state._bound for w, state in ensemble))
 
 
 @dataclass(frozen=True)

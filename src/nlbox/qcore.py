@@ -3,18 +3,19 @@
 Everything here is a small complex numpy array wrapped in a frozen
 dataclass that validates its invariants on construction and compares by
 identity. Operations are pure functions. A ket's projector and a density's
-purity are kept once computed.
+purity are kept once computed. A projector, tensor product, box channel or mix
+carries a bound on its negative part; any other density computes its eigenvalues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from functools import cache
 
 import numpy as np
 
 from .errors import CapacityError, ShapeError, ValidationError, check_instance
-from .tolerances import ATOL, BORN_CLAMP, MAX_TENSOR_DIM
+from .tolerances import ATOL, BORN_CLAMP, MAX_TENSOR_DIM, NEG_ROUND
 
 
 def _freeze(obj, name, arr):
@@ -71,19 +72,25 @@ class KetVector(_Validated):
     def projector(self) -> "DensityOperator":
         """|k><k|, built and validated on the first call, then shared."""
         if self._projector is None:
-            rho = DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
+            rho = DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), _neg=0.0)
             object.__setattr__(self, "_projector", rho)
         return self._projector
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator(_Validated):
-    """Trace-one positive-semidefinite Hermitian matrix."""
+    """Trace-one positive-semidefinite Hermitian matrix.
+
+    `_bound` >= Tr rho_-: (d - 1) max(0, -lambda_min) where the eigenvalues are
+    computed. A projector, `tensor`, a box channel or a mix passes as `_neg` the bound
+    its validated inputs imply, and skips them if that plus NEG_ROUND * d <= ATOL / 2.
+    """
 
     matrix: np.ndarray
     _purity: float | None = field(default=None, init=False, repr=False)
+    _neg: InitVar[float] = field(default=float("inf"), kw_only=True)  # not copied by replace()
 
-    def __post_init__(self):
+    def __post_init__(self, _neg):
         m = _freeze(self, "matrix", self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ShapeError("density matrix must be square")
@@ -93,9 +100,12 @@ class DensityOperator(_Validated):
         tr = complex(sum(m.diagonal().tolist()))
         if not abs(tr - 1.0) <= ATOL:
             raise ValidationError(f"density matrix trace {tr} deviates from 1 beyond {ATOL}")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if not min_eig >= -ATOL:
-            raise ValidationError(f"density matrix has eigenvalue {min_eig} < -{ATOL}")
+        if not (bound := _neg + NEG_ROUND * m.shape[0]) <= ATOL / 2:
+            min_eig = float(np.linalg.eigvalsh(m)[0])
+            if not min_eig >= -ATOL:
+                raise ValidationError(f"density matrix has eigenvalue {min_eig} < -{ATOL}")
+            bound = (m.shape[0] - 1) * max(0.0, -min_eig)
+        object.__setattr__(self, "_bound", bound)
 
     @property
     def dim(self) -> int:
@@ -161,14 +171,16 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product of two density operators.
 
     A broadcast product of the two matrices, reshaped: the same elementwise
-    multiply that np.kron does, so the same bits, without its dispatch.
+    multiply that np.kron does, so the same bits, without its dispatch. Its
+    negative part's trace is Tr a_+ Tr b_- + Tr a_- Tr b_+, so at most the bound.
     """
     if not (isinstance(a, DensityOperator) and isinstance(b, DensityOperator)):
         raise ShapeError("tensor expects two density operators")
     n = a.dim * b.dim
     if n > MAX_TENSOR_DIM:
         raise CapacityError(f"tensor dimension {n} exceeds the cap {MAX_TENSOR_DIM}")
-    return DensityOperator((a.matrix[:, None, :, None] * b.matrix[None, :, None, :]).reshape(n, n))
+    return DensityOperator((a.matrix[:, None, :, None] * b.matrix[None, :, None, :]).reshape(n, n),
+                           _neg=a._bound + b._bound + 2 * a._bound * b._bound)
 
 
 def born_probabilities(rho: DensityOperator, m: Povm) -> np.ndarray:

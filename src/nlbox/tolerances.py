@@ -25,6 +25,11 @@ MAX_LOOP_DIM = 16
 # Eigenvalues below this are treated as zero when computing ranks.
 RANK_CUT = 1e-10
 
+# A derived density adds NEG_ROUND * d (a few eps per summed term, times d) to the
+# bound on Tr rho_- its inputs imply, and skips the eigenvalues within ATOL / 2: the
+# other half is for the eigenvalues' own rounding, and long chains are checked again.
+NEG_ROUND = 512 * 2.0 ** -52
+
 # Negative Born probabilities above -BORN_CLAMP are clamped to zero.
 BORN_CLAMP = 1e-12
 

@@ -80,11 +80,12 @@ class StatsTable:
                 raise ValidationError(f"probability key {cell!r} is not a (preparation, "
                                       "measurement) label pair")
             try:
-                entries = iter(row)
+                row = tuple(row)
             except TypeError:
                 raise ValidationError(f"row {cell} is not a sequence of probabilities") from None
             pl, ml = cell
-            rows[cell] = row = tuple(map(finite_float, entries))
+            floats = tuple([float(x) for x in row if isinstance(x, float)])  # nan, inf fail below
+            rows[cell] = row = floats if len(floats) == len(row) else tuple(map(finite_float, row))
             if pl not in preps or ml not in outcomes:
                 raise ValidationError(f"probability row references unknown labels ({pl}, {ml})")
             if len(row) != outcomes[ml]:

@@ -764,9 +764,9 @@ class TestValidationCount:
         calls = []
         validate = DensityOperator.__post_init__
 
-        def counting(self):
+        def counting(self, *args):
             calls.append(self)
-            validate(self)
+            validate(self, *args)
 
         monkeypatch.setattr(DensityOperator, "__post_init__", counting)
         return calls

@@ -478,9 +478,9 @@ class TestSteer:
         calls = []
         validate = DensityOperator.__post_init__
 
-        def counting(self):
+        def counting(self, *args):
             calls.append(self)
-            validate(self)
+            validate(self, *args)
 
         monkeypatch.setattr(DensityOperator, "__post_init__", counting)
         asm = assemblage_from(state, povm)

@@ -1,3 +1,4 @@
+import math
 import pickle
 import re
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import BOX_EVENT, ensemble_prep, local_prep, make_box
 from nlbox.boxes import LinearBoxConfig, Semantics, apply_box
-from nlbox.errors import ConfigurationError, MisuseError, RankError, ValidationError
+from nlbox.errors import ConfigurationError, MisuseError, RankError, ValidationError, finite_float
 from nlbox.qcore import (
     COMPUTATIONAL_BASIS,
     KET0,
@@ -26,7 +27,7 @@ from nlbox.qcore import (
     maximally_mixed,
 )
 from nlbox.rand import random_cptp_kraus, random_density, random_ket, random_unitary
-from nlbox.tolerances import COMPLETENESS_CUT, DTOL
+from nlbox.tolerances import ATOL, COMPLETENESS_CUT, DTOL
 from nlbox.witness import (
     StatsTable,
     affinity_violation,
@@ -273,6 +274,29 @@ class TestStatsTable:
                            probabilities={("a", "m"): [1, np.float64(0.0)]})
         row = table.probabilities["a", "m"]
         assert row == (1.0, 0.0) and [type(x) for x in row] == [float, float]
+
+    @pytest.mark.parametrize("row", [
+        (math.nan, 1.0), (np.float64(math.nan), 1.0), (math.inf, 0.0), (1.0, -math.inf),
+        (np.float64(math.inf), 0.0), (math.inf, -math.inf), (np.float64(-math.inf), 1.0),
+        (True, False), (1.0, True), ("0.5", "0.5"), (0.5, "0.5"), (1, 0), (0, np.int64(1)),
+        (10 ** 400, 0.0), (np.float32(0.25), 0.75), (0.25, np.float64(0.75)), (-0.0, 1.0),
+        [0.5, 0.5], np.array([0.25, 0.75]),
+    ], ids=lambda row: repr(row).replace(" ", ""))
+    def test_rows_keep_the_verdict_of_the_per_entry_rule(self, row):
+        # Rows of floats skip finite_float: their nan and inf entries fail the
+        # min/sum check, as finite_float's nan did, with the same message.
+        entries = tuple(map(finite_float, row))
+        args = {"preparations": (("a", KET0.projector()),),
+                "measurements": (("m", computational_povm(2)),),
+                "probabilities": {("a", "m"): row}}
+        if not (min(entries) >= -ATOL and abs(sum(entries) - 1.0) <= ATOL):
+            with pytest.raises(ValidationError) as exc:
+                StatsTable(**args)
+            assert str(exc.value) == "row (a, m) is not a probability distribution"
+        else:
+            stored = StatsTable(**args).probabilities["a", "m"]
+            assert [(type(x), np.float64(x).tobytes()) for x in stored] == [
+                (float, np.float64(x).tobytes()) for x in entries]
 
     @staticmethod
     def ragged_table():
