@@ -81,9 +81,9 @@ class KetVector(_Validated):
 class DensityOperator(_Validated):
     """Trace-one positive-semidefinite Hermitian matrix.
 
-    `_bound` >= Tr rho_-: (d - 1) max(0, -lambda_min) where the eigenvalues are
-    computed. A projector, `tensor`, a box channel or a mix passes as `_neg` the bound
-    its validated inputs imply, and skips them if that plus NEG_ROUND * d <= ATOL / 2.
+    `_bound` >= Tr H_- + ||M - H||_1, H = (M + M^dag) / 2; checked, (d - 1) max(0, -lambda_min)
+    + d^2 gap. A projector, `tensor`, a box channel or a mix passes as `_neg` a bound on its
+    Tr H_- from its inputs' and skips eigvalsh if _neg + d^2 gap + NEG_ROUND d <= ATOL / 2.
     """
 
     matrix: np.ndarray
@@ -94,17 +94,17 @@ class DensityOperator(_Validated):
         m = _freeze(self, "matrix", self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ShapeError("density matrix must be square")
-        herm_gap = float(np.maximum.reduce(np.abs(m - m.conj().T), axis=None))
-        if not herm_gap <= ATOL:
+        if not (herm_gap := float(np.maximum.reduce(np.abs(m - m.conj().T), axis=None))) <= ATOL:
             raise ValidationError(f"density matrix not Hermitian: max |M - M^dag| = {herm_gap}")
         tr = complex(sum(m.diagonal().tolist()))
         if not abs(tr - 1.0) <= ATOL:
             raise ValidationError(f"density matrix trace {tr} deviates from 1 beyond {ATOL}")
-        if not (bound := _neg + NEG_ROUND * m.shape[0]) <= ATOL / 2:
+        skew = m.shape[0] ** 2 * herm_gap  # ||M - H||_1 + the shift of eigvalsh's lower triangle
+        if not (bound := _neg + skew + NEG_ROUND * m.shape[0]) <= ATOL / 2:
             min_eig = float(np.linalg.eigvalsh(m)[0])
             if not min_eig >= -ATOL:
                 raise ValidationError(f"density matrix has eigenvalue {min_eig} < -{ATOL}")
-            bound = (m.shape[0] - 1) * max(0.0, -min_eig)
+            bound = (m.shape[0] - 1) * max(0.0, -min_eig) + skew
         object.__setattr__(self, "_bound", bound)
 
     @property

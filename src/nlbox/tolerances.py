@@ -26,8 +26,8 @@ MAX_LOOP_DIM = 16
 RANK_CUT = 1e-10
 
 # A derived density adds NEG_ROUND * d (a few eps per summed term, times d) to the
-# bound on Tr rho_- its inputs imply, and skips the eigenvalues within ATOL / 2: the
-# other half is for the eigenvalues' own rounding, and long chains are checked again.
+# bound on Tr rho_- its inputs imply (d^2 max |M - M^dag| with it), and skips eigvalsh
+# within ATOL / 2: the other half is for eigvalsh's rounding; long chains check again.
 NEG_ROUND = 512 * 2.0 ** -52
 
 # Negative Born probabilities above -BORN_CLAMP are clamped to zero.

@@ -50,7 +50,8 @@ def counted_checks():
 
 
 def negative_trace(m):
-    """Tr m_-, the trace of the negative part of the Hermitian matrix m."""
+    """Tr m_-, the trace of the negative part of the Hermitian matrix m, as
+    eigvalsh reads it (its lower triangle)."""
     return float(-np.minimum(EIGVALSH(m), 0.0).sum())
 
 
@@ -64,6 +65,16 @@ EDGE3 = diag(1 + 2 * EPS, -EPS, -EPS)        # Tr rho_- = 1.8e-9
 EDGE2 = diag(1 + 0.5 * ATOL, -ATOL)          # trace 1 - 0.5 ATOL
 EDGE2_UP = diag(1 + 1.5 * ATOL, -ATOL)       # trace 1 + 0.5 ATOL
 HEAVY = diag(1 + 0.8 * ATOL, 0.0)            # PSD, trace 1 + 0.8 ATOL
+
+
+def skewed_plus():
+    """|+><+| on 4 levels with each entry above the diagonal moved by +-0.99 ATOL.
+    eigvalsh reads the lower triangle, which is PSD, so the public check passes;
+    the Hermitian part has eigenvalue -1.5 * 0.99 ATOL on (1, -1, 1, -1) / 2."""
+    m = np.full((4, 4), 0.25, dtype=complex)
+    iu, ju = np.triu_indices(4, 1)
+    m[iu, ju] += 0.99 * ATOL * np.array([1, -1, 1, 1, -1, 1])
+    return m
 
 
 class TestEdgeInputsStillRaise:
@@ -102,6 +113,37 @@ class TestEdgeInputsStillRaise:
         config = DeutschBoxConfig(Unitary(np.eye(4)), 2)
         with pytest.raises(ValidationError, match="eigenvalue"):
             config.loop_channel(DensityOperator(HEAVY), DensityOperator(EDGE2))
+
+
+class TestAntiHermitianPartCounts:
+    """An input's anti-Hermitian part, which the Hermitian check admits up to ATOL,
+    enters its bound: derived sites that read it check again and raise, as the
+    public constructor does on their outputs."""
+
+    def test_input_passes_the_public_check_with_a_bound_past_half_atol(self):
+        rho = DensityOperator(skewed_plus())
+        assert rho._bound >= 16 * 0.99 * ATOL > ATOL / 2
+        assert float(EIGVALSH(0.5 * (rho.matrix + rho.matrix.conj().T))[0]) < -1.4 * ATOL
+
+    def test_identity_kraus_channel(self):
+        with pytest.raises(ValidationError, match="eigenvalue -1.48"):
+            LinearBoxConfig([np.eye(4)]).apply(DensityOperator(skewed_plus()))
+
+    @pytest.mark.parametrize("first", ["plus", "skewed"])
+    def test_tensor(self, first):
+        # The product's lower triangle holds the skewed upper entries in its (1, 0) block.
+        rho = DensityOperator(skewed_plus())
+        a = rho if first == "skewed" else qcore.KET_PLUS.projector()
+        with pytest.raises(ValidationError, match="eigenvalue"):
+            DensityOperator(np.kron(a.matrix, rho.matrix))
+        with pytest.raises(ValidationError, match="eigenvalue"):
+            tensor(a, rho)
+
+    def test_loop_channel(self):
+        # With U = I the channel is the Hermitian part of rho times Tr(star).
+        config = DeutschBoxConfig(Unitary(np.eye(8)), 2)
+        with pytest.raises(ValidationError, match="eigenvalue -1.48"):
+            config.loop_channel(qcore.maximally_mixed(2), DensityOperator(skewed_plus()))
 
 
 class TestChainsCheckAgain:
@@ -183,18 +225,28 @@ def densities(draw, dims=st.integers(1, 4)):
     """A DensityOperator of dim 1-4: full rank, rank deficient, near pure, or at
     the edge, with up to d - 1 eigenvalues of -0.1 to -0.999 ATOL and the trace
     off by up to 0.9 ATOL. An edge matrix that rounding pushes past the public
-    check is not drawn."""
+    check is not drawn. Half of them have the entries above the diagonal moved
+    by up to 0.999 ATOL, which the public check does not read."""
     dim = draw(dims)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    skew = draw(st.booleans()) * draw(st.floats(0.0, 0.999)) * ATOL
+    shift = rng.normal(size=(dim, dim, 2)) @ np.array([1, 1j])
+    shift = np.triu(shift / np.maximum(np.abs(shift), 1e-300), 1) * skew
+    return DensityOperator(draw(hermitian_densities(dim, rng)) + shift)
+
+
+@st.composite
+def hermitian_densities(draw, dim, rng):
+    """The Hermitian matrix of a density drawn as densities() describes."""
     kind = draw(st.sampled_from(KINDS))
     if kind == "full":
-        return random_density(dim, rng)
+        return random_density(dim, rng).matrix
     if kind == "rank_deficient":
-        return random_density(dim, rng, rank=draw(st.integers(1, dim)))
+        return random_density(dim, rng, rank=draw(st.integers(1, dim))).matrix
     if kind == "near_pure":
         pure = random_density(dim, rng, rank=1).matrix
         t = draw(st.floats(0.0, 1e-6))
-        return DensityOperator((1 - t) * pure + t * random_density(dim, rng).matrix)
+        return DensityOperator((1 - t) * pure + t * random_density(dim, rng).matrix).matrix
     n_neg = draw(st.integers(0, dim - 1))
     neg = draw(st.floats(0.1, 0.999)) * ATOL
     trace = 1 + draw(st.floats(-0.9, 0.9)) * ATOL
@@ -203,7 +255,7 @@ def densities(draw, dims=st.integers(1, 4)):
     v = random_unitary(dim, rng).matrix
     m = (v * lam) @ v.conj().T
     try:
-        return DensityOperator(0.5 * (m + m.conj().T))
+        return DensityOperator(0.5 * (m + m.conj().T)).matrix
     except ValidationError:
         assume(False)
 
@@ -218,13 +270,15 @@ def concentrating_kraus(rho):
 
 def assert_sound(build):
     """The derived site raises a ValidationError itself, or its output passes
-    the public constructor and its bound covers its negative part."""
+    the public constructor and its bound covers the negative part of the matrix
+    eigvalsh reads and of its Hermitian part."""
     try:
         out = build()
     except ValidationError:
         return
     DensityOperator(out.matrix)
-    assert negative_trace(out.matrix) <= out._bound + 1e-14
+    m = out.matrix
+    assert max(negative_trace(m), negative_trace(0.5 * (m + m.conj().T))) <= out._bound + 1e-14
 
 
 class TestDerivedSitesAreSound:
