@@ -151,8 +151,7 @@ class DeutschBoxConfig:
         u, n, ds = self.unitary.matrix, self.unitary.dim, rho.dim
         joint = (rho.matrix[:, None, :, None] * star.matrix[None, :, None, :]).reshape(n, n)
         # Tr_C[U X U^dag][s, t] = sum over (c, j) of (U X)[(s, c), j] conj(U)[(t, c), j].
-        out = (u @ joint).reshape(ds, -1) @ u.conj().reshape(ds, -1).T
-        return DensityOperator(0.5 * (out + out.conj().T),  # a channel on rho (x) star, see tensor
+        return DensityOperator((u @ joint).reshape(ds, -1) @ u.conj().reshape(ds, -1).T,
                                _neg=rho._bound + star._bound + 2 * rho._bound * star._bound)
 
     def apply_excluded(self, p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
@@ -339,7 +338,7 @@ class LinearBoxConfig(_Validated):
         if rho.dim != self.kraus.shape[2]:
             raise ShapeError("channel input dimension mismatch")
         out = np.einsum("kab,bc,kdc->ad", self.kraus, rho.matrix, self.kraus.conj())
-        return DensityOperator(0.5 * (out + out.conj().T), _neg=rho._bound)  # CPTP: no growth
+        return DensityOperator(out, _neg=rho._bound)  # CPTP: no growth
 
     def apply_excluded(self, p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:
         """The channel on the effective density: a linear box ignores membership."""

@@ -1,10 +1,10 @@
 """Dense finite-dimensional states, measurements, and channels.
 
-Everything here is a small complex numpy array wrapped in a frozen
-dataclass that validates its invariants on construction and compares by
-identity. Operations are pure functions. A ket's projector and a density's
-purity are kept once computed. A projector, tensor product, box channel or mix
-carries a bound on its negative part; any other density computes its eigenvalues.
+Everything here is a small complex numpy array wrapped in a frozen dataclass that
+validates its invariants on construction and compares by identity. Operations are pure
+functions. A density or POVM stores the Hermitian part of its input; a ket's projector
+and a density's purity are kept once computed. A projector, tensor product, box channel
+or mix carries a bound on its negative part; any other density computes its eigenvalues.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ class KetVector(_Validated):
 class DensityOperator(_Validated):
     """Trace-one positive-semidefinite Hermitian matrix.
 
-    `_bound` >= Tr H_- + ||M - H||_1, H = (M + M^dag) / 2; checked, (d - 1) max(0, -lambda_min)
-    + d^2 gap. A projector, `tensor`, a box channel or a mix passes as `_neg` a bound on its
-    Tr H_- from its inputs' and skips eigvalsh if _neg + d^2 gap + NEG_ROUND d <= ATOL / 2.
+    `matrix` is the Hermitian part H = (M + M^dag) / 2 of the M given; `_bound` >= Tr H_-;
+    checked, (d - 1) max(0, -lambda_min). A projector, `tensor`, a box channel or a mix passes
+    as `_neg` a bound from its inputs' and skips eigvalsh if _neg + NEG_ROUND d <= ATOL / 2.
     """
 
     matrix: np.ndarray
@@ -94,17 +94,18 @@ class DensityOperator(_Validated):
         m = _freeze(self, "matrix", self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ShapeError("density matrix must be square")
-        if not (herm_gap := float(np.maximum.reduce(np.abs(m - m.conj().T), axis=None))) <= ATOL:
-            raise ValidationError(f"density matrix not Hermitian: max |M - M^dag| = {herm_gap}")
-        tr = complex(sum(m.diagonal().tolist()))
-        if not abs(tr - 1.0) <= ATOL:
+        if not (gap := float(np.maximum.reduce(np.abs(m - (adj := m.conj().T)), axis=None))) <= ATOL:
+            raise ValidationError(f"density matrix not Hermitian: max |M - M^dag| = {gap}")
+        if gap:  # at a gap of 0, M is its own Hermitian part, bit for bit
+            object.__setattr__(self, "matrix", m := 0.5 * (m + adj))
+            m.setflags(write=False)
+        if not abs((tr := complex(sum(m.diagonal().tolist()))) - 1.0) <= ATOL:
             raise ValidationError(f"density matrix trace {tr} deviates from 1 beyond {ATOL}")
-        skew = m.shape[0] ** 2 * herm_gap  # ||M - H||_1 + the shift of eigvalsh's lower triangle
-        if not (bound := _neg + skew + NEG_ROUND * m.shape[0]) <= ATOL / 2:
+        if not (bound := _neg + NEG_ROUND * m.shape[0]) <= ATOL / 2:
             min_eig = float(np.linalg.eigvalsh(m)[0])
             if not min_eig >= -ATOL:
                 raise ValidationError(f"density matrix has eigenvalue {min_eig} < -{ATOL}")
-            bound = (m.shape[0] - 1) * max(0.0, -min_eig) + skew
+            bound = (m.shape[0] - 1) * max(0.0, -min_eig)
         object.__setattr__(self, "_bound", bound)
 
     @property
@@ -122,8 +123,8 @@ class DensityOperator(_Validated):
 class Povm(_Validated):
     """A finite measurement: PSD effects summing to the identity.
 
-    `effects` is one read-only (k, d, d) array; the constructor takes any
-    sequence of k square matrices of one size, or such an array.
+    `effects` is one read-only (k, d, d) array of Hermitian parts; the constructor
+    takes any sequence of k square matrices of one size, or such an array.
     """
 
     effects: np.ndarray
@@ -132,9 +133,12 @@ class Povm(_Validated):
         e = _freeze(self, "effects", self.effects)
         if e.ndim != 3 or e.size == 0 or e.shape[1] != e.shape[2]:
             raise ShapeError("POVM effects must be one or more square matrices of one size")
-        if not float(np.maximum.reduce(np.abs(e - e.conj().transpose(0, 2, 1)),
-                                       axis=None)) <= ATOL:
+        adj = e.conj().transpose(0, 2, 1)
+        if not (gap := float(np.maximum.reduce(np.abs(e - adj), axis=None))) <= ATOL:
             raise ValidationError("POVM effect not Hermitian")
+        if gap:
+            object.__setattr__(self, "effects", e := 0.5 * (e + adj))
+            e.setflags(write=False)
         if not float(np.minimum.reduce(np.linalg.eigvalsh(e)[:, 0])) >= -ATOL:
             raise ValidationError("POVM effect not positive semidefinite")
         if not float(np.maximum.reduce(np.abs(np.add.reduce(e) - np.eye(e.shape[1])),

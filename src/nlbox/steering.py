@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecompositionError, MisuseError, ShapeError, ValidationError, check_instance
+from .errors import DecompositionError, MisuseError, ShapeError, check_instance
 from .preparations import _normalize_ensemble
 from .qcore import DensityOperator, KetVector, Povm, trace_norm
 from .tolerances import DTOL, PHASE_CUT, RANK_CUT, ZERO_PROB
@@ -64,10 +64,8 @@ class SteeringAssemblage:
     heralded: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.state_ab, DensityOperator):
-            raise ValidationError("state_ab must be a DensityOperator")
-        if not isinstance(self.povm_a, Povm):
-            raise ValidationError("povm_a must be a Povm")
+        check_instance(self.state_ab, DensityOperator, "state_ab")
+        check_instance(self.povm_a, Povm, "povm_a")
         dim_a = self.povm_a.dim
         dim_b, rest = divmod(self.state_ab.dim, dim_a)
         if rest:
@@ -78,7 +76,7 @@ class SteeringAssemblage:
         probs = np.einsum("kjj->k", blocks).real
         heralds = probs >= ZERO_PROB
         conds = blocks / np.where(heralds, probs, 1.0)[:, None, None]
-        conds = 0.5 * (conds + conds.conj().transpose(0, 2, 1))
+        conds = 0.5 * (conds + conds.conj().transpose(0, 2, 1))  # 1/p may scale skew past ATOL
         outcomes = tuple((float(p), DensityOperator(c)) if h else None
                          for p, h, c in zip(probs, heralds, conds))
         object.__setattr__(self, "outcomes", outcomes)

@@ -25,9 +25,8 @@ MAX_LOOP_DIM = 16
 # Eigenvalues below this are treated as zero when computing ranks.
 RANK_CUT = 1e-10
 
-# A derived density adds NEG_ROUND * d (a few eps per summed term, times d) to the
-# bound on Tr rho_- its inputs imply (d^2 max |M - M^dag| with it), and skips eigvalsh
-# within ATOL / 2: the other half is for eigvalsh's rounding; long chains check again.
+# A derived density skips eigvalsh while its inputs' bound on Tr rho_- plus NEG_ROUND * d (a few
+# eps per summed term, times d) is within ATOL / 2, the rest being eigvalsh's; chains check again.
 NEG_ROUND = 512 * 2.0 ** -52
 
 # Negative Born probabilities above -BORN_CLAMP are clamped to zero.

@@ -12,6 +12,7 @@ from nlbox.preparations import (
     SpacetimeEvent,
 )
 from nlbox.qcore import COMPUTATIONAL_BASIS, HADAMARD_BASIS, DensityOperator
+from nlbox.tolerances import ATOL
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a tier-1 failure reproduces; examples have no deadline.
@@ -38,6 +39,15 @@ def reduced_matrix(mat, dims, keep):
     if keep == 0:
         return np.einsum(t, [0, 1, 2, 1], [0, 2])
     return np.einsum(t, [0, 1, 0, 3], [1, 3])
+
+
+def skewed_plus(scale=0.99):
+    """|+><+| on 4 levels with each entry above the diagonal moved by +-scale ATOL.
+    Its Hermitian part has eigenvalue -1.5 scale ATOL on (1, -1, 1, -1) / 2."""
+    m = np.full((4, 4), 0.25, dtype=complex)
+    iu, ju = np.triu_indices(4, 1)
+    m[iu, ju] += scale * ATOL * np.array([1, -1, 1, 1, -1, 1])
+    return m
 
 
 @pytest.fixture

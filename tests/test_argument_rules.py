@@ -46,7 +46,7 @@ from nlbox.qcore import (
     trace_distance,
 )
 from nlbox.scenario import emit_table, write_report
-from nlbox.steering import EnsembleDecomposition, steer
+from nlbox.steering import EnsembleDecomposition, assemblage_from, steer
 from nlbox.witness import (
     StatsTable,
     affinity_violation,
@@ -248,6 +248,10 @@ WRONG_TYPES = {
     "tensor_a": (lambda: tensor(RAW_DENSITY, maximally_mixed(2)), "two density operators"),
     "tensor_b": (lambda: tensor(maximally_mixed(2), RAW_DENSITY), "two density operators"),
     "steer_none": (lambda: steer(None, 0), "SteeringAssemblage, got NoneType"),
+    "assemblage_raw_state": (lambda: assemblage_from(np.eye(4) / 4, computational_povm(2)),
+                             "state_ab must be a DensityOperator, got ndarray"),
+    "assemblage_raw_povm": (lambda: assemblage_from(maximally_mixed(4), np.eye(2)[None]),
+                            "povm_a must be a Povm, got ndarray"),
     "emit_table_none": (lambda: emit_table(None), "Report, got NoneType"),
     "emit_table_dict": (lambda: emit_table({"payload": {}}, "csv"), "Report, got dict"),
     "apply_box_raw_density": (lambda: apply_box(BOX, RAW_DENSITY),

@@ -1,6 +1,8 @@
 """Densities derived from validated ones carry a bound on the trace of their
 negative part and skip the eigenvalue check only when that bound, with its
-rounding allowance, certifies positivity within ATOL / 2."""
+rounding allowance, certifies positivity within ATOL / 2. Every density stores
+the Hermitian part of its matrix, which the check, the bound and every
+derivation read."""
 
 import collections
 import contextlib
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import skewed_plus
 from nlbox import qcore, scenario
 from nlbox.boxes import DeutschBoxConfig, LinearBoxConfig
 from nlbox.errors import ValidationError
@@ -50,8 +53,7 @@ def counted_checks():
 
 
 def negative_trace(m):
-    """Tr m_-, the trace of the negative part of the Hermitian matrix m, as
-    eigvalsh reads it (its lower triangle)."""
+    """Tr m_-, the trace of the negative part of the Hermitian matrix m."""
     return float(-np.minimum(EIGVALSH(m), 0.0).sum())
 
 
@@ -65,16 +67,6 @@ EDGE3 = diag(1 + 2 * EPS, -EPS, -EPS)        # Tr rho_- = 1.8e-9
 EDGE2 = diag(1 + 0.5 * ATOL, -ATOL)          # trace 1 - 0.5 ATOL
 EDGE2_UP = diag(1 + 1.5 * ATOL, -ATOL)       # trace 1 + 0.5 ATOL
 HEAVY = diag(1 + 0.8 * ATOL, 0.0)            # PSD, trace 1 + 0.8 ATOL
-
-
-def skewed_plus():
-    """|+><+| on 4 levels with each entry above the diagonal moved by +-0.99 ATOL.
-    eigvalsh reads the lower triangle, which is PSD, so the public check passes;
-    the Hermitian part has eigenvalue -1.5 * 0.99 ATOL on (1, -1, 1, -1) / 2."""
-    m = np.full((4, 4), 0.25, dtype=complex)
-    iu, ju = np.triu_indices(4, 1)
-    m[iu, ju] += 0.99 * ATOL * np.array([1, -1, 1, 1, -1, 1])
-    return m
 
 
 class TestEdgeInputsStillRaise:
@@ -116,34 +108,84 @@ class TestEdgeInputsStillRaise:
 
 
 class TestAntiHermitianPartCounts:
-    """An input's anti-Hermitian part, which the Hermitian check admits up to ATOL,
-    enters its bound: derived sites that read it check again and raise, as the
-    public constructor does on their outputs."""
+    """The Hermitian check admits an anti-Hermitian part up to ATOL; the density
+    stores the Hermitian part H = (M + M^dag) / 2, so that part is dropped and
+    the verdict reads H whichever triangle holds the skew."""
+
+    def test_both_triangles_are_rejected(self):
+        # H has eigenvalue -1.5 * 0.99 ATOL; M alone reads a PSD lower triangle.
+        m = skewed_plus()
+        for given in (m, m.conj().T):
+            with pytest.raises(ValidationError, match="eigenvalue -1.48"):
+                DensityOperator(given)
 
     def test_input_passes_the_public_check_with_a_bound_past_half_atol(self):
-        rho = DensityOperator(skewed_plus())
-        assert rho._bound >= 16 * 0.99 * ATOL > ATOL / 2
-        assert float(EIGVALSH(0.5 * (rho.matrix + rho.matrix.conj().T))[0]) < -1.4 * ATOL
+        m = skewed_plus(0.3)
+        rho = DensityOperator(m)
+        assert np.array_equal(rho.matrix, 0.5 * (m + m.conj().T))
+        assert np.array_equal(rho.matrix, DensityOperator(m.conj().T).matrix)
+        assert rho._bound == 3 * -float(EIGVALSH(rho.matrix)[0]) > ATOL / 2
+        assert float(EIGVALSH(rho.matrix)[0]) == pytest.approx(-1.5 * 0.3 * ATOL, rel=1e-3)
 
     def test_identity_kraus_channel(self):
-        with pytest.raises(ValidationError, match="eigenvalue -1.48"):
-            LinearBoxConfig([np.eye(4)]).apply(DensityOperator(skewed_plus()))
+        rho = DensityOperator(skewed_plus(0.3))
+        with counted_checks() as checks:
+            out = LinearBoxConfig([np.eye(4)]).apply(rho)
+        assert len(checks) == 1
+        assert np.array_equal(out.matrix, rho.matrix)
 
     @pytest.mark.parametrize("first", ["plus", "skewed"])
     def test_tensor(self, first):
-        # The product's lower triangle holds the skewed upper entries in its (1, 0) block.
-        rho = DensityOperator(skewed_plus())
-        a = rho if first == "skewed" else qcore.KET_PLUS.projector()
-        with pytest.raises(ValidationError, match="eigenvalue"):
-            DensityOperator(np.kron(a.matrix, rho.matrix))
-        with pytest.raises(ValidationError, match="eigenvalue"):
-            tensor(a, rho)
+        rho, plus = DensityOperator(skewed_plus(0.3)), qcore.KET_PLUS.projector()
+        pair = (plus, rho) if first == "plus" else (rho, plus)
+        with counted_checks() as checks:
+            out = tensor(*pair)
+        assert len(checks) == 1
+        assert out.matrix.tobytes() == np.kron(pair[0].matrix, pair[1].matrix).tobytes()
 
     def test_loop_channel(self):
-        # With U = I the channel is the Hermitian part of rho times Tr(star).
+        # With U = I the channel is rho times Tr(star).
+        rho, star = DensityOperator(skewed_plus(0.3)), qcore.maximally_mixed(2)
         config = DeutschBoxConfig(Unitary(np.eye(8)), 2)
-        with pytest.raises(ValidationError, match="eigenvalue -1.48"):
-            config.loop_channel(qcore.maximally_mixed(2), DensityOperator(skewed_plus()))
+        with counted_checks() as checks:
+            out = config.loop_channel(star, rho)
+        assert len(checks) == 1
+        assert np.abs(out.matrix - rho.matrix).max() <= 1e-15
+
+
+class TestExactlyHermitianInputsKeepTheirBits:
+    """A matrix with no anti-Hermitian part is its own Hermitian part, so it is
+    stored as given, signed zeros included, where (M + M^dag) / 2 would turn a
+    -0.0 imaginary part on the diagonal into +0.0."""
+
+    def test_public_constructor(self):
+        m = np.diag([1.0, 0.0]).astype(complex)
+        m[1, 1] = complex(0.0, -0.0)
+        effects = np.array([m, np.eye(2) - m])
+        assert DensityOperator(m).matrix.tobytes() == m.tobytes()
+        assert qcore.Povm(effects).effects.tobytes() == effects.tobytes()
+
+    def test_projector(self, rng):
+        # Real amplitudes: numpy's complex multiply may fuse a * conj(a) into a
+        # nonzero imaginary rounding residue, and such a projector is stored Hermitized.
+        v = rng.normal(size=3)
+        for ket in (qcore.KET_MINUS, KetVector(v / np.linalg.norm(v))):
+            a = ket.amplitudes
+            assert ket.projector().matrix.tobytes() == np.outer(a, a.conj()).tobytes()
+
+    def test_tensor(self, rng):
+        m = np.diag([1.0, 0.0]).astype(complex)
+        m[1, 1] = complex(0.0, -0.0)
+        for a, b in ((DensityOperator(m), random_density(3, rng)),
+                     (random_density(2, rng), qcore.KET_PLUS.projector())):
+            n = a.dim * b.dim
+            want = (a.matrix[:, None, :, None] * b.matrix[None, :, None, :]).reshape(n, n)
+            assert tensor(a, b).matrix.tobytes() == want.tobytes()
+
+    def test_mix(self, rng):
+        members = [(0.25, random_density(3, rng)), (0.75, random_density(3, rng, rank=1))]
+        want = sum(w * rho.matrix for w, rho in members)
+        assert _mix(members).matrix.tobytes() == want.tobytes()
 
 
 class TestChainsCheckAgain:
@@ -170,24 +212,31 @@ class TestChainsCheckAgain:
 
 
 def scenario_census():
-    """[site module, site function, checked, count] for every DensityOperator
-    built while each bundled scenario runs once."""
+    """[site module, site function, checked, hermitized, count] for every
+    DensityOperator built while each bundled scenario runs once; hermitized:
+    the density stores another array than the frozen copy of its input."""
     built = collections.Counter()
-    validate = DensityOperator.__post_init__
+    validate, freeze = DensityOperator.__post_init__, qcore._freeze
+    frozen = []
 
     def counting(self, *args):
         code = sys._getframe(2).f_code
         before = len(checks)
         validate(self, *args)
-        built[Path(code.co_filename).stem, code.co_name, len(checks) > before] += 1
+        built[Path(code.co_filename).stem, code.co_name, len(checks) > before,
+              self.matrix is not frozen[-1]] += 1
 
-    DensityOperator.__post_init__ = counting
+    def recording(obj, name, arr):
+        frozen.append(arr := freeze(obj, name, arr))
+        return arr
+
+    DensityOperator.__post_init__, qcore._freeze = counting, recording
     try:
         with counted_checks() as checks:
             for path in sorted(SCENARIO_DIR.glob("*.scn")):
                 scenario.run_scenario(scenario.parse_scenario(path))
     finally:
-        DensityOperator.__post_init__ = validate
+        DensityOperator.__post_init__, qcore._freeze = validate, freeze
     return sorted([*key, n] for key, n in built.items())
 
 
@@ -195,23 +244,28 @@ def test_bundled_scenarios_check_only_heralds_and_fixed_points():
     """63 densities over the 9 bundled scenarios, 36 of them checked: the 24
     steering heralds (built in the assemblage constructor's generator) and the
     12 Deutsch fixed points. Tensor, loop-channel and projector outputs are not.
-    Counted in a new interpreter, where no ket keeps a projector yet."""
+    Only the 4 loop-channel outputs whose matrix rounding left not exactly
+    Hermitian store a new array, their Hermitian part; every other density
+    keeps its input's. Counted in a new interpreter, where no ket keeps a
+    projector yet."""
     here = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
     done = subprocess.run(
         [sys.executable, "-c", "import json, test_derived_densities as t; "
                                "print(json.dumps(t.scenario_census()))"],
         capture_output=True, text=True, env=env, timeout=120, check=True)
-    census = {(module, site, checked): n for module, site, checked, n in json.loads(done.stdout)}
+    census = {tuple(key): n for *key, n in json.loads(done.stdout)}
     assert len(list(SCENARIO_DIR.glob("*.scn"))) == 9
     assert sum(census.values()) == 63
-    assert sum(n for (_, _, checked), n in census.items() if checked) == 36
+    assert sum(n for (_, _, checked, _), n in census.items() if checked) == 36
+    assert sum(n for (*_, hermitized), n in census.items() if hermitized) == 4
     assert census == {
-        ("steering", "<genexpr>", True): 24,
-        ("boxes", "deutsch_fixed_point", True): 12,
-        ("qcore", "tensor", False): 12,
-        ("boxes", "loop_channel", False): 12,
-        ("qcore", "projector", False): 3,
+        ("steering", "<genexpr>", True, False): 24,
+        ("boxes", "deutsch_fixed_point", True, False): 12,
+        ("qcore", "tensor", False, False): 12,
+        ("boxes", "loop_channel", False, False): 8,
+        ("boxes", "loop_channel", False, True): 4,
+        ("qcore", "projector", False, False): 3,
     }
 
 
@@ -224,15 +278,19 @@ KINDS = ["full", "rank_deficient", "near_pure", "edge"]
 def densities(draw, dims=st.integers(1, 4)):
     """A DensityOperator of dim 1-4: full rank, rank deficient, near pure, or at
     the edge, with up to d - 1 eigenvalues of -0.1 to -0.999 ATOL and the trace
-    off by up to 0.9 ATOL. An edge matrix that rounding pushes past the public
-    check is not drawn. Half of them have the entries above the diagonal moved
-    by up to 0.999 ATOL, which the public check does not read."""
+    off by up to 0.9 ATOL. Half of them have the entries above the diagonal moved
+    by up to 0.999 ATOL, which the constructor halves into the Hermitian part it
+    stores. A matrix that rounding or that move pushes past the public check is
+    not drawn."""
     dim = draw(dims)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     skew = draw(st.booleans()) * draw(st.floats(0.0, 0.999)) * ATOL
     shift = rng.normal(size=(dim, dim, 2)) @ np.array([1, 1j])
     shift = np.triu(shift / np.maximum(np.abs(shift), 1e-300), 1) * skew
-    return DensityOperator(draw(hermitian_densities(dim, rng)) + shift)
+    try:
+        return DensityOperator(draw(hermitian_densities(dim, rng)) + shift)
+    except ValidationError:
+        assume(False)
 
 
 @st.composite
@@ -269,16 +327,15 @@ def concentrating_kraus(rho):
 
 
 def assert_sound(build):
-    """The derived site raises a ValidationError itself, or its output passes
-    the public constructor and its bound covers the negative part of the matrix
-    eigvalsh reads and of its Hermitian part."""
+    """The derived site raises a ValidationError itself, or its output is exactly
+    Hermitian, passes the public constructor, and its bound covers its negative part."""
     try:
         out = build()
     except ValidationError:
         return
-    DensityOperator(out.matrix)
-    m = out.matrix
-    assert max(negative_trace(m), negative_trace(0.5 * (m + m.conj().T))) <= out._bound + 1e-14
+    DensityOperator(m := out.matrix)
+    assert np.array_equal(m, m.conj().T)
+    assert negative_trace(m) <= out._bound + 1e-14
 
 
 class TestDerivedSitesAreSound:

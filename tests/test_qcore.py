@@ -3,10 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reduced_matrix
+from conftest import reduced_matrix, skewed_plus
 from nlbox.boxes import LinearBoxConfig
 from nlbox.errors import CapacityError, ShapeError, ValidationError
 from nlbox.qcore import (
@@ -321,13 +321,15 @@ def reference_freeze(arr, name):
 
 def reference_density_checks(matrix):
     """DensityOperator's checks as they read before they reduced with ufuncs
-    and summed the trace from a list."""
+    and summed the trace from a list; after the Hermitian check, they read the
+    Hermitian part (M + M^dag) / 2."""
     m = reference_freeze(matrix, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ShapeError("density matrix must be square")
     herm_gap = float(np.abs(m - m.conj().T).max())
     if not herm_gap <= ATOL:
         raise ValidationError(f"density matrix not Hermitian: max |M - M^dag| = {herm_gap}")
+    m = 0.5 * (m + m.conj().T)
     tr = complex(m.trace())
     if not abs(tr - 1.0) <= ATOL:
         raise ValidationError(f"density matrix trace {tr} deviates from 1 beyond {ATOL}")
@@ -337,12 +339,14 @@ def reference_density_checks(matrix):
 
 
 def reference_povm_checks(effects):
-    """Povm's checks as they read before they reduced with ufuncs."""
+    """Povm's checks as they read before they reduced with ufuncs; after the
+    Hermitian check, they read each effect's Hermitian part."""
     e = reference_freeze(effects, "effects")
     if e.ndim != 3 or e.size == 0 or e.shape[1] != e.shape[2]:
         raise ShapeError("POVM effects must be one or more square matrices of one size")
     if not float(np.abs(e - e.conj().transpose(0, 2, 1)).max()) <= ATOL:
         raise ValidationError("POVM effect not Hermitian")
+    e = 0.5 * (e + e.conj().transpose(0, 2, 1))
     if not float(np.linalg.eigvalsh(e)[:, 0].min()) >= -ATOL:
         raise ValidationError("POVM effect not positive semidefinite")
     if not float(np.abs(e.sum(axis=0) - np.eye(e.shape[1])).max()) <= ATOL:
@@ -375,8 +379,9 @@ def assert_same_outcome(got, want):
 
 
 # What the property puts at a threshold: each gap at ATOL * (1 -+ 1e-3), or
-# a non-finite entry.
-EDGES = ["none", "hermitian", "trace", "eigenvalue", "nan", "inf", "-inf"]
+# a non-finite entry; "skewed" is the eigenvalue edge with an anti-Hermitian
+# part of max |M - M^dag| = 0.5 * offset, which moves the Hermitian part's.
+EDGES = ["none", "hermitian", "trace", "eigenvalue", "skewed", "nan", "inf", "-inf"]
 
 
 def put_non_finite(arr, edge, rng):
@@ -393,10 +398,19 @@ def put_hermitian_gap(mat, gap):
         mat[0, -1] += gap
 
 
+def anti_hermitian(dim, gap, rng):
+    """A random complex matrix S with max |S - S^dag| = gap."""
+    s = rng.normal(size=(dim, dim, 2)) @ np.array([1, 1j])
+    return s * (gap / np.abs(s - s.conj().T).max())
+
+
 def density_at_edge(dim, edge, offset, sign, rng):
     """A random density with one edge put at offset (the trace moved by
     sign * offset), or with no edge."""
     m = random_density(dim, rng).matrix.copy()
+    if edge == "skewed":
+        return density_at_edge(dim, "eigenvalue", offset, sign, rng) \
+            + anti_hermitian(dim, 0.5 * offset, rng)
     if edge == "eigenvalue" and dim > 1:
         # Eigenvalues -offset and a positive rest summing to 1 + offset.
         lam = np.concatenate([[-offset], rng.dirichlet(np.ones(dim - 1)) * (1 + offset)])
@@ -416,6 +430,11 @@ def povm_at_edge(dim, k, edge, offset, sign, rng):
     """The effects of a random k-outcome POVM with one edge put at offset
     (the sum moved off the identity by sign * offset), or with no edge."""
     e = random_povm(dim, k, rng).effects.copy()
+    if edge == "skewed":
+        e = povm_at_edge(dim, k, "eigenvalue", offset, sign, rng)
+        e[0] += (skew := anti_hermitian(dim, 0.5 * offset, rng))
+        e[-1] -= skew
+        return e
     if edge == "eigenvalue" and k > 1:
         # Move weight along the first effect's lowest eigenvector to the
         # second effect, so the first reads -offset and the sum is kept.
@@ -442,7 +461,7 @@ def edge_args(draw):
 
 class TestChecksMatchTheirReference:
     """The validated constructors reduce with ufuncs and read the trace from
-    a list; every accept, reject, error type and message stays as it was."""
+    a list; every accept, reject, error type and message is the reference's."""
 
     @settings(max_examples=400)
     @given(data=st.data(), dim=st.integers(1, 8))
@@ -478,6 +497,61 @@ class TestChecksMatchTheirReference:
                     assert got is not None and message in got[1]
                 else:
                     assert got is None
+
+
+@st.composite
+def skewed_near_the_edge(draw, povm):
+    """A density, or the two effects of a POVM, of dim 1-4: a Hermitian matrix whose
+    lowest eigenvalue is -0.5 to -1.5 ATOL (a density of dim 1 has only 1), moved by
+    an anti-Hermitian part with max |M - M^dag| up to ATOL (the second effect by
+    its opposite, so the effects still sum to the identity)."""
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    low = -draw(st.floats(0.5, 1.5)) * ATOL
+    skew = anti_hermitian(dim, draw(st.floats(0.0, 1.0)) * ATOL, rng)
+    rest = rng.uniform(size=dim - 1) if povm else rng.dirichlet(np.ones(dim - 1)) * (1 - low)
+    lam = np.concatenate([[low], rest]) if povm or dim > 1 else np.ones(1)
+    v = random_unitary(dim, rng).matrix
+    m = (v * lam) @ v.conj().T
+    return np.array([m + skew, np.eye(dim) - m - skew]) if povm else m + skew
+
+
+def skewed_plus_effects():
+    """J/4 on 4 levels, moved as skewed_plus, and I minus it: its Hermitian part
+    has eigenvalue -1.485e-9, while each effect's lower triangle is PSD."""
+    return np.array([skewed_plus(), np.eye(4) - skewed_plus()])
+
+
+def assert_one_verdict(build, m):
+    """build(M) and build(M^dag) raise the same error or store equal arrays that
+    are exactly Hermitian."""
+    adjoint = np.swapaxes(m, -1, -2).conj()
+    assert outcome(build, m) == outcome(build, adjoint)
+    if outcome(build, m) is None:
+        stored = [getattr(build(x), "effects" if build is Povm else "matrix") for x in (m, adjoint)]
+        assert np.array_equal(stored[0], stored[1])
+        assert np.array_equal(stored[0], np.swapaxes(stored[0], -1, -2).conj())
+
+
+class TestMatrixAndAdjointGetOneVerdict:
+    @settings(max_examples=300)
+    @given(m=skewed_near_the_edge(povm=False))
+    @example(m=skewed_plus())
+    def test_density_operator(self, m):
+        assert_one_verdict(DensityOperator, m)
+
+    @settings(max_examples=300)
+    @given(e=skewed_near_the_edge(povm=True))
+    @example(e=skewed_plus_effects())
+    def test_povm(self, e):
+        assert_one_verdict(Povm, e)
+
+    def test_skewed_plus_effects_are_rejected(self):
+        for e in (skewed_plus_effects(), skewed_plus_effects().conj().transpose(0, 2, 1)):
+            with pytest.raises(ValidationError, match="not positive semidefinite"):
+                Povm(e)
+        h = 0.5 * (skewed_plus_effects()[0] + skewed_plus_effects()[0].conj().T)
+        assert np.linalg.eigvalsh(h)[0] == pytest.approx(-1.485e-9, rel=1e-6)
 
 
 class TestTraceDistance:

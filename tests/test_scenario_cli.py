@@ -26,7 +26,7 @@ from nlbox.scenario import (
     parse_stats,
     run_scenario,
 )
-from nlbox.tolerances import MAX_LOOP_DIM
+from nlbox.tolerances import ATOL, MAX_LOOP_DIM
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "nlbox" / "scenarios"
 BUNDLED = sorted(SCENARIO_DIR.glob("*.scn"))
@@ -877,6 +877,26 @@ class TestCli:
         else:
             assert captured.out.endswith(f"linear_explainable={verdict}\n")
         assert len(calls) == 1
+
+    def test_witness_reads_the_hermitian_part(self, tmp_path, capsys):
+        # A density and an effect with a 0.5 ATOL anti-Hermitian part print the
+        # same line as the file with every matrix conjugate-transposed.
+        x_basis, y_basis = (np.array([[1, 1], [s, -s]]) / math.sqrt(2) for s in (1, 1j))
+        doc = measured_doc(qubit_inputs(), {"z": np.eye(2), "x": x_basis, "y": y_basis})
+        skew = np.array([[0.0, 0.5 * ATOL], [-0.2j * ATOL, 0.0]])
+        doc["preparations"][2]["density"] = density(qubit_inputs()["plus"] + skew)
+        doc["measurements"][1]["effects"][0] = density(np.full((2, 2), 0.5) + skew)
+        twin = copy.deepcopy(doc)
+        for m in [p["density"] for p in twin["preparations"]] + [
+                e for ms in twin["measurements"] for e in ms["effects"]]:
+            m[:] = density((np.array(m) @ np.array([1, 1j])).conj().T)
+        lines = []
+        for name, d in (("skewed.json", doc), ("adjoint.json", twin)):
+            (tmp_path / name).write_text(json.dumps(d))
+            assert main(["witness", str(tmp_path / name)]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert lines[0].endswith("linear_explainable=True\n")
 
     def test_witness_parse_stats(self, tmp_path):
         path = tmp_path / "stats.json"

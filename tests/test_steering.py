@@ -29,7 +29,7 @@ from nlbox.steering import (
     hjw_assemblage,
     steer,
 )
-from nlbox.tolerances import DTOL, RANK_CUT
+from nlbox.tolerances import ATOL, DTOL, RANK_CUT
 
 
 def singlet():
@@ -434,6 +434,24 @@ class TestSteer:
                 eigs = np.linalg.eigvalsh(rho.matrix)
                 assert eigs.min() >= -1e-9
                 assert abs(eigs.sum() - 1.0) < 1e-9
+
+    def test_rare_outcome_heralds_its_state(self):
+        # Outcome 2 fires with p = 1e-10 after cancellation among O(1) terms; 1/p scales
+        # the blocks' rounding skew to ~1e-6, past the Hermitian check, so the assemblage
+        # takes the Hermitian part before building the herald's DensityOperator.
+        rng = np.random.default_rng(0)
+        u = random_unitary(3, rng).matrix
+        effects = [np.outer(u[:, k], u[:, k].conj()) for k in range(3)]
+        sigmas = [random_density(2, rng).matrix for _ in range(3)]
+        weights = (0.5, 0.5 - 1e-10, 1e-10)
+        state = DensityOperator(sum(w * np.kron(e, s) for w, e, s in zip(weights, effects, sigmas)))
+        povm = Povm(effects)
+        blocks = np.einsum("kxa,ajxc->kjc", povm.effects, state.matrix.reshape(3, 2, 3, 2))
+        assert np.abs(blocks[2] - blocks[2].conj().T).max() / 1e-10 > ATOL
+        p, rho = assemblage_from(state, povm).outcomes[2]
+        assert p == pytest.approx(1e-10, rel=1e-4)
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert np.abs(rho.matrix - sigmas[2]).max() < 1e-4
 
     def test_zero_probability_outcome(self):
         state = KetVector(np.kron(KET0.amplitudes, KET0.amplitudes)).projector()
