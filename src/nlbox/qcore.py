@@ -33,10 +33,10 @@ def _freeze(obj, name, arr):
 
 class _Validated:
     """A value that unpickles through its validating constructor, called on
-    its one init field, so an unpickled array is checked and read-only."""
+    its init fields, so an unpickled value is checked and its arrays read-only."""
 
     def __reduce__(self):
-        return type(self), (getattr(self, fields(self)[0].name),)
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass(frozen=True, eq=False)

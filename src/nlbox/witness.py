@@ -16,12 +16,13 @@ from .boxes import NonlinearBox, apply_box
 from .errors import (MisuseError, RankError, ShapeError, ValidationError, check_instance,
                      check_integer, check_tol, finite_float)
 from .preparations import Preparation, classify_membership, linearly_equivalent
-from .qcore import DensityOperator, Povm, _hermitian_basis, _traceless_basis, trace_distance
+from .qcore import (DensityOperator, Povm, _hermitian_basis, _traceless_basis, _Validated,
+                    trace_distance)
 from .tolerances import ATOL, COMPLETENESS_CUT, DTOL
 
 
 @dataclass(frozen=True)
-class StatsTable:
+class StatsTable(_Validated):
     """Observed p(k|P,M) over labeled preparations and measurements.
 
     preparations: tuple of (label string, input DensityOperator)
@@ -34,10 +35,10 @@ class StatsTable:
     sample_counts: optional dict, row key -> integer shot count >= 1; presence
         marks the table as empirical frequencies, not exact probabilities.
 
-    The rows are also kept as one read-only (preparation x outcome) float
-    block, in the order of preparations and of measurements, for the fit.
-    A table unpickles through its constructor, which checks it and builds
-    the block afresh.
+    A table copies what it checked (tuples of the label pairs, new dicts of
+    the float rows and int counts), so later edits to the caller's lists and
+    dicts change nothing. It also keeps the rows as one read-only
+    (preparation x outcome) float block, in table order, for the fit.
     """
 
     preparations: tuple
@@ -47,33 +48,30 @@ class StatsTable:
     _block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for what, pairs in (("preparations", self.preparations),
-                            ("measurements", self.measurements)):
-            if not (isinstance(pairs, (tuple, list)) and all(
-                    isinstance(e, (tuple, list)) and len(e) == 2 and isinstance(e[0], str)
-                    for e in pairs)):
-                raise ValidationError(f"{what} must be a tuple of (string label, value) pairs")
         for what, cells in (("probabilities", self.probabilities),
                             ("sample_counts", self.sample_counts or {})):
             if not isinstance(cells, dict):
                 raise ValidationError(f"{what} must be a dict keyed by label pairs")
-        preps = dict(self.preparations)
-        meas = dict(self.measurements)
-        if len(preps) != len(self.preparations) or len(meas) != len(self.measurements):
-            raise ValidationError("duplicate preparation or measurement labels")
-        for label, rho in preps.items():
-            if not isinstance(rho, DensityOperator):
-                raise ValidationError(f"preparation {label!r} is not a DensityOperator")
-        for label, m in meas.items():
-            if not isinstance(m, Povm):
-                raise ValidationError(f"measurement {label!r} is not a Povm")
+        sides = []
+        for what, kind, mixed in (
+                ("preparations", DensityOperator, "all input densities must share one dimension"),
+                ("measurements", Povm, "all measurements must share one output dimension")):
+            pairs = getattr(self, what)
+            if not (isinstance(pairs, (tuple, list)) and all(
+                    isinstance(e, (tuple, list)) and len(e) == 2 and isinstance(e[0], str)
+                    for e in pairs)):
+                raise ValidationError(f"{what} must be a tuple of (string label, value) pairs")
+            object.__setattr__(self, what, pairs := tuple(map(tuple, pairs)))
+            sides.append(side := dict(pairs))
+            if len(side) != len(pairs):
+                raise ValidationError("duplicate preparation or measurement labels")
+            for label, value in pairs:
+                if not isinstance(value, kind):
+                    raise ValidationError(f"{what[:-1]} {label!r} is not a {kind.__name__}")
+            if len({value.dim for _, value in pairs}) != 1:
+                raise ShapeError(mixed)
+        preps, meas = sides
         outcomes = {label: m.n_outcomes for label, m in meas.items()}
-        din = {rho.dim for rho in preps.values()}
-        if len(din) != 1:
-            raise ShapeError("all input densities must share one dimension")
-        dout = {m.dim for m in meas.values()}
-        if len(dout) != 1:
-            raise ShapeError("all measurements must share one output dimension")
         rows = {}
         for cell, row in self.probabilities.items():
             if not (isinstance(cell, tuple) and len(cell) == 2):
@@ -106,15 +104,14 @@ class StatsTable:
         object.__setattr__(self, "_block", block)  # derived once from the checked rows
         if self.sample_counts is not None and not self.sample_counts:
             raise ValidationError("sample_counts is empty")
+        counts = None if self.sample_counts is None else {}
         for cell, n in (self.sample_counts or {}).items():
-            if cell not in self.probabilities:
+            if cell not in rows:
                 raise ValidationError(f"sample count for {cell} has no probability row")
-            if math.isnan(finite_float(check_integer(n, f"sample count for {cell}", least=1))):
+            counts[cell] = n = check_integer(n, f"sample count for {cell}", least=1)
+            if math.isnan(finite_float(n)):
                 raise ValidationError(f"sample count for {cell} exceeds the float range")
-
-    def __reduce__(self):
-        return type(self), (self.preparations, self.measurements, self.probabilities,
-                            self.sample_counts)
+        object.__setattr__(self, "sample_counts", counts)
 
     @property
     def input_dim(self) -> int:
@@ -193,6 +190,7 @@ def fit_linear_map(table: StatsTable) -> LinearFit:
     z = (w @ u / s) @ vt
     choi = np.eye(n) / dout + (out_basis.reshape(-1, dout * dout).T @ (z @ in_basis)).reshape(
         dout, dout, din, din).transpose(0, 2, 1, 3).reshape(n, n)
+    choi.setflags(write=False)
     return LinearFit(choi=choi, input_dim=din, output_dim=dout,
                      residual=float(np.max(np.abs(e @ z @ x.T - y))),
                      choi_min_eig=float(np.linalg.eigvalsh(choi)[0]))

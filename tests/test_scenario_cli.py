@@ -26,7 +26,8 @@ from nlbox.scenario import (
     parse_stats,
     run_scenario,
 )
-from nlbox.tolerances import ATOL, MAX_LOOP_DIM
+from nlbox.rand import random_cptp_kraus, random_ket, random_unitary
+from nlbox.tolerances import ATOL, COMPLETENESS_CUT, MAX_LOOP_DIM
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "nlbox" / "scenarios"
 BUNDLED = sorted(SCENARIO_DIR.glob("*.scn"))
@@ -581,6 +582,61 @@ def mutated(doc, data):
     return doc
 
 
+def input_spread(states):
+    """The d^2-th singular value of the inputs' real coordinates: how far
+    they are from spanning every Hermitian direction."""
+    coords = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in states])
+    d = len(states[0])
+    return np.linalg.svd(coords, compute_uv=False)[d * d - 1]
+
+
+def value_mutated_doc(data):
+    """A valid stats document for a random channel on d = 2-4 levels, with
+    its values, never its structure, mutated: d^2 random pure inputs, of
+    which the last may be moved to within 10x of COMPLETENESS_CUT of the
+    span of the others, and one may be repeated under a second label; the
+    computational basis and 0 to d random bases (fewer than d leave the
+    effects rank deficient); rows set to 0/1 cells, zeroed, scaled or
+    reversed, then renormalized; shot counts on some cells or none."""
+    d = data.draw(st.integers(2, 4), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    kets = [random_ket(d, rng).amplitudes for _ in range(d * d + 1)]
+    states = [np.outer(k, k.conj()) for k in kets[:-1]]
+    if data.draw(st.booleans(), label="near_cut"):
+        target = COMPLETENESS_CUT * 10 ** data.draw(st.floats(-1, 1), label="log10 spread")
+
+        def moved(eps):
+            return states[:-1] + [(1 - eps) * states[0] + eps * np.outer(kets[-1], kets[-1].conj())]
+
+        states = moved(1e-6 * target / input_spread(moved(1e-6)))
+        assert COMPLETENESS_CUT / 10 <= input_spread(states) <= 10 * COMPLETENESS_CUT
+    labelled = {f"in{i}": rho for i, rho in enumerate(states)}
+    if data.draw(st.booleans(), label="repeat"):
+        labelled["again"] = states[data.draw(st.integers(0, len(states) - 1), label="repeated")]
+    bases = {"z": np.eye(d)} | {f"r{b}": random_unitary(d, rng).matrix
+                                for b in range(data.draw(st.integers(0, d), label="bases"))}
+    doc = measured_doc(labelled, bases, random_cptp_kraus(d, rng))
+    cells = sorted(doc["probabilities"])
+    for _ in range(data.draw(st.integers(0, 6), label="mutations")):
+        cell = data.draw(st.sampled_from(cells))
+        row = np.array(doc["probabilities"][cell])
+        k = data.draw(st.integers(0, d - 1))
+        how = data.draw(st.sampled_from(["0/1", "zero", "scale", "reverse"]))
+        if how == "0/1" or how == "zero" and row.sum() == row[k]:
+            row = np.eye(d)[k]
+        elif how == "zero":
+            row[k] = 0.0
+        elif how == "scale":
+            row[k] *= data.draw(st.floats(0, 10))
+        else:
+            row = row[::-1]
+        doc["probabilities"][cell] = (row / row.sum() if row.sum() else np.eye(d)[k]).tolist()
+    if data.draw(st.booleans(), label="sampled"):
+        doc["sample_counts"] = {cell: data.draw(st.integers(1, 10 ** 4)) for cell in
+                                data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4))}
+    return doc
+
+
 def spelled_out(doc):
     """The same scenario with its named bases written out as kets, so that
     a mutation can reach the amplitudes."""
@@ -616,6 +672,20 @@ class TestParserFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzz_stats.json"
         path.write_text(json.dumps(mutated(stats_doc(), data)))
         assert main(["witness", str(path)]) in (0, 2, 3)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_stats_values(self, tmp_path_factory, data):
+        # Each valid table with unusual values reaches the fit once and exits
+        # 0, 3 (too few input directions) or 4; any other exception escapes
+        # main and fails the test.
+        path = tmp_path_factory.getbasetemp() / "fuzz_values.json"
+        path.write_text(json.dumps(value_mutated_doc(data)))
+        calls, real = [], cli.linearity_verdict
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "linearity_verdict", lambda *args: calls.append(args) or real(*args))
+            assert main(["witness", str(path)]) in (0, 3, 4)
+        assert len(calls) == 1
 
 
 class TestCli:

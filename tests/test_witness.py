@@ -1,6 +1,7 @@
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import BOX_EVENT, ensemble_prep, local_prep, make_box
 from nlbox.boxes import LinearBoxConfig, Semantics, apply_box
-from nlbox.errors import ConfigurationError, MisuseError, RankError, ValidationError, finite_float
+from nlbox.errors import (ConfigurationError, MisuseError, RankError, ShapeError, ValidationError,
+                          check_integer, finite_float)
 from nlbox.qcore import (
     COMPUTATIONAL_BASIS,
     KET0,
@@ -17,6 +19,7 @@ from nlbox.qcore import (
     KET_MINUS,
     KET_PLUS,
     DensityOperator,
+    KetVector,
     Povm,
     _hermitian_basis,
     _traceless_basis,
@@ -33,6 +36,7 @@ from nlbox.witness import (
     affinity_violation,
     fit_linear_map,
     is_linear_explainable,
+    linearity_verdict,
     sample_table,
     sampled_tolerance,
 )
@@ -347,6 +351,254 @@ class TestStatsTable:
                            probabilities={("a", "m"): (0.5, 0.5)},
                            sample_counts={("a", "m"): np.int64(100)})
         assert sampled_tolerance(table) == 3 * 0.05
+        assert type(table.sample_counts["a", "m"]) is int  # the int check_integer returned
+
+    @staticmethod
+    def from_lists():
+        """A complete sampled qubit table built from lists and dicts the
+        caller keeps, with the arguments themselves."""
+        preps = [list(pair) for pair in TOMO_INPUTS]
+        meas = [["comp", computational_povm(2)], ["x", basis_povm((KET_PLUS, KET_MINUS))]]
+        probs = {(pl, ml): list(born_probabilities(rho, m)) for pl, rho in preps for ml, m in meas}
+        counts = dict.fromkeys(probs, 100)
+        return StatsTable(preps, meas, probs, counts), preps, meas, probs, counts
+
+    def test_editing_the_callers_lists_changes_nothing(self):
+        table, preps, meas, probs, _ = self.from_lists()
+        fit, tol, verdict = linearity_verdict(table)
+        preps[0] = ["zero", preps[1][1]]  # the inputs would span 3 of 4 directions
+        meas.append(["z3", computational_povm(3)])
+        probs["zero", "comp"] = [0.0, 1.0]
+        again = linearity_verdict(table)
+        assert (fit_bits(again[0]), again[1:]) == (fit_bits(fit), (tol, verdict))
+        assert table.preparations == tuple(map(tuple, TOMO_INPUTS))
+        assert [label for label, _ in table.measurements] == ["comp", "x"]
+        assert all(type(pair) is tuple for pair in table.preparations + table.measurements)
+
+    def test_editing_the_callers_counts_changes_nothing(self):
+        table, _, _, _, counts = self.from_lists()
+        tol = sampled_tolerance(table)
+        counts["zero", "comp"] = 0  # sampled_tolerance would divide by it
+        assert sampled_tolerance(table) == tol
+        assert table.sample_counts == dict.fromkeys(table.probabilities, 100)
+
+    def test_unpickles_through_its_constructor_with_every_field(self, rng):
+        sampled = sample_table(self.ragged_table(), 100, rng)
+        assert "__reduce__" not in vars(StatsTable)
+        assert sampled.__reduce__() == (StatsTable, (
+            sampled.preparations, sampled.measurements, sampled.probabilities,
+            sampled.sample_counts))
+        copy = pickle.loads(pickle.dumps(sampled))
+        assert copy.sample_counts == sampled.sample_counts and copy.is_sampled()
+        assert sampled_tolerance(copy) == sampled_tolerance(sampled)
+        assert copy.probabilities == sampled.probabilities
+
+    def test_a_one_field_value_pickles_as_before(self):
+        rho, povm = KET0.projector(), computational_povm(2)
+        assert rho.__reduce__() == (DensityOperator, (rho.matrix,))
+        assert povm.__reduce__() == (Povm, (povm.effects,))
+
+
+def reference_stats_checks(preparations, measurements, probabilities, sample_counts=None):
+    """StatsTable's checks as they read with four per-side passes, before one
+    loop over its two sides: the checked rows, the block and the counts."""
+    for what, pairs in (("preparations", preparations), ("measurements", measurements)):
+        if not (isinstance(pairs, (tuple, list)) and all(
+                isinstance(e, (tuple, list)) and len(e) == 2 and isinstance(e[0], str)
+                for e in pairs)):
+            raise ValidationError(f"{what} must be a tuple of (string label, value) pairs")
+    for what, cells in (("probabilities", probabilities), ("sample_counts", sample_counts or {})):
+        if not isinstance(cells, dict):
+            raise ValidationError(f"{what} must be a dict keyed by label pairs")
+    preps = dict(preparations)
+    meas = dict(measurements)
+    if len(preps) != len(preparations) or len(meas) != len(measurements):
+        raise ValidationError("duplicate preparation or measurement labels")
+    for label, rho in preps.items():
+        if not isinstance(rho, DensityOperator):
+            raise ValidationError(f"preparation {label!r} is not a DensityOperator")
+    for label, m in meas.items():
+        if not isinstance(m, Povm):
+            raise ValidationError(f"measurement {label!r} is not a Povm")
+    outcomes = {label: m.n_outcomes for label, m in meas.items()}
+    if len({rho.dim for rho in preps.values()}) != 1:
+        raise ShapeError("all input densities must share one dimension")
+    if len({m.dim for m in meas.values()}) != 1:
+        raise ShapeError("all measurements must share one output dimension")
+    rows = {}
+    for cell, row in probabilities.items():
+        if not (isinstance(cell, tuple) and len(cell) == 2):
+            raise ValidationError(f"probability key {cell!r} is not a (preparation, "
+                                  "measurement) label pair")
+        try:
+            row = tuple(row)
+        except TypeError:
+            raise ValidationError(f"row {cell} is not a sequence of probabilities") from None
+        pl, ml = cell
+        floats = tuple([float(x) for x in row if isinstance(x, float)])  # nan, inf fail below
+        rows[cell] = row = floats if len(floats) == len(row) else tuple(map(finite_float, row))
+        if pl not in preps or ml not in outcomes:
+            raise ValidationError(f"probability row references unknown labels ({pl}, {ml})")
+        if len(row) != outcomes[ml]:
+            raise ShapeError(f"row ({pl}, {ml}) has wrong outcome count")
+        if not min(row) >= -ATOL or not abs(sum(row) - 1.0) <= ATOL:  # a nan fails the sum
+            raise ValidationError(f"row ({pl}, {ml}) is not a probability distribution")
+    block = []
+    for pl in preps:
+        for ml in meas:
+            row = rows.get((pl, ml))
+            if row is None:
+                raise ValidationError(f"no probability row for {(pl, ml)}; a table needs "
+                                      "one for every preparation x measurement")
+            block += row
+    block = np.array(block, dtype=float).reshape(len(preps), -1)
+    if sample_counts is not None and not sample_counts:
+        raise ValidationError("sample_counts is empty")
+    for cell, n in (sample_counts or {}).items():
+        if cell not in rows:
+            raise ValidationError(f"sample count for {cell} has no probability row")
+        if math.isnan(finite_float(check_integer(n, f"sample count for {cell}", least=1))):
+            raise ValidationError(f"sample count for {cell} exceeds the float range")
+    return rows, block, sample_counts and {cell: int(n) for cell, n in sample_counts.items()}
+
+
+def valid_table_args(rng, din, dout, n_preps, n_meas, sampled):
+    """Constructor arguments of a valid table: random densities, the
+    computational and random-basis measurements, Dirichlet rows."""
+    preps = tuple((f"p{i}", random_density(din, rng)) for i in range(n_preps))
+    meas = (("comp", computational_povm(dout)),) + tuple(
+        (f"m{j}", basis_povm(tuple(KetVector(c) for c in random_unitary(dout, rng).matrix.T)))
+        for j in range(n_meas - 1))
+    probs = {(pl, ml): tuple(rng.dirichlet(np.ones(m.n_outcomes)).tolist())
+             for pl, _ in preps for ml, m in meas}
+    counts = {cell: int(rng.integers(1, 1000)) for cell in probs} if sampled else None
+    return {"preparations": preps, "measurements": meas, "probabilities": probs,
+            "sample_counts": counts}
+
+
+def _edit_pair(args, side, pick, edit):
+    pairs = list(args[side])
+    i = pick(range(len(pairs)))
+    pairs[i] = edit(*pairs[i])
+    args[side] = tuple(pairs)
+
+
+def _edit_row(args, pick, edit):
+    probs = dict(args["probabilities"])
+    cell = pick(sorted(probs))
+    edit(probs, cell)
+    args["probabilities"] = probs
+
+
+def _edit_entry(probs, cell, pick, value):
+    row = list(probs[cell])
+    row[pick(range(len(row)))] = value
+    probs[cell] = tuple(row)
+
+
+def _off_by(probs, cell, pick):
+    """Move one entry by +-ATOL (1 -+ 1e-3): the sum, or the least entry,
+    just inside or just past its bound."""
+    row = list(probs[cell])
+    delta = pick([-1, 1]) * ATOL * pick([1 - 1e-3, 1 + 1e-3])
+    if pick(["sum", "least"]) == "sum":
+        row[0] += delta
+    else:
+        k = int(np.argmax(row))
+        row[k] += row[-1 if k == 0 else 0] + abs(delta)
+        row[-1 if k == 0 else 0] = -abs(delta)
+    probs[cell] = tuple(row)
+
+
+def _edit_count(args, pick, value):
+    counts = dict(args["sample_counts"] or {("p0", "comp"): 10})
+    counts[pick(sorted(counts))] = value
+    args["sample_counts"] = counts
+
+
+SIDES = ("preparations", "measurements")
+MATRIX_OF = {"preparations": lambda v: v.matrix, "measurements": lambda v: v.effects}
+OTHER_DIM = {"preparations": lambda v: maximally_mixed(v.dim + 1),
+             "measurements": lambda v: computational_povm(v.dim + 1)}
+
+# One fault each, put into a valid table's arguments in place; pick(seq)
+# chooses one element of seq. "none" and "lists" leave the table valid.
+STATS_FAULTS = {
+    "none": lambda args, pick: None,
+    "lists": lambda args, pick: args.update(
+        {side: [list(pair) for pair in args[side]] for side in SIDES},
+        probabilities={cell: pick([list, np.array])(row)
+                       for cell, row in args["probabilities"].items()}),
+    "side_not_a_sequence": lambda args, pick: args.update(
+        {pick(SIDES): pick([None, "ab", 3, {"a": 1}, set()])}),
+    "side_empty": lambda args, pick: args.update({pick(SIDES): pick([(), []])}),
+    "not_a_pair": lambda args, pick: _edit_pair(
+        args, pick(SIDES), pick, lambda label, value: pick(
+            [(label,), (label, value, 0), (3, value), (None, value), "ab", None])),
+    "duplicate_label": lambda args, pick: args.update(
+        {(side := pick(SIDES)): args[side] + (pick(args[side]),)}),
+    "wrong_value_type": lambda args, pick: _edit_pair(
+        args, (side := pick(SIDES)), pick, lambda label, value: (label, pick(
+            [MATRIX_OF[side](value), None, KET0, computational_povm(2), maximally_mixed(2)]))),
+    "other_dimension": lambda args, pick: _edit_pair(
+        args, (side := pick(SIDES)), pick, lambda label, value: (label, OTHER_DIM[side](value))),
+    "cells_not_a_dict": lambda args, pick: args.update(
+        {(what := pick(["probabilities", "sample_counts"])): pick(
+            [list((args[what] or {1: 2}).items()), None, 0, "", [], "ab", 3])}),
+    "key_not_a_pair": lambda args, pick: _edit_row(args, pick, lambda probs, cell: probs.update(
+        {pick(["|".join(cell), cell[:1], cell + ("x",), 7]): probs.pop(cell)})),
+    "unknown_label": lambda args, pick: _edit_row(args, pick, lambda probs, cell: probs.update(
+        {pick([("nope", cell[1]), (cell[0], "nope")]): probs.pop(cell)})),
+    "row_not_a_sequence": lambda args, pick: _edit_row(args, pick, lambda probs, cell: probs.update(
+        {cell: pick([1.0, None, 5])})),
+    "bad_entry": lambda args, pick: _edit_row(args, pick, lambda probs, cell: _edit_entry(
+        probs, cell, pick, pick([math.nan, math.inf, -math.inf, "0.5", True, None, 1j,
+                                 10 ** 400, np.float32(0.5), np.int64(1)]))),
+    "outcome_count": lambda args, pick: _edit_row(args, pick, lambda probs, cell: probs.update(
+        {cell: pick([probs[cell] + (0.0,), probs[cell][:-1]])})),
+    "off_by_atol": lambda args, pick: _edit_row(
+        args, pick, lambda probs, cell: _off_by(probs, cell, pick)),
+    "missing_row": lambda args, pick: _edit_row(args, pick, lambda probs, cell: probs.pop(cell)),
+    "counts_empty": lambda args, pick: args.update(sample_counts={}),
+    "count_without_row": lambda args, pick: args.update(sample_counts={
+        **(args["sample_counts"] or {}), pick([("nope", "comp"), ("p0", "nope"), "x"]): 10}),
+    "bad_count": lambda args, pick: _edit_count(
+        args, pick, pick([0, -1, 2.5, True, 10 ** 400, "3", None, 100.0, np.int64(7)])),
+}
+
+
+def table_outcome(build, args):
+    """(None, build(**args)), or the type and message of its error; any
+    warning is an error here, as it is in the whole suite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return None, build(**args)
+        except Exception as exc:  # any type: the type is what is compared
+            return type(exc), str(exc)
+
+
+class TestChecksMatchTheirReference:
+    @pytest.mark.parametrize("fault", sorted(STATS_FAULTS))
+    @settings(max_examples=25)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), din=st.integers(1, 3),
+           dout=st.integers(1, 3), n_preps=st.integers(1, 3), n_meas=st.integers(1, 3),
+           sampled=st.booleans())
+    def test_a_single_fault_gives_the_reference_error(self, fault, data, seed, din, dout,
+                                                      n_preps, n_meas, sampled):
+        args = valid_table_args(np.random.default_rng(seed), din, dout, n_preps, n_meas, sampled)
+        STATS_FAULTS[fault](args, lambda seq: data.draw(st.sampled_from(list(seq))))
+        got, want = table_outcome(StatsTable, args), table_outcome(reference_stats_checks, args)
+        assert got[0] is want[0]
+        if want[0] is not None:
+            assert got == want
+            return
+        table, (rows, block, counts) = got[1], want[1]
+        assert table.probabilities == rows
+        assert table._block.tobytes() == block.tobytes()
+        assert table.sample_counts == counts
+        for side in SIDES:
+            assert getattr(table, side) == tuple(map(tuple, args[side]))
 
 
 class TestFit:
@@ -423,6 +675,12 @@ class TestFit:
         outcomes = sum(m.n_outcomes for _, m in table.measurements)
         assert (len(table.preparations), outcomes) == (18, 20)
         assert calls == [("svd", (18, 16)), ("lstsq", (20, 15))]
+
+    def test_choi_is_read_only(self):
+        fit = fit_linear_map(channel_table([np.eye(2, dtype=complex)]))
+        assert not fit.choi.flags.writeable
+        with pytest.raises(ValueError):
+            fit.choi[0, 0] = 0.0
 
     def test_fits_compare_and_hash_by_identity(self):
         # Equal Choi arrays do not make equal fits: == is identity, as hashing is.
