@@ -13,7 +13,7 @@ excludes shows. A pure input off a plain Brun box's domain is a DomainError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 
@@ -51,8 +51,8 @@ from .qcore import (
     tensor,
     trace_norm,
 )
-from .tolerances import (ATOL, LOOP_FIXED_CUT, LOOP_GAP, LOOP_RESIDUAL, MAX_LOOP_DIM, OVERLAP_CUT,
-                         PURITY_MIN)
+from .tolerances import (ATOL, LOOP_FIXED_CUT, LOOP_GAP, LOOP_RESIDUAL, MAX_LOOP_DIM,
+                         MAX_TENSOR_DIM, OVERLAP_CUT, PURITY_MIN)
 
 
 class Semantics(str, Enum):
@@ -121,12 +121,15 @@ _TWO_QUBIT_BASIS_STATES = tuple(DensityOperator(np.diag(row).astype(complex))
 
 
 @dataclass(frozen=True)
-class DeutschBoxConfig:
+class DeutschBoxConfig(_Validated):
     """A consistency-condition box: the state entering the loop equals the
-    state exiting it, solved as a density-operator fixed point."""
+    state exiting it, solved as a density-operator fixed point. `_loop_tensor`,
+    T, holds the loop map's real matrix R, linear in the input, for each input
+    basis element: ds^2 dc^4 floats, so ds dc^2 is capped at MAX_TENSOR_DIM."""
 
     unitary: Unitary
     ctc_dim: int
+    _loop_tensor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.unitary, Unitary):
@@ -137,6 +140,20 @@ class DeutschBoxConfig:
                                 f"{MAX_LOOP_DIM}")
         if self.unitary.dim % self.ctc_dim != 0:
             raise ShapeError("unitary dim must be system_dim * ctc_dim")
+        if self.unitary.dim * self.ctc_dim > MAX_TENSOR_DIM:
+            raise CapacityError(f"system dim times ctc_dim**2, {self.unitary.dim * self.ctc_dim},"
+                                f" exceeds the loop tensor cap {MAX_TENSOR_DIM}")
+        # Row q of T is R.flat on H_q, row q of the system's Hermitian basis, gathered from the
+        # entries M_q[(c, d), (a, b)] = sum_sy k[q, (c, a), (s, y)] conj(t[s, d, y, b]) held at
+        # m[q, (c, a), (d, b)].
+        ds, dc, n = self.system_dim, self.ctc_dim, self.ctc_dim ** 2
+        t = self.unitary.matrix.reshape(ds, dc, ds, dc)
+        k = np.einsum("scxa,qxy->qcasy", t, _hermitian_basis(ds).reshape(-1, ds, ds))
+        m = k.reshape(ds * ds, n, -1) @ t.conj().transpose(0, 2, 1, 3).reshape(-1, n)
+        idx, w = _loop_plan(dc)
+        r = np.einsum("qij,ij->qi", m.view(float).reshape(ds * ds, -1).take(idx, axis=1), w)
+        r.setflags(write=False)
+        object.__setattr__(self, "_loop_tensor", r)
 
     @property
     def system_dim(self) -> int:
@@ -167,11 +184,11 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
 
     The loop superoperator M: sigma -> Tr_S[U (rho_in (x) sigma) U^dag] preserves
     Hermiticity, so it is solved in real coordinates, as its real matrix R in the
-    Hermitian basis of `qcore`; R - I is gathered from M's entries by a plan built
-    once per dc (see `_loop_matrix`). The limit projects the coordinates of I/dc onto
-    ker(R - I) along ran(R - I), F (L^T F)^-1 L^T, where the columns of F and L
-    are the right and left singular vectors of R - I for its f singular values at
-    most LOOP_FIXED_CUT. For f = 1, L is the trace row t, as t^T (R - I) = 0, and
+    Hermitian basis of `qcore`; R is linear in rho_in, so R - I is read from the
+    config's loop tensor (see `_loop_minus_identity`). The limit projects I/dc's
+    coordinates onto ker(R - I) along ran(R - I), F (L^T F)^-1 L^T, the columns of
+    F and L the right and left singular vectors of R - I for its f singular values
+    at most LOOP_FIXED_CUT. For f = 1, L is the trace row t, as t^T (R - I) = 0, and
     the bordered matrix B = [[R - I, t], [t^T, 0]] gives the fixed point h of
     trace 1 from B [h; 0] = [0; 1]. The generic loop, f = 1, is certified
     without an SVD (see `_one_fixed_direction`); any other loop (I (x) V, the
@@ -190,7 +207,7 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
         raise ShapeError(f"input dim {rho_in.dim} != system dim {config.system_dim}")
     dc = config.ctc_dim
     n = dc * dc
-    a = _loop_matrix(config.unitary.matrix, rho_in.matrix, dc)
+    a = _loop_minus_identity(config, rho_in)
     basis = _hermitian_basis(dc)
     border = np.zeros((n + 1, n + 1))
     border[:n, :n] = a
@@ -225,19 +242,11 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
     return DensityOperator((h @ basis).reshape(dc, dc))
 
 
-def _loop_matrix(u: np.ndarray, rho_in: np.ndarray, dc: int) -> np.ndarray:
-    """R - I as a new (dc^2, dc^2) array, R the real matrix, in the Hermitian basis
-    B of `qcore`, of the loop map of the unitary matrix u on the system density
-    matrix rho_in: R[k, l] = Re sum_ij conj(B[k, i]) M[i, j] B[l, j], gathered from
-    M's entries by `_loop_plan`."""
-    ds, n = rho_in.shape[0], dc * dc
-    t = u.reshape(ds, dc, ds, dc)
-    # M[(c, d), (a, b)] = sum_sy k[(c, a), (s, y)] conj(t[s, d, y, b]), held at [(c, a), (d, b)].
-    k = np.einsum("scxa,xy->casy", t, rho_in).reshape(n, -1)
-    m = k @ t.conj().transpose(0, 2, 1, 3).reshape(-1, n)
-    idx, w = _loop_plan(dc)
-    a = np.einsum("ij,ij->i", m.view(float).ravel().take(idx), w).reshape(n, n)
-    a.flat[:: n + 1] -= 1.0
+def _loop_minus_identity(config: DeutschBoxConfig, rho_in: DensityOperator) -> np.ndarray:
+    """R - I as a new array: x @ T - I, for x = Re(conj(B_s) vec rho_in) the input's coordinates."""
+    x = (_hermitian_basis(rho_in.dim).conj() @ rho_in.matrix.ravel()).real
+    a = (x @ config._loop_tensor).reshape(config.ctc_dim ** 2, -1)
+    a.flat[:: a.shape[0] + 1] -= 1.0
     return a
 
 

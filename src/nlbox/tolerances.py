@@ -15,11 +15,12 @@ DTOL = 1e-8
 # Purity threshold: a state with Tr(rho^2) >= PURITY_MIN counts as pure.
 PURITY_MIN = 1.0 - 1e-9
 
-# Total dimension cap for tensor products.
+# Total dimension cap for tensor products, and for a Deutsch box's ds * ctc_dim**2: its
+# loop tensor holds the square of that in floats, at most 128 MiB.
 MAX_TENSOR_DIM = 2 ** 12
 
 # Loop dimension cap for a Deutsch box: its per-dimension caches (the Hermitian
-# basis and the loop-matrix plan) grow as ctc_dim**4, 4 MiB for the plan at 16.
+# basis and the loop-tensor plan) grow as ctc_dim**4, 4 MiB for the plan at 16.
 MAX_LOOP_DIM = 16
 
 # Eigenvalues below this are treated as zero when computing ranks.

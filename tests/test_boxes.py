@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import pickle
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -62,9 +64,12 @@ from nlbox.qcore import (
     trace_norm,
 )
 from nlbox.rand import random_cptp_kraus, random_density, random_ket, random_unitary
-from nlbox.tolerances import ATOL, LOOP_FIXED_CUT, LOOP_RESIDUAL, MAX_LOOP_DIM, PURITY_MIN
+from nlbox.scenario import parse_scenario, run_scenario
+from nlbox.tolerances import (ATOL, LOOP_FIXED_CUT, LOOP_RESIDUAL, MAX_LOOP_DIM, MAX_TENSOR_DIM,
+                              PURITY_MIN)
 
 KET_I = ket(1 / np.sqrt(2), 1j / np.sqrt(2))
+SCENARIO_DIR = Path(boxes.__file__).resolve().parent / "scenarios"
 
 
 def two_qubit_state(i):
@@ -252,14 +257,15 @@ def reference_fixed_point(u, rho_in_mat, d_ctc):
     return star / np.trace(star).real, loop
 
 
-def svd_count_fixed_point(u, rho_in_mat, d_ctc):
+def svd_count_fixed_point(cfg, rho_in):
     """The loop state as the solver found it while the values-only SVD of R - I
     counted the fixed directions f for every loop: f = 1 took the bordered
     solve, f > 1 the full SVD projector. Returns f and the state's matrix;
     f = 0, a singular solve and a residual above LOOP_RESIDUAL raise. R - I is
     the solver's own (see test_loop_matrix_matches_the_dense_basis_change)."""
+    d_ctc = cfg.ctc_dim
     n = d_ctc * d_ctc
-    a = boxes._loop_matrix(u, rho_in_mat, d_ctc)
+    a = boxes._loop_minus_identity(cfg, rho_in)
     basis = _hermitian_basis(d_ctc)
     n_fixed = np.count_nonzero(np.linalg.svd(a, compute_uv=False) <= LOOP_FIXED_CUT)
     if n_fixed == 0:
@@ -371,6 +377,17 @@ class TestDeutsch:
                 DeutschBoxConfig(Unitary(np.eye(MAX_LOOP_DIM + 1)), MAX_LOOP_DIM + 1)
         assert not basis.called
 
+    @pytest.mark.parametrize("d_ctc", [8, MAX_LOOP_DIM])
+    def test_config_rejects_a_loop_tensor_above_the_cap(self, d_ctc):
+        # T holds (d_sys d_ctc^2)^2 floats; one past the cap is refused before
+        # any basis or plan is built.
+        d_sys = MAX_TENSOR_DIM // d_ctc**2 + 1
+        with mock.patch.object(boxes, "_hermitian_basis", wraps=_hermitian_basis) as basis, \
+                mock.patch.object(boxes, "_loop_plan", wraps=boxes._loop_plan) as plan:
+            with pytest.raises(CapacityError, match="loop tensor cap"):
+                DeutschBoxConfig(Unitary(np.eye(d_sys * d_ctc)), d_ctc)
+        assert not basis.called and not plan.called
+
     def test_loop_at_the_cap_solves(self, rng):
         cfg = DeutschBoxConfig(Unitary(random_unitary(2 * MAX_LOOP_DIM, rng).matrix), MAX_LOOP_DIM)
         assert_density(deutsch_fixed_point(cfg, random_density(2, rng)).matrix)
@@ -378,8 +395,9 @@ class TestDeutsch:
     @settings(max_examples=150)
     @given(loop=loops(d_sys=st.integers(1, 3), d_ctc=st.integers(1, 8)))
     def test_loop_matrix_matches_the_dense_basis_change(self, loop):
-        # The gathered R - I against Re(conj(B) X B^T) - I, the two dense
-        # products with the Hermitian basis, on the same loop-map entries X.
+        # The solver's R - I, contracted from the config's loop tensor, against
+        # Re(conj(B) X B^T) - I, the two dense products with the Hermitian
+        # basis, on the loop-map entries X of the input itself.
         u, rho, d_ctc = loop
         d_sys, n = rho.dim, d_ctc * d_ctc
         t = u.reshape(d_sys, d_ctc, d_sys, d_ctc)
@@ -387,7 +405,8 @@ class TestDeutsch:
         m = (k @ t.conj().transpose(0, 2, 1, 3).reshape(-1, n)).reshape(d_ctc, d_ctc, d_ctc, d_ctc)
         basis = _hermitian_basis(d_ctc)
         dense = (basis.conj() @ m.transpose(0, 2, 1, 3).reshape(n, n) @ basis.T).real - np.eye(n)
-        assert np.max(np.abs(boxes._loop_matrix(u, rho.matrix, d_ctc) - dense)) <= 1e-15
+        cfg = DeutschBoxConfig(Unitary(u), d_ctc)
+        assert np.max(np.abs(boxes._loop_minus_identity(cfg, rho) - dense)) <= 1e-15
 
     @pytest.mark.parametrize("d_ctc", [1, 2, 5, 8])
     def test_loop_plan_is_built_once_and_read_only(self, d_ctc):
@@ -396,6 +415,55 @@ class TestDeutsch:
         for array in plan:
             assert array.shape == (d_ctc**4, 4)
             assert not array.flags.writeable
+
+    def test_loop_tensor_is_built_once_per_config(self, rng):
+        # Eight preparations through one box: the plan's gather runs once, when
+        # the config is built, and every solve reads R - I from that one tensor.
+        with mock.patch.object(boxes, "_loop_plan", wraps=boxes._loop_plan) as plan, \
+                mock.patch.object(boxes, "_loop_minus_identity",
+                                  wraps=boxes._loop_minus_identity) as solve:
+            cfg = DeutschBoxConfig(random_unitary(16, rng), 8)
+            tensor_t = cfg._loop_tensor
+            assert plan.call_count == 1
+            box = make_box(cfg, semantics=Semantics.STATE)
+            for _ in range(4):
+                apply_box(box, local_prep(random_ket(2, rng).projector()))
+                apply_box(box, local_prep(random_density(2, rng)))
+        assert solve.call_count == 8
+        assert plan.call_count == 1 and cfg._loop_tensor is tensor_t
+        assert tensor_t.shape == (4, 8**4) and not tensor_t.flags.writeable
+
+    def test_unpickled_config_rebuilds_its_loop_tensor(self, rng):
+        cfg = DeutschBoxConfig(random_unitary(8, rng), 4)
+        assert cfg.__reduce__() == (DeutschBoxConfig, (cfg.unitary, 4))
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy._loop_tensor is not cfg._loop_tensor
+        assert not copy._loop_tensor.flags.writeable
+        assert copy._loop_tensor.tobytes() == cfg._loop_tensor.tobytes()
+
+    @pytest.mark.parametrize("stem,census", [
+        ("signaling_deutsch", {"certified": 3, "uncertified": 1, "svd_values": 1, "svd_full": 1}),
+        ("prep_problem_deutsch", {"certified": 7, "uncertified": 1, "svd_values": 1,
+                                  "svd_full": 1}),
+    ])
+    def test_bundled_path_census(self, monkeypatch, stem, census):
+        # Each solve of a bundled Deutsch scenario is certified f = 1 or falls
+        # back to the values-only SVD; every fallback here counts f > 1.
+        seen = collections.Counter()
+        certify, svd = boxes._one_fixed_direction, np.linalg.svd
+
+        def certify_spy(border, dc):
+            seen["certified" if (one := certify(border, dc)) else "uncertified"] += 1
+            return one
+
+        def svd_spy(a, *args, **kwargs):
+            seen["svd_full" if kwargs.get("compute_uv", True) else "svd_values"] += 1
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(boxes, "_one_fixed_direction", certify_spy)
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
+        run_scenario(parse_scenario(SCENARIO_DIR / f"{stem}.scn"))
+        assert dict(seen) == census
 
     def test_swap_fixed_point_is_input(self, rng):
         cfg = DeutschBoxConfig(Unitary(SWAP), 2)
@@ -603,13 +671,14 @@ class TestDeutsch:
         # Without an SVD the count must be 1 and the state the bordered
         # solve's, bit for bit; with one, the outcome is the SVD count's.
         u, rho, d_ctc = loop
+        cfg = DeutschBoxConfig(Unitary(u), d_ctc)
         try:
-            expected = svd_count_fixed_point(u, rho.matrix, d_ctc)
+            expected = svd_count_fixed_point(cfg, rho)
         except (ConvergenceError, np.linalg.LinAlgError):
             expected = None
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
             try:
-                star = deutsch_fixed_point(DeutschBoxConfig(Unitary(u), d_ctc), rho).matrix
+                star = deutsch_fixed_point(cfg, rho).matrix
             except ConvergenceError:
                 star = None
         if not svd.called:

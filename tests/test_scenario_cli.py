@@ -27,7 +27,7 @@ from nlbox.scenario import (
     run_scenario,
 )
 from nlbox.rand import random_cptp_kraus, random_ket, random_unitary
-from nlbox.tolerances import ATOL, COMPLETENESS_CUT, MAX_LOOP_DIM
+from nlbox.tolerances import ATOL, COMPLETENESS_CUT, MAX_LOOP_DIM, MAX_TENSOR_DIM
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "nlbox" / "scenarios"
 BUNDLED = sorted(SCENARIO_DIR.glob("*.scn"))
@@ -130,6 +130,9 @@ MALFORMED = [
     ("ctc_dim_above_cap", "verification", ("box",),
      {"kind": "deutsch", "unitary": identity_json(MAX_LOOP_DIM + 1), "ctc_dim": MAX_LOOP_DIM + 1},
      3),
+    ("loop_tensor_above_cap", "verification", ("box",),
+     {"kind": "deutsch", "ctc_dim": MAX_LOOP_DIM,
+      "unitary": identity_json((MAX_TENSOR_DIM // MAX_LOOP_DIM**2 + 1) * MAX_LOOP_DIM)}, 3),
     ("kraus_nan", "verification", ("box",), {"kind": "linear", "kraus": [NAN_IDENTITY_2]}, 3),
     ("psi_basis_nan", "verification", ("box", "psi_basis"), NAN_IDENTITY_2, 3),
     ("unitary_nan", "verification", ("box",),
