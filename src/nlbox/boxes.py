@@ -124,8 +124,9 @@ _TWO_QUBIT_BASIS_STATES = tuple(DensityOperator(np.diag(row).astype(complex))
 class DeutschBoxConfig(_Validated):
     """A consistency-condition box: the state entering the loop equals the
     state exiting it, solved as a density-operator fixed point. `_loop_tensor`,
-    T, holds the loop map's real matrix R, linear in the input, for each input
-    basis element: ds^2 dc^4 floats, so ds dc^2 is capped at MAX_TENSOR_DIM."""
+    T, holds the loop map's real matrix R, linear in the input, on each G_g of
+    `_loop_entries`: ds^2 dc^4 floats, so ds dc^2 is capped at MAX_TENSOR_DIM.
+    Each array of T's build is O(T), the largest its gather, 4 T."""
 
     unitary: Unitary
     ctc_dim: int
@@ -143,15 +144,10 @@ class DeutschBoxConfig(_Validated):
         if self.unitary.dim * self.ctc_dim > MAX_TENSOR_DIM:
             raise CapacityError(f"system dim times ctc_dim**2, {self.unitary.dim * self.ctc_dim},"
                                 f" exceeds the loop tensor cap {MAX_TENSOR_DIM}")
-        # Row q of T is R.flat on H_q, row q of the system's Hermitian basis, gathered from the
-        # entries M_q[(c, d), (a, b)] = sum_sy k[q, (c, a), (s, y)] conj(t[s, d, y, b]) held at
-        # m[q, (c, a), (d, b)].
-        ds, dc, n = self.system_dim, self.ctc_dim, self.ctc_dim ** 2
-        t = self.unitary.matrix.reshape(ds, dc, ds, dc)
-        k = np.einsum("scxa,qxy->qcasy", t, _hermitian_basis(ds).reshape(-1, ds, ds))
-        m = k.reshape(ds * ds, n, -1) @ t.conj().transpose(0, 2, 1, 3).reshape(-1, n)
-        idx, w = _loop_plan(dc)
-        r = np.einsum("qij,ij->qi", m.view(float).reshape(ds * ds, -1).take(idx, axis=1), w)
+        # Row g of T is R.flat on G_g (see `_loop_entries`), gathered from the loop map's entries.
+        idx, w = _loop_plan(self.ctc_dim)
+        m = _loop_entries(self.unitary.matrix, self.system_dim, self.ctc_dim)
+        r = np.einsum("qij,ij->qi", m.take(idx, axis=1), w)
         r.setflags(write=False)
         object.__setattr__(self, "_loop_tensor", r)
 
@@ -243,11 +239,37 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
 
 
 def _loop_minus_identity(config: DeutschBoxConfig, rho_in: DensityOperator) -> np.ndarray:
-    """R - I as a new array: x @ T - I, for x = Re(conj(B_s) vec rho_in) the input's coordinates."""
-    x = (_hermitian_basis(rho_in.dim).conj() @ rho_in.matrix.ravel()).real
+    """R - I as a new array: x @ T - I, for x the input's coordinates on the G_g of
+    `_loop_entries`: the real part of each entry on or above the diagonal, the imaginary below."""
+    h = rho_in.matrix
+    x = np.where(_below_diagonal(len(h)), h.imag, h.real).ravel()
     a = (x @ config._loop_tensor).reshape(config.ctc_dim ** 2, -1)
     a.flat[:: a.shape[0] + 1] -= 1.0
     return a
+
+
+def _loop_entries(u: np.ndarray, ds: int, dc: int) -> np.ndarray:
+    """The loop map's entries M_g[(c, d), (a, b)], held at [g, (c, a), (d, b)] of a (ds^2,
+    2 dc^4) float array, on the system matrices G_g, g = x ds + y: E_xx, E_xy + E_yx for
+    x < y, i(E_xy - E_yx) for x > y. Their span with real coefficients is the Hermitian
+    matrices, and M on E_xy is p[x, y] = sum_s t[s, c, x, a] conj(t[s, d, y, b]), for t the
+    unitary split as (s, c, x, a); every array held at once is O(T)."""
+    n, below = dc * dc, _below_diagonal(ds)
+    a = u.reshape(ds, dc, ds, dc).transpose(2, 1, 3, 0).reshape(ds, n, ds)  # a[x, (c, a), s]
+    m = a[:, None] @ a.conj().transpose(0, 2, 1)  # p[x, y]
+    mt = m.transpose(1, 0, 2, 3)
+    up, lo = mt[below], m[below]  # p[x, y] and p[y, x] for each x < y
+    mt[below] = up + lo
+    m[below] = (lo - up) * 1j
+    return m.view(float).reshape(ds * ds, -1)
+
+
+@cache
+def _below_diagonal(d: int) -> np.ndarray:
+    """A read-only d x d mask of the entries below the diagonal, built once per d."""
+    mask = np.tri(d, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 @cache

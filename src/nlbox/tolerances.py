@@ -16,7 +16,7 @@ DTOL = 1e-8
 PURITY_MIN = 1.0 - 1e-9
 
 # Total dimension cap for tensor products, and for a Deutsch box's ds * ctc_dim**2: its
-# loop tensor holds the square of that in floats, at most 128 MiB.
+# loop tensor holds the square of that in floats, 128 MiB, and its build under 8 times that.
 MAX_TENSOR_DIM = 2 ** 12
 
 # Loop dimension cap for a Deutsch box: its per-dimension caches (the Hermitian

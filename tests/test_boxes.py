@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import pickle
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -357,6 +358,19 @@ def spy_on_solvers(monkeypatch):
     return calls
 
 
+def grid_hermitian_span(d):
+    """The (d^2, d, d) matrices G_g of `boxes._loop_entries`, g = x d + y: E_xx, then
+    E_xy + E_yx for x < y and i(E_xy - E_yx) for x > y."""
+    span = np.zeros((d, d, d, d), dtype=complex)
+    for x in range(d):
+        for y in range(d):
+            if x <= y:
+                span[x, y, x, y] = span[x, y, y, x] = 1.0
+            else:
+                span[x, y, x, y], span[x, y, y, x] = 1j, -1j
+    return span.reshape(d * d, d, d)
+
+
 class TestDeutsch:
     @pytest.mark.parametrize("unitary,ctc_dim,error", [
         (np.eye(4), 2, ConfigurationError),
@@ -408,6 +422,56 @@ class TestDeutsch:
         cfg = DeutschBoxConfig(Unitary(u), d_ctc)
         assert np.max(np.abs(boxes._loop_minus_identity(cfg, rho) - dense)) <= 1e-15
 
+    @pytest.mark.parametrize("d_sys,d_ctc", [(2, 2), (3, 2), (4, 3), (6, 2), (9, 2), (16, 1)])
+    def test_loop_tensor_matches_the_dense_loop_map_on_larger_systems(self, rng, d_sys, d_ctc):
+        # Row g of T against Re(conj(B) M_g B^T), M_g the loop map's entries on
+        # G_g contracted densely with the whole unitary; then the solver's R - I
+        # against the dense product with the system's Hermitian basis.
+        n = d_ctc * d_ctc
+        u = random_unitary(d_sys * d_ctc, rng).matrix
+        cfg = DeutschBoxConfig(Unitary(u), d_ctc)
+        t = u.reshape(d_sys, d_ctc, d_sys, d_ctc)
+        span = grid_hermitian_span(d_sys)
+        m = np.einsum("scxa,gxy,sdyb->gcdab", t, span, t.conj()).reshape(-1, n, n)
+        basis = _hermitian_basis(d_ctc)
+        dense = (basis.conj() @ m @ basis.T).real.reshape(d_sys**2, -1)
+        assert np.max(np.abs(cfg._loop_tensor - dense)) <= 1e-15
+        sys_basis = _hermitian_basis(d_sys).reshape(-1, d_sys, d_sys)
+        m = np.einsum("scxa,qxy,sdyb->qcdab", t, sys_basis, t.conj()).reshape(-1, n, n)
+        dense = (basis.conj() @ m @ basis.T).real.reshape(d_sys**2, -1)
+        for _ in range(3):
+            rho = random_density(d_sys, rng)
+            x = (sys_basis.reshape(d_sys**2, -1).conj() @ rho.matrix.ravel()).real
+            r = (x @ dense).reshape(n, n) - np.eye(n)
+            assert np.max(np.abs(boxes._loop_minus_identity(cfg, rho) - r)) <= 1e-15
+
+    @pytest.mark.parametrize("d_ctc", [1, 2, 4, 8, MAX_LOOP_DIM])
+    def test_loop_tensor_build_peaks_near_the_tensor_size(self, monkeypatch, rng, d_ctc):
+        # The largest config the cap accepts at each loop dimension, under a
+        # cap of 2**8 so that T is 512 KiB. Every array of the build is O(T),
+        # so its traced peak is within 8 T's bytes plus the copy np.take makes
+        # of the cached loop plan's indices, whatever d_sys; at MAX_TENSOR_DIM
+        # (T 128 MiB) that is under 1.1 GiB. No dense system basis is built.
+        # The per-dimension caches, which every config reads, are built first.
+        monkeypatch.setattr(boxes, "MAX_TENSOR_DIM", 2**8)
+        d_sys = 2**8 // d_ctc**2
+        u = random_unitary(d_sys * d_ctc, rng)
+        idx, _ = boxes._loop_plan(d_ctc)
+        boxes._below_diagonal(d_sys)
+        with mock.patch.object(boxes, "_hermitian_basis", wraps=_hermitian_basis) as basis:
+            tracemalloc.start()
+            try:
+                cfg = DeutschBoxConfig(u, d_ctc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert_density(deutsch_fixed_point(cfg, random_density(d_sys, rng)).matrix)
+        assert cfg._loop_tensor.nbytes == 2**16 * 8
+        assert peak <= 8 * cfg._loop_tensor.nbytes + idx.nbytes
+        assert all(call.args == (d_ctc,) for call in basis.call_args_list)
+        with pytest.raises(CapacityError, match="loop tensor cap"):
+            DeutschBoxConfig(Unitary(np.eye((d_sys + 1) * d_ctc)), d_ctc)
+
     @pytest.mark.parametrize("d_ctc", [1, 2, 5, 8])
     def test_loop_plan_is_built_once_and_read_only(self, d_ctc):
         plan = boxes._loop_plan(d_ctc)
@@ -415,6 +479,18 @@ class TestDeutsch:
         for array in plan:
             assert array.shape == (d_ctc**4, 4)
             assert not array.flags.writeable
+
+    @pytest.mark.parametrize("d_sys", [1, 2, 3, 5])
+    def test_input_coordinates_rebuild_the_input(self, rng, d_sys):
+        # A solve reads the input's coordinates off its entries through a
+        # cached, read-only mask; on the G_g they sum back to the input exactly.
+        mask = boxes._below_diagonal(d_sys)
+        assert boxes._below_diagonal(d_sys) is mask and not mask.flags.writeable
+        span = grid_hermitian_span(d_sys)
+        for _ in range(20):
+            rho = random_density(d_sys, rng)
+            x = np.where(mask, rho.matrix.imag, rho.matrix.real).ravel()
+            assert np.array_equal(np.einsum("g,gxy->xy", x, span), rho.matrix)
 
     def test_loop_tensor_is_built_once_per_config(self, rng):
         # Eight preparations through one box: the plan's gather runs once, when
