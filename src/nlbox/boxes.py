@@ -353,9 +353,12 @@ class LinearBoxConfig(_Validated):
 
     Kraus operators may be rectangular, d_out x d_in: 4 x 2 operators send
     one qubit to two, so the output space matches the two-qubit boxes.
-    """
+    `_superop`, S, is its read-only (d_out^2, d_in^2) matrix, S[(a, d), (b, c)] =
+    sum_k K_k[a, b] conj(K_k[d, c]), written in place by one batched product: (d_out d_in)^2
+    complex entries, so d_out d_in is capped at MAX_TENSOR_DIM."""
 
     kraus: np.ndarray  # read-only (n, d_out, d_in); any sequence of matrices is accepted
+    _superop: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = _freeze(self, "kraus", self.kraus)
@@ -364,11 +367,21 @@ class LinearBoxConfig(_Validated):
         total = np.einsum("kai,kaj->ij", mats.conj(), mats)
         if not float(np.max(np.abs(total - np.eye(mats.shape[2])))) <= ATOL:
             raise ValidationError("Kraus operators are not trace preserving")
+        _, d_out, d_in = mats.shape
+        if d_out * d_in > MAX_TENSOR_DIM:
+            raise CapacityError(f"output dim times input dim, {d_out * d_in}, exceeds the "
+                                f"superoperator cap {MAX_TENSOR_DIM}")
+        # S[a, d] is the (d_in, d_in) block K[:, a, :]^T conj(K[:, d, :]), one batched product.
+        s = mats.transpose(1, 2, 0)[:, None] @ mats.conj().transpose(1, 0, 2)[None]
+        s = s.reshape(d_out * d_out, d_in * d_in)
+        s.setflags(write=False)
+        object.__setattr__(self, "_superop", s)
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
+        """The channel on rho: S vec(rho), one product, read as a d_out x d_out density."""
         if rho.dim != self.kraus.shape[2]:
             raise ShapeError("channel input dimension mismatch")
-        out = np.einsum("kab,bc,kdc->ad", self.kraus, rho.matrix, self.kraus.conj())
+        out = (self._superop @ rho.matrix.ravel()).reshape(self.kraus.shape[1], -1)
         return DensityOperator(out, _neg=rho._bound)  # CPTP: no growth
 
     def apply_excluded(self, p: Preparation, box_event: SpacetimeEvent) -> DensityOperator:

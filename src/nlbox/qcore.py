@@ -188,20 +188,21 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
 
 
 def born_probabilities(rho: DensityOperator, m: Povm) -> np.ndarray:
-    """Outcome distribution Tr(E_k rho), tiny negatives clamped to zero."""
+    """Outcome distribution Tr(E_k rho), tiny negatives clamped to zero; a row of
+    strictly positive values needs no clamp and is the einsum's real part itself."""
     check_instance(rho, DensityOperator, "born_probabilities' rho")
     check_instance(m, Povm, "born_probabilities' measurement")
     if rho.dim != m.dim:
         raise ShapeError(f"state dim {rho.dim} vs POVM dim {m.dim}")
     probs = np.einsum("kij,ji->k", m.effects, rho.matrix).real
-    # The checks read Python floats; the clamp itself stays np.maximum, which fixes the bits.
+    # The checks read Python floats; a row with a 0, a -0.0 or a negative takes np.maximum's bits.
     values = probs.tolist()
     low = min(values)
     if low < -BORN_CLAMP:
         raise ValidationError(f"Born probability {low} below clamp threshold")
     if not abs(sum(p for p in values if p > 0.0) - 1.0) <= ATOL:
         raise ValidationError("Born probabilities do not sum to 1")
-    return np.maximum(probs, 0.0)
+    return probs if low > 0.0 else np.maximum(probs, 0.0)
 
 
 @cache

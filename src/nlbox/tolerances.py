@@ -15,8 +15,9 @@ DTOL = 1e-8
 # Purity threshold: a state with Tr(rho^2) >= PURITY_MIN counts as pure.
 PURITY_MIN = 1.0 - 1e-9
 
-# Total dimension cap for tensor products, and for a Deutsch box's ds * ctc_dim**2: its
-# loop tensor holds the square of that in floats, 128 MiB, and its build under 8 times that.
+# Total dimension cap for tensor products, for a Deutsch box's ds * ctc_dim**2 (its loop
+# tensor holds the square of that in floats, 128 MiB, and its build under 8 times that) and
+# for a linear box's d_out * d_in (its superoperator holds the square in complex, 256 MiB).
 MAX_TENSOR_DIM = 2 ** 12
 
 # Loop dimension cap for a Deutsch box: its per-dimension caches (the Hermitian

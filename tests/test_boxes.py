@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -20,6 +20,8 @@ from conftest import (
     make_box,
     remote_prep,
 )
+from test_derived_densities import densities
+
 from nlbox import boxes
 from nlbox.boxes import (
     BrunBoxConfig,
@@ -70,6 +72,7 @@ from nlbox.tolerances import (ATOL, LOOP_FIXED_CUT, LOOP_RESIDUAL, MAX_LOOP_DIM,
                               PURITY_MIN)
 
 KET_I = ket(1 / np.sqrt(2), 1j / np.sqrt(2))
+EPS = np.finfo(float).eps
 SCENARIO_DIR = Path(boxes.__file__).resolve().parent / "scenarios"
 
 
@@ -317,6 +320,13 @@ def reference_output(u, rho_in_mat, star, d_ctc):
     d_sys = rho_in_mat.shape[0]
     joint = u @ np.kron(rho_in_mat, star) @ u.conj().T
     return np.einsum("aibi->ab", joint.reshape(d_sys, d_ctc, d_sys, d_ctc))
+
+
+def isometry_kraus(k, d_out, d_in, rng):
+    """k random d_out x d_in Kraus operators: the row blocks of a random isometry,
+    the reduced QR factor of a complex Gaussian (k d_out, d_in) matrix."""
+    z = rng.normal(size=(k * d_out, d_in)) + 1j * rng.normal(size=(k * d_out, d_in))
+    return np.linalg.qr(z)[0].reshape(k, d_out, d_in)
 
 
 def assert_density(m):
@@ -1048,3 +1058,92 @@ class TestLinearBox:
         cfg = LinearBoxConfig(np.eye(4, dtype=complex)[None, :, ::2])
         out = cfg.apply(KET_PLUS.projector())
         assert trace_distance(out, tensor(KET_PLUS.projector(), KET0.projector())) < 1e-12
+
+    def test_config_rejects_a_superop_above_the_cap(self):
+        # S holds (d_out d_in)^2 complex entries; one past the cap is refused
+        # after the trace check and before any array of S's build exists, so
+        # the refusal's traced peak is within eight complex copies of the Kraus
+        # set, not S's 285 MB.
+        for kraus in (np.eye(65)[None], np.eye(MAX_TENSOR_DIM // 2 + 1)[None, :, :2]):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError, match="superoperator cap"):
+                    LinearBoxConfig(kraus)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 16 * kraus.size
+
+    @pytest.mark.parametrize("k,d_out,d_in", [(1, 16, 16), (3, 16, 16), (1, 32, 8), (4, 8, 32),
+                                              (2, 128, 2), (8, 256, 1)])
+    def test_superop_build_peaks_at_the_superop_size(self, monkeypatch, rng, k, d_out, d_in):
+        # The largest configs a cap of 2**8 accepts, S 1 MiB at each shape: the
+        # build's traced peak is S itself plus a few copies of the Kraus set.
+        monkeypatch.setattr(boxes, "MAX_TENSOR_DIM", 2**8)
+        kraus = isometry_kraus(k, d_out, d_in, rng)
+        tracemalloc.start()
+        try:
+            cfg = LinearBoxConfig(kraus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg._superop.shape == (d_out**2, d_in**2)
+        assert cfg._superop.nbytes == 2**16 * 16
+        assert peak <= cfg._superop.nbytes + 4 * 16 * kraus.size + 2**14
+        rho = random_density(d_in, rng)
+        kraus_sum = (kraus @ rho.matrix @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
+        assert np.max(np.abs(cfg.apply(rho).matrix - kraus_sum)) <= 4 * k * d_in**2 * EPS
+        with pytest.raises(CapacityError, match="superoperator cap"):
+            LinearBoxConfig(isometry_kraus(k, d_out + 1, d_in, rng))
+
+    def test_superop_is_built_once_per_config(self, rng):
+        # A d = 4 config applied d^2 + 2 = 18 times, as a witness op applies
+        # its channel: the constructor runs once, every apply reads the same
+        # read-only S (4 KiB), and no apply runs a three-operand einsum.
+        with mock.patch.object(LinearBoxConfig, "__post_init__", autospec=True,
+                               side_effect=LinearBoxConfig.__post_init__) as build:
+            cfg = LinearBoxConfig(random_cptp_kraus(4, rng))
+        s = cfg._superop
+        assert build.call_count == 1
+        assert s.shape == (16, 16) and s.nbytes == 4096 and not s.flags.writeable
+        box = make_box(cfg, semantics=Semantics.STATE)
+        with mock.patch.object(boxes.np, "einsum", wraps=np.einsum) as einsum:
+            for _ in range(9):
+                cfg.apply(random_ket(4, rng).projector())
+                apply_box(box, local_prep(random_density(4, rng)))
+        assert not [call for call in einsum.call_args_list if len(call.args) > 3]
+        assert cfg._superop is s
+
+    def test_unpickled_and_replaced_configs_rebuild_their_superop(self, rng):
+        cfg = LinearBoxConfig(random_cptp_kraus(3, rng))
+        reduced = cfg.__reduce__()
+        assert reduced[0] is LinearBoxConfig and len(reduced[1]) == 1
+        assert reduced[1][0] is cfg.kraus
+        assert "_superop" not in repr(cfg)
+        for copy in (pickle.loads(pickle.dumps(cfg)), dataclasses.replace(cfg)):
+            assert copy._superop is not cfg._superop
+            assert not copy._superop.flags.writeable
+            assert copy._superop.tobytes() == cfg._superop.tobytes()
+
+    @settings(max_examples=200)
+    @given(data=st.data(), d_out=st.integers(1, 4), k=st.integers(1, 4))
+    @example(data=None, d_out=4, k=1).via("the two-qubit embedding, 4 x 2")
+    def test_superop_agrees_with_the_kraus_sum(self, data, d_out, k):
+        # Each output entry sums k d_in^2 products of entries of modulus at
+        # most 1, so S vec(rho) and the Kraus sum each lie within a few
+        # k d_in^2 ulps of the exact value; their distance, 4 k d_in^2 ulps.
+        if data is None:
+            rho, kraus = KET_PLUS.projector(), np.eye(4)[None, :, ::2]
+        else:
+            rho = data.draw(densities())
+            assume(k * d_out >= rho.dim)
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            kraus = isometry_kraus(k, d_out, rho.dim, np.random.default_rng(seed))
+        k, d_in = len(kraus), rho.dim
+        expected = np.einsum("kab,bc,kdc->ad", kraus, rho.matrix, kraus.conj())
+        try:
+            out = LinearBoxConfig(kraus).apply(rho)
+        except ValidationError:
+            assert np.linalg.eigvalsh(expected)[0] < -ATOL + 1e-12
+            return
+        assert np.max(np.abs(out.matrix - expected)) <= 4 * k * d_in**2 * EPS

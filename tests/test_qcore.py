@@ -262,6 +262,53 @@ class TestBorn:
                 assert abs(probs.sum() - 1.0) < 1e-9
 
 
+# The classes of Born rows born_pairs() draws: three that return, two that raise.
+BORN_ROWS = ("positive", "zero_effect", "orthogonal", "clamped", "below_clamp", "off_sum")
+
+
+def clamping_povm(c, w, rng):
+    """A two-outcome POVM in the basis of the unitary w whose first effect has
+    eigenvalue -c on w's first column, within the POVM's positivity tolerance."""
+    a = rng.uniform(0.0, 1.0, size=len(w) - 1)
+    return Povm(tuple(w @ np.diag(lam) @ w.conj().T
+                      for lam in (np.r_[-c, a], np.r_[1.0 + c, 1.0 - a])))
+
+
+@st.composite
+def born_pairs(draw):
+    """(rho, povm, row) at d = 1-4, validated, whose Born row is of class row:
+    "positive", every value > 0; "zero_effect", an exact 0 from a zero effect
+    of either sign (+0.0 or -0.0 entries); "orthogonal", exact zeros from effects outside the
+    support of rho; "clamped", a value in (-BORN_CLAMP, 0); "below_clamp", a
+    value below -BORN_CLAMP; "off_sum", positive values summing to about
+    1 +- 1.2-1.9 ATOL, a state and a POVM each off by up to 0.95 ATOL."""
+    dim = draw(st.integers(1, 4))
+    row = draw(st.sampled_from(BORN_ROWS if dim > 1 else BORN_ROWS[:1] + BORN_ROWS[3:]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, 5))
+    if row in ("clamped", "below_clamp"):
+        c = draw(st.floats(0.01, 0.99) if row == "clamped" else st.floats(1.01, 400.0)) * BORN_CLAMP
+        w = random_unitary(dim, rng).matrix
+        return KetVector(w[:, 0]).projector(), clamping_povm(c, w, rng), row
+    if row == "orthogonal":
+        r = draw(st.integers(1, dim - 1))
+        m = np.zeros((dim, dim), dtype=complex)
+        m[:r, :r] = random_density(r, rng).matrix
+        effects = np.zeros((k + 1, dim, dim), dtype=complex)
+        effects[:k, :r, :r] = random_povm(r, k, rng).effects
+        effects[k, r:, r:] = np.eye(dim - r)
+        return DensityOperator(m), Povm(effects), row
+    rho, povm = random_density(dim, rng), random_povm(dim, k, rng)
+    if row == "zero_effect":
+        zero = np.zeros((1, dim, dim)) * draw(st.sampled_from([1.0, -1.0]))
+        at = draw(st.integers(0, k))
+        return rho, Povm(np.concatenate([povm.effects[:at], zero, povm.effects[at:]])), row
+    if row == "off_sum":
+        s = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.6, 0.95)) * ATOL
+        return DensityOperator(rho.matrix * (1 + s)), Povm(povm.effects * (1 + s)), row
+    return rho, povm, row
+
+
 class TestBornBits:
     """The Born rule's output bits are np.maximum over the one einsum; its
     checks read Python floats, which must not touch those bits."""
@@ -269,6 +316,41 @@ class TestBornBits:
     @staticmethod
     def expected(rho, povm):
         return np.maximum(np.einsum("kij,ji->k", povm.effects, rho.matrix).real, 0.0)
+
+    @staticmethod
+    def expected_error(rho, povm):
+        """The message of the Born rule's checks on this pair, as they read
+        when every row took np.maximum's copy, or None if they pass."""
+        values = np.einsum("kij,ji->k", povm.effects, rho.matrix).real.tolist()
+        if min(values) < -BORN_CLAMP:
+            return f"Born probability {min(values)} below clamp threshold"
+        if not abs(sum(p for p in values if p > 0.0) - 1.0) <= ATOL:
+            return "Born probabilities do not sum to 1"
+        return None
+
+    @settings(max_examples=300)
+    @given(pair=born_pairs())
+    def test_every_row_class_keeps_its_bits_and_errors(self, pair):
+        # A strictly positive row is returned as the einsum's real part, any
+        # other as np.maximum's copy: both carry the clamped einsum's bytes.
+        # (The einsum's sums start at +0.0, so its real part holds no -0.0.)
+        rho, povm, row = pair
+        raw = np.einsum("kij,ji->k", povm.effects, rho.matrix).real
+        message = self.expected_error(rho, povm)
+        if row in ("below_clamp", "off_sum"):
+            assert message is not None
+            with pytest.raises(ValidationError) as exc:
+                born_probabilities(rho, povm)
+            assert str(exc.value) == message
+            return
+        assert message is None
+        assert {"positive": raw.min() > 0.0, "zero_effect": (raw == 0.0).any(),
+                "orthogonal": (raw == 0.0).any(),
+                "clamped": -BORN_CLAMP < raw.min() < 0.0}[row]
+        probs = born_probabilities(rho, povm)
+        assert probs.dtype == np.float64 and probs.shape == raw.shape
+        assert probs.tobytes() == self.expected(rho, povm).tobytes()
+        assert probs.flags.owndata is (row != "positive")
 
     @staticmethod
     def clamp_povm(c):

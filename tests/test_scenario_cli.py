@@ -133,6 +133,8 @@ MALFORMED = [
     ("loop_tensor_above_cap", "verification", ("box",),
      {"kind": "deutsch", "ctc_dim": MAX_LOOP_DIM,
       "unitary": identity_json((MAX_TENSOR_DIM // MAX_LOOP_DIM**2 + 1) * MAX_LOOP_DIM)}, 3),
+    ("superop_above_cap", "verification", ("box",),
+     {"kind": "linear", "kraus": [identity_json(65)]}, 3),
     ("kraus_nan", "verification", ("box",), {"kind": "linear", "kraus": [NAN_IDENTITY_2]}, 3),
     ("psi_basis_nan", "verification", ("box", "psi_basis"), NAN_IDENTITY_2, 3),
     ("unitary_nan", "verification", ("box",),
