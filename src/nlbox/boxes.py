@@ -184,14 +184,14 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
     config's loop tensor (see `_loop_minus_identity`). The limit projects I/dc's
     coordinates onto ker(R - I) along ran(R - I), F (L^T F)^-1 L^T, the columns of
     F and L the right and left singular vectors of R - I for its f singular values
-    at most LOOP_FIXED_CUT. For f = 1, L is the trace row t, as t^T (R - I) = 0, and
-    the bordered matrix B = [[R - I, t], [t^T, 0]] gives the fixed point h of
-    trace 1 from B [h; 0] = [0; 1]. The generic loop, f = 1, is certified
-    without an SVD (see `_one_fixed_direction`); any other loop (I (x) V, the
-    identity, a loop that only nearly has a second fixed direction) falls back
-    to the values-only SVD of R - I, whose count decides: f = 1 takes the same
-    bordered solve, f > 1 the full SVD projector. Raises ConvergenceError when
-    f = 0, a solve is singular, or h misses consistency by more than LOOP_RESIDUAL.
+    at most LOOP_FIXED_CUT. It takes one of two paths. The generic loop, f = 1, is
+    certified without an SVD (see `_one_fixed_direction`); L is then the trace row
+    t, as t^T (R - I) = 0, and the bordered matrix B = [[R - I, t], [t^T, 0]] gives
+    the fixed point h of trace 1 from B [h; 0] = [0; 1]. Any other loop (I (x) V,
+    the identity, a loop that only nearly has a second fixed direction) takes one
+    SVD of R - I: its values count f and its vectors give the projector, for every
+    f >= 1. Raises ConvergenceError when f = 0, a solve is singular, or h misses
+    consistency by more than LOOP_RESIDUAL.
 
     Consistency is the trace norm of the residual matrix M(sigma) - sigma, whose
     coordinates are (R - I) h. The basis is orthonormal, so sqrt(dc) ||(R - I) h||_2
@@ -209,19 +209,16 @@ def deutsch_fixed_point(config: DeutschBoxConfig, rho_in: DensityOperator) -> De
     border[:n, :n] = a
     border[:dc, n] = border[n, :dc] = 1.0
     try:
-        n_fixed = 1
-        if not _one_fixed_direction(border, dc):
-            svals = np.linalg.svd(a, compute_uv=False)
-            n_fixed = np.count_nonzero(svals <= LOOP_FIXED_CUT)
-            if n_fixed == 0:
-                raise ConvergenceError(f"no loop fixed point: smallest singular value of R - I "
-                                       f"{svals[-1]} exceeds {LOOP_FIXED_CUT}", residual=np.inf)
-        if n_fixed == 1:
+        if _one_fixed_direction(border, dc):
             rhs = np.zeros(n + 1)
             rhs[n] = 1.0
             h = np.linalg.solve(border, rhs)[:n]
         else:
-            w, _, vt = np.linalg.svd(a)
+            w, svals, vt = np.linalg.svd(a)
+            n_fixed = np.count_nonzero(svals <= LOOP_FIXED_CUT)
+            if n_fixed == 0:
+                raise ConvergenceError(f"no loop fixed point: smallest singular value of R - I "
+                                       f"{svals[-1]} exceeds {LOOP_FIXED_CUT}", residual=np.inf)
             l_t, f = w[:, n - n_fixed:].T, vt[n - n_fixed:].T
             # L^T times (1/dc, ..., 1/dc, 0, ..., 0), the coordinates of I/dc.
             h = f @ np.linalg.solve(l_t @ f, l_t[:, :dc].sum(axis=1) / dc)
@@ -364,10 +361,10 @@ class LinearBoxConfig(_Validated):
         mats = _freeze(self, "kraus", self.kraus)
         if mats.ndim != 3 or mats.size == 0:
             raise ShapeError("channel needs one or more Kraus matrices of one shape")
-        total = np.einsum("kai,kaj->ij", mats.conj(), mats)
-        if not float(np.max(np.abs(total - np.eye(mats.shape[2])))) <= ATOL:
-            raise ValidationError("Kraus operators are not trace preserving")
         _, d_out, d_in = mats.shape
+        flat = mats.reshape(-1, d_in)  # (k d_out, d_in): sum_k K_k^dag K_k is its Gram
+        if not float(np.max(np.abs(flat.conj().T @ flat - np.eye(d_in)))) <= ATOL:
+            raise ValidationError("Kraus operators are not trace preserving")
         if d_out * d_in > MAX_TENSOR_DIM:
             raise CapacityError(f"output dim times input dim, {d_out * d_in}, exceeds the "
                                 f"superoperator cap {MAX_TENSOR_DIM}")

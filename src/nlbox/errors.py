@@ -17,8 +17,10 @@ class ShapeError(ValidationError):
 
 
 class CapacityError(ValidationError):
-    """A size would exceed its cap: a tensor product's dimension (MAX_TENSOR_DIM),
-    a Deutsch loop dimension (MAX_LOOP_DIM) or a BB84 bit count (MAX_BB84_BITS)."""
+    """A size would exceed its cap: a tensor product's dimension, a Deutsch box's
+    loop tensor (d_s d_c^2) or a linear box's superoperator (d_out d_in), all
+    MAX_TENSOR_DIM; a Deutsch loop dimension (MAX_LOOP_DIM); or a BB84 bit count
+    (MAX_BB84_BITS)."""
 
 
 class ConfigurationError(ValidationError):

@@ -35,9 +35,9 @@ NEG_ROUND = 512 * 2.0 ** -52
 BORN_CLAMP = 1e-12
 
 # Singular values of M - I at or below this span the Deutsch loop's fixed points.
-# A loop with one such value takes one bordered solve, one with more the full
-# SVD projector. One is certified without an SVD when the bordered matrix's
-# smallest singular value exceeds LOOP_GAP; otherwise the values-only SVD counts.
+# A loop certified to have exactly one (the bordered matrix's smallest singular
+# value exceeds LOOP_GAP) takes one bordered solve and no SVD; any other loop takes
+# one SVD of M - I, whose values count them and whose vectors give the projector.
 LOOP_FIXED_CUT = 1e-9
 
 # The bordered Deutsch loop matrix's certified singular-value floor: far above

@@ -8,7 +8,9 @@ is one), never a bare TypeError, and accepts numpy scalars. A malformed
 container at the API (a box event, an ensemble, a table's pairs, a label,
 a policy's labels, the signaling settings) is a ValidationError too, and
 so is an argument of the wrong type at an exported function: the error
-names the type it expected.
+names the type it expected. A guard that raises a narrower type (a
+ShapeError for operands whose dimensions disagree) is pinned to that exact
+type and message.
 """
 
 import math
@@ -17,8 +19,15 @@ import numpy as np
 import pytest
 
 from conftest import make_box
-from nlbox.boxes import BrunBoxConfig, DeutschBoxConfig, KentBoxConfig, apply_box
-from nlbox.errors import ConfigurationError, DecompositionError, ValidationError
+from nlbox.boxes import (
+    BrunBoxConfig,
+    DeutschBoxConfig,
+    KentBoxConfig,
+    NonlinearBox,
+    Semantics,
+    apply_box,
+)
+from nlbox.errors import ConfigurationError, DecompositionError, ShapeError, ValidationError
 from nlbox.preparations import (
     MembershipPolicy,
     PolicyKind,
@@ -36,6 +45,7 @@ from nlbox.qcore import (
     KET0,
     KET1,
     KET_PLUS,
+    KetVector,
     Unitary,
     basis_povm,
     born_probabilities,
@@ -45,7 +55,7 @@ from nlbox.qcore import (
     tensor,
     trace_distance,
 )
-from nlbox.scenario import emit_table, write_report
+from nlbox.scenario import Report, emit_table, write_report
 from nlbox.steering import EnsembleDecomposition, assemblage_from, steer
 from nlbox.witness import (
     StatsTable,
@@ -287,3 +297,33 @@ def test_write_report_checks_the_report_before_opening_the_file(tmp_path):
     with pytest.raises(ValidationError, match="Report, got NoneType"):
         write_report(None, path)
     assert not path.exists()
+
+
+# Guards with a narrower type than ValidationError, or a message no other test
+# reads: each case is the call, its exact error type and its message.
+EXACT_ERRORS = {
+    "deutsch_unitary_not_a_multiple": (lambda: DeutschBoxConfig(Unitary(np.eye(5)), 2),
+                                       ShapeError, r"unitary dim must be system_dim \* ctc_dim"),
+    "box_membership_string": (lambda: NonlinearBox(BOX.config, BOX.box_event, Semantics.STATE,
+                                                   "naive_pure"),
+                              ConfigurationError, "a box's membership must be a MembershipPolicy"),
+    "provenance_record_pair": (lambda: Provenance(ProvenanceTag.LOCAL_ENSEMBLE, ((0.0, 0.0),)),
+                               ValidationError, "provenance records must be SpacetimeEvent values"),
+    "ensemble_mixed_dims": (lambda: Preparation(((0.5, KET0.projector()),
+                                                 (0.5, maximally_mixed(4))), RECORDS, "p"),
+                            ShapeError, "ensemble members have mixed dimensions"),
+    "ket_overlap_dims": (lambda: KET0.overlap(KetVector(np.eye(3)[0])),
+                         ShapeError, "ket dims differ: 2 vs 3"),
+    "emit_table_format": (lambda: emit_table(Report("s", "verification", {}, {}), "xml"),
+                          ConfigurationError, "unknown output format 'xml'"),
+    "decomposition_member_dim": (lambda: EnsembleDecomposition(maximally_mixed(2),
+                                                               ((1.0, maximally_mixed(4)),)),
+                                 ShapeError, "member dimension differs from sigma_B"),
+}
+
+
+@pytest.mark.parametrize("call,error,match", list(EXACT_ERRORS.values()), ids=list(EXACT_ERRORS))
+def test_guards_raise_their_exact_error(call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call()
+    assert type(exc.value) is error

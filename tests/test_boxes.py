@@ -1,7 +1,10 @@
 import collections
 import dataclasses
+import importlib.util
 import pickle
+import sys
 import tracemalloc
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +21,7 @@ from conftest import (
     ensemble_prep,
     local_prep,
     make_box,
+    reduced_matrix,
     remote_prep,
 )
 from test_derived_densities import densities
@@ -74,6 +78,7 @@ from nlbox.tolerances import (ATOL, LOOP_FIXED_CUT, LOOP_RESIDUAL, MAX_LOOP_DIM,
 KET_I = ket(1 / np.sqrt(2), 1j / np.sqrt(2))
 EPS = np.finfo(float).eps
 SCENARIO_DIR = Path(boxes.__file__).resolve().parent / "scenarios"
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def two_qubit_state(i):
@@ -232,8 +237,7 @@ def iterated_loop_oracle(u, rho_in_mat, d_sys, d_ctc, steps=400):
     tail = []
     for step in range(steps):
         joint = u @ np.kron(rho_in_mat, sigma) @ u.conj().T
-        t = joint.reshape(d_sys, d_ctc, d_sys, d_ctc)
-        sigma = np.einsum("iaib->ab", t)
+        sigma = reduced_matrix(joint, (d_sys, d_ctc), 1)
         if step >= steps // 2:
             tail.append(sigma)
     return sum(tail) / len(tail)
@@ -248,7 +252,7 @@ def reference_fixed_point(u, rho_in_mat, d_ctc):
 
     def loop(sigma):
         joint = u @ np.kron(rho_in_mat, sigma) @ u.conj().T
-        return np.einsum("iaib->ab", joint.reshape(d_sys, d_ctc, d_sys, d_ctc))
+        return reduced_matrix(joint, (d_sys, d_ctc), 1)
 
     basis = np.eye(d_ctc * d_ctc, dtype=complex)
     m = np.column_stack([loop(basis[:, k].reshape(d_ctc, d_ctc)).reshape(-1)
@@ -262,31 +266,52 @@ def reference_fixed_point(u, rho_in_mat, d_ctc):
 
 
 def svd_count_fixed_point(cfg, rho_in):
-    """The loop state as the solver found it while the values-only SVD of R - I
-    counted the fixed directions f for every loop: f = 1 took the bordered
-    solve, f > 1 the full SVD projector. Returns f and the state's matrix;
-    f = 0, a singular solve and a residual above LOOP_RESIDUAL raise. R - I is
-    the solver's own (see test_loop_matrix_matches_the_dense_basis_change)."""
+    """The one-SVD reference, the solver's path for every loop it does not
+    certify: the values of the SVD of R - I count the fixed directions f and its
+    vectors give the projector F (L^T F)^-1 L^T of I/d_ctc for every f >= 1.
+    Returns f and the state's matrix, or None for the state when f = 0, the
+    solve is singular or the residual exceeds LOOP_RESIDUAL. R - I is the
+    solver's own (see test_loop_matrix_matches_the_dense_basis_change)."""
+    n = cfg.ctc_dim ** 2
+    a = boxes._loop_minus_identity(cfg, rho_in)
+    w, svals, vt = np.linalg.svd(a)
+    n_fixed = int(np.count_nonzero(svals <= LOOP_FIXED_CUT))
+    if n_fixed == 0:
+        return 0, None
+    l_t, f = w[:, n - n_fixed:].T, vt[n - n_fixed:].T
+    try:
+        h = f @ np.linalg.solve(l_t @ f, l_t[:, :cfg.ctc_dim].sum(axis=1) / cfg.ctc_dim)
+    except np.linalg.LinAlgError:
+        return n_fixed, None
+    return n_fixed, consistent_state(a, h, cfg.ctc_dim)
+
+
+def bordered_fixed_point(cfg, rho_in):
+    """The state of the bordered solve [[R - I, t], [t^T, 0]] [h; 0] = [0; 1], t
+    the trace row: the solver's certified path, and the one every loop whose SVD
+    counted f = 1 took before all uncertified loops went through one SVD. None
+    when the solve is singular or the residual exceeds LOOP_RESIDUAL."""
     d_ctc = cfg.ctc_dim
     n = d_ctc * d_ctc
     a = boxes._loop_minus_identity(cfg, rho_in)
-    basis = _hermitian_basis(d_ctc)
-    n_fixed = np.count_nonzero(np.linalg.svd(a, compute_uv=False) <= LOOP_FIXED_CUT)
-    if n_fixed == 0:
-        raise ConvergenceError("no fixed direction")
-    if n_fixed == 1:
-        border = np.zeros((n + 1, n + 1))
-        border[:n, :n] = a
-        border[:d_ctc, n] = border[n, :d_ctc] = 1.0
+    border = np.zeros((n + 1, n + 1))
+    border[:n, :n] = a
+    border[:d_ctc, n] = border[n, :d_ctc] = 1.0
+    try:
         h = np.linalg.solve(border, np.eye(n + 1)[n])[:n]
-    else:
-        w, _, vt = np.linalg.svd(a)
-        l_t, f = w[:, n - n_fixed:].T, vt[n - n_fixed:].T
-        h = f @ np.linalg.solve(l_t @ f, l_t[:, :d_ctc].sum(axis=1) / d_ctc)
+    except np.linalg.LinAlgError:
+        return None
+    return consistent_state(a, h, d_ctc)
+
+
+def consistent_state(a, h, d_ctc):
+    """The matrix of the loop state with coordinates h scaled to trace 1, or None
+    when the trace norm of its residual (R - I) h exceeds LOOP_RESIDUAL."""
     h = h / h[:d_ctc].sum()
+    basis = _hermitian_basis(d_ctc)
     if not trace_norm((a @ h @ basis).reshape(d_ctc, d_ctc)) <= LOOP_RESIDUAL:
-        raise ConvergenceError("residual above LOOP_RESIDUAL")
-    return n_fixed, (h @ basis).reshape(d_ctc, d_ctc)
+        return None
+    return (h @ basis).reshape(d_ctc, d_ctc)
 
 
 @st.composite
@@ -319,7 +344,7 @@ def loops(draw, d_sys=st.sampled_from([2, 3]), d_ctc=st.integers(2, 8)):
 def reference_output(u, rho_in_mat, star, d_ctc):
     d_sys = rho_in_mat.shape[0]
     joint = u @ np.kron(rho_in_mat, star) @ u.conj().T
-    return np.einsum("aibi->ab", joint.reshape(d_sys, d_ctc, d_sys, d_ctc))
+    return reduced_matrix(joint, (d_sys, d_ctc), 0)
 
 
 def isometry_kraus(k, d_out, d_in, rng):
@@ -351,21 +376,35 @@ def cesaro_loop():
 
 
 def spy_on_solvers(monkeypatch):
-    """Record each np.linalg.svd call as ("svd", compute_uv) and each
-    np.linalg.solve call as ("solve", shape of its matrix)."""
-    calls, svd, solve = [], np.linalg.svd, np.linalg.solve
+    """Record, in call order, the linear algebra `boxes` does: each loop
+    certification as ("certified" or "uncertified", shape, dtype) of the bordered
+    matrix, and each np.linalg cholesky, svd or solve call as (name, shape, dtype)
+    of its matrix, an SVD without vectors as "svd_values". `boxes` reads numpy
+    through a copy of its namespace, so calls from other modules are not recorded."""
+    calls, certify = [], boxes._one_fixed_direction
 
-    def svd_spy(a, *args, **kwargs):
-        calls.append(("svd", kwargs.get("compute_uv", True)))
-        return svd(a, *args, **kwargs)
+    def certify_spy(border, dc):
+        one = certify(border, dc)
+        calls.append(("certified" if one else "uncertified", border.shape, border.dtype))
+        return one
 
-    def solve_spy(a, b):
-        calls.append(("solve", np.shape(a)))
-        return solve(a, b)
+    def spy(name):
+        def call(a, *args, **kwargs):
+            label = "svd_values" if name == "svd" and not kwargs.get("compute_uv", True) else name
+            calls.append((label, np.shape(a), np.asarray(a).dtype))
+            return getattr(np.linalg, name)(a, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", svd_spy)
-    monkeypatch.setattr(np.linalg, "solve", solve_spy)
+    linalg = {**vars(np.linalg), **{name: spy(name) for name in ("cholesky", "svd", "solve")}}
+    spied = {**vars(np), "linalg": types.SimpleNamespace(**linalg)}
+    monkeypatch.setattr(boxes, "np", types.SimpleNamespace(**spied))
+    monkeypatch.setattr(boxes, "_one_fixed_direction", certify_spy)
     return calls
+
+
+def same_state(a, b):
+    """Whether two loop-state matrices, None for a raised solve, are equal bit for bit."""
+    return a is None and b is None or a is not None and b is not None and np.array_equal(a, b)
 
 
 def grid_hermitian_span(d):
@@ -528,28 +567,37 @@ class TestDeutsch:
         assert copy._loop_tensor.tobytes() == cfg._loop_tensor.tobytes()
 
     @pytest.mark.parametrize("stem,census", [
-        ("signaling_deutsch", {"certified": 3, "uncertified": 1, "svd_values": 1, "svd_full": 1}),
-        ("prep_problem_deutsch", {"certified": 7, "uncertified": 1, "svd_values": 1,
-                                  "svd_full": 1}),
+        ("signaling_deutsch", {"certified": 3, "uncertified": 1, "svd": 1}),
+        ("prep_problem_deutsch", {"certified": 7, "uncertified": 1, "svd": 1}),
     ])
     def test_bundled_path_census(self, monkeypatch, stem, census):
-        # Each solve of a bundled Deutsch scenario is certified f = 1 or falls
-        # back to the values-only SVD; every fallback here counts f > 1.
-        seen = collections.Counter()
-        certify, svd = boxes._one_fixed_direction, np.linalg.svd
-
-        def certify_spy(border, dc):
-            seen["certified" if (one := certify(border, dc)) else "uncertified"] += 1
-            return one
-
-        def svd_spy(a, *args, **kwargs):
-            seen["svd_full" if kwargs.get("compute_uv", True) else "svd_values"] += 1
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(boxes, "_one_fixed_direction", certify_spy)
-        monkeypatch.setattr(np.linalg, "svd", svd_spy)
+        # Each solve of a bundled Deutsch scenario is certified f = 1 or takes
+        # one SVD; every such fallback here counts f > 1.
+        calls = spy_on_solvers(monkeypatch)
         run_scenario(parse_scenario(SCENARIO_DIR / f"{stem}.scn"))
-        assert dict(seen) == census
+        paths = ("certified", "uncertified", "svd", "svd_values")
+        assert collections.Counter(name for name, *_ in calls if name in paths) == census
+
+    def test_benchmark_loop_traffic_census(self, monkeypatch, tmp_path):
+        # One mix block of the benchmark's loop workload at its seed, 20 ops of 8
+        # solves each. Every solve is certified but one: the CNOT.SWAP op's loop,
+        # whose one SVD counts f = 2 (its projector solve is 2 x 2). A solver
+        # change states here what it does to the benchmark's traffic.
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
+        spec.loader.exec_module(workloads)
+        ops = workloads.build("loop_tomography", 7919, 20, tmp_path)
+        calls = spy_on_solvers(monkeypatch)
+        for op in ops:
+            assert op.check(op.run())
+        census = collections.Counter((name, shape) for name, shape, _ in calls
+                                     if name != "cholesky")
+        assert census == {("certified", (5, 5)): 47, ("solve", (5, 5)): 47,
+                          ("certified", (17, 17)): 64, ("solve", (17, 17)): 64,
+                          ("certified", (65, 65)): 48, ("solve", (65, 65)): 48,
+                          ("uncertified", (5, 5)): 1, ("svd", (4, 4)): 1, ("solve", (2, 2)): 1}
+        assert [op.kind for op in ops].count("loop2.cnot_swap") == 1
 
     def test_swap_fixed_point_is_input(self, rng):
         cfg = DeutschBoxConfig(Unitary(SWAP), 2)
@@ -602,7 +650,7 @@ class TestDeutsch:
             out_mixed = cfg.apply(mixed)
             star_oracle = iterated_loop_oracle(u, mixed.matrix, 2, 2)
             joint = u @ np.kron(mixed.matrix, star_oracle) @ u.conj().T
-            out_oracle = np.einsum("abcb->ac", joint.reshape(2, 2, 2, 2))
+            out_oracle = reduced_matrix(joint, (2, 2), 0)
             assert np.max(np.abs(out_mixed.matrix - out_oracle)) < 1e-7
             combo = DensityOperator(lam * out_a.matrix + (1 - lam) * out_b.matrix)
             gap = max(gap, trace_distance(out_mixed, combo))
@@ -644,20 +692,13 @@ class TestDeutsch:
         assert np.array_equal(star.matrix, star.matrix.conj().T)
 
     def test_solves_in_real_coordinates(self, monkeypatch):
-        seen = []
-        for name in ("cholesky", "solve", "svd"):
-            def spy(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-                seen.append((_name, np.asarray(a).dtype))
-                return _solver(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, spy)
+        calls = spy_on_solvers(monkeypatch)
         deutsch_fixed_point(DeutschBoxConfig(Unitary(CNOT @ SWAP), 2), KET_PLUS.projector())
-        assert seen == [("cholesky", np.float64), ("solve", np.float64)]
-        seen.clear()
-        # The identity loop fixes every direction, so the SVD decides.
+        assert [name for name, *_ in calls] == ["cholesky", "certified", "solve"]
+        # The identity loop fixes every direction, so its one SVD decides.
         deutsch_fixed_point(DeutschBoxConfig(Unitary(np.eye(4)), 2), KET_PLUS.projector())
-        assert seen == [("cholesky", np.float64), ("svd", np.float64), ("svd", np.float64),
-                        ("solve", np.float64)]
+        assert [name for name, *_ in calls[3:]] == ["cholesky", "uncertified", "svd", "solve"]
+        assert all(dtype == np.float64 for *_, dtype in calls)
 
     def test_residual_above_tolerance_raises(self, monkeypatch):
         cfg = DeutschBoxConfig(Unitary(CNOT @ SWAP), 2)
@@ -722,7 +763,8 @@ class TestDeutsch:
         rho = random_density(2, rng)
         calls = spy_on_solvers(monkeypatch)
         deutsch_fixed_point(cfg, rho)
-        assert calls == [("solve", (65, 65))]
+        assert [call[:2] for call in calls] == [("cholesky", (65, 65)), ("certified", (65, 65)),
+                                                ("solve", (65, 65))]
 
     @pytest.mark.parametrize("loop", ["identity", "unitary_on_loop", "cesaro"])
     def test_degenerate_fixed_space_takes_full_svd(self, monkeypatch, loop):
@@ -735,7 +777,7 @@ class TestDeutsch:
             cfg, rho = DeutschBoxConfig(Unitary(np.kron(np.eye(2), v)), 4), random_density(2, rng)
         calls = spy_on_solvers(monkeypatch)
         deutsch_fixed_point(cfg, rho)
-        assert [c for c in calls if c[0] == "svd"] == [("svd", False), ("svd", True)]
+        assert [name for name, *_ in calls if name != "cholesky"] == ["uncertified", "svd", "solve"]
 
     @settings(max_examples=30)
     @given(d_ctc=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1))
@@ -754,24 +796,30 @@ class TestDeutsch:
     @settings(max_examples=150)
     @given(loop=loops())
     def test_path_matches_the_svd_count(self, loop):
-        # Without an SVD the count must be 1 and the state the bordered
-        # solve's, bit for bit; with one, the outcome is the SVD count's.
+        # A certified solve makes no SVD: the one-SVD reference counts f = 1, and
+        # the outcome is the bordered solve's, bit for bit. Any other solve makes
+        # one SVD, with vectors, and its outcome is the reference's, bit for bit.
+        # Either way it raises exactly where the earlier solver did, which took
+        # the bordered solve for every f = 1 count, and its state lies within
+        # 1e-11 of that solver's.
         u, rho, d_ctc = loop
         cfg = DeutschBoxConfig(Unitary(u), d_ctc)
-        try:
-            expected = svd_count_fixed_point(cfg, rho)
-        except (ConvergenceError, np.linalg.LinAlgError):
-            expected = None
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        n_fixed, expected = svd_count_fixed_point(cfg, rho)
+        earlier = bordered_fixed_point(cfg, rho) if n_fixed == 1 else expected
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = spy_on_solvers(monkeypatch)
             try:
                 star = deutsch_fixed_point(cfg, rho).matrix
             except ConvergenceError:
                 star = None
-        if not svd.called:
-            assert expected[0] == 1
-        assert (star is None) == (expected is None)
+        svds = [name for name, *_ in calls if name.startswith("svd")]
+        if svds:
+            assert svds == ["svd"] and same_state(star, expected)
+        else:
+            assert n_fixed == 1 and same_state(star, earlier)
+        assert (star is None) == (earlier is None)
         if star is not None:
-            assert np.array_equal(star, expected[1])
+            assert np.max(np.abs(star - earlier)) <= 1e-11
 
     def test_no_fixed_singular_value_raises(self, monkeypatch):
         monkeypatch.setattr(boxes, "LOOP_FIXED_CUT", -1.0)
@@ -1051,8 +1099,12 @@ def test_enum_field_string_is_coerced_when_built(build, read, member):
 
 class TestLinearBox:
     def test_rejects_non_trace_preserving(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="Kraus operators are not trace preserving"):
             LinearBoxConfig((np.eye(2) * 0.5,))
+        # Each entry of sum_k K_k^dag K_k may miss the identity's by ATOL.
+        LinearBoxConfig((np.eye(2) * np.sqrt(1 + 0.9 * ATOL),))
+        with pytest.raises(ValidationError, match="Kraus operators are not trace preserving"):
+            LinearBoxConfig((np.eye(2) * np.sqrt(1 + 1.1 * ATOL),))
 
     def test_ancilla_embedding(self):
         cfg = LinearBoxConfig(np.eye(4, dtype=complex)[None, :, ::2])

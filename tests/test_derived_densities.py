@@ -20,12 +20,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import skewed_plus
+from conftest import make_box, skewed_plus
 from nlbox import qcore, scenario
-from nlbox.boxes import DeutschBoxConfig, LinearBoxConfig
+from nlbox.boxes import BrunBoxConfig, DeutschBoxConfig, LinearBoxConfig
 from nlbox.errors import ValidationError
 from nlbox.preparations import Preparation, Provenance, ProvenanceTag, SpacetimeEvent, _mix
-from nlbox.qcore import DensityOperator, KetVector, Unitary, tensor
+from nlbox.protocols import run_bb84_attack
+from nlbox.qcore import (
+    COMPUTATIONAL_BASIS,
+    HADAMARD_BASIS,
+    DensityOperator,
+    KetVector,
+    Unitary,
+    tensor,
+)
 from nlbox.rand import random_cptp_kraus, random_density, random_unitary
 from nlbox.tolerances import ATOL, NEG_ROUND
 
@@ -105,6 +113,17 @@ class TestEdgeInputsStillRaise:
         config = DeutschBoxConfig(Unitary(np.eye(4)), 2)
         with pytest.raises(ValidationError, match="eigenvalue"):
             config.loop_channel(DensityOperator(HEAVY), DensityOperator(EDGE2))
+
+    def test_bb84_receiver_table(self):
+        # Bases of kets with squared norm 1 + 0.9 ATOL pass the ket check, yet each
+        # row of the receiver's outcome table then sums to about 1 + 1.8 ATOL.
+        scale = np.sqrt(1 + 0.9 * ATOL)
+        psi, phi = (tuple(KetVector(k.amplitudes * scale) for k in basis)
+                    for basis in (COMPUTATIONAL_BASIS, HADAMARD_BASIS))
+        with pytest.raises(ValidationError, match="Born probabilities do not sum to 1") as exc:
+            run_bb84_attack(make_box(BrunBoxConfig(psi, phi)), 10, seed=1)
+        assert type(exc.value) is ValidationError
+        assert exc.traceback[-1].name == "run_bb84_attack"
 
 
 class TestAntiHermitianPartCounts:

@@ -16,6 +16,8 @@ from conftest import CNOT, SWAP
 from nlbox import boxes, cli, qcore, scenario
 from nlbox.cli import main
 from nlbox.errors import CapacityError, NlboxError, ScenarioParseError, ValidationError
+from nlbox.preparations import SpacetimeEvent
+from nlbox.protocols import DEFAULT_ALICE_EVENT
 from nlbox.qcore import born_probabilities, computational_povm
 from nlbox.scenario import (
     MAX_BB84_BITS,
@@ -65,6 +67,10 @@ class TestParsing:
         with pytest.raises(ScenarioParseError):
             parse_scenario(path)
 
+    def test_document_must_be_an_object(self, tmp_path):
+        with pytest.raises(ScenarioParseError, match="scenario must be a JSON object$"):
+            parse_scenario(write_scenario(tmp_path, 5))
+
     def test_unnormalized_basis_rejected(self, tmp_path):
         doc = dict(MINIMAL)
         doc["box"] = {
@@ -103,8 +109,11 @@ NAN_IDENTITY_4 = [[[math.nan, 0.0]] + IDENTITY_4[0][1:]] + IDENTITY_4[1:]
 HUGE = 10 ** 400  # an exact JSON integer that no float can hold
 
 # Malformed scenarios: (id, bundled scenario, path of the replaced field,
-# new value, exit code). Each must fail in parse_scenario, before any run.
+# new value, exit code); an empty path replaces the whole document. Each must
+# fail in parse_scenario, before any run: exit 2 is a ScenarioParseError, 3 a
+# ValidationError.
 MALFORMED = [
+    ("document_not_object", "verification", (), [MINIMAL], 2),
     ("n_bits_fraction", "bb84_attack", ("protocol", "n_bits"), 2.7, 3),
     ("n_bits_bool", "bb84_attack", ("protocol", "n_bits"), True, 3),
     ("seed_fraction", "bb84_attack", ("protocol", "seed"), 3.9, 3),
@@ -192,6 +201,8 @@ MALFORMED_STATS = [
 
 
 def mutated_scenario(tmp_path, stem, where, value):
+    if not where:
+        return write_scenario(tmp_path, value)
     doc = json.loads((SCENARIO_DIR / f"{stem}.scn").read_text())
     node = doc
     for key in where[:-1]:
@@ -205,11 +216,13 @@ class TestMalformedCorpus:
                              ids=[case[0] for case in MALFORMED])
     def test_exit_code_without_report(self, tmp_path, capsys, stem, where, value, code):
         path = mutated_scenario(tmp_path, stem, where, value)
-        with pytest.raises(ValidationError):
+        error, prefix = {2: (ScenarioParseError, "parse error"),
+                         3: (ValidationError, "validation error")}[code]
+        with pytest.raises(error):
             parse_scenario(path)
         out = tmp_path / "r.json"
         assert main(["run", str(path), "--out", str(out)]) == code
-        assert capsys.readouterr().err.startswith(f"validation error: {path}: ")
+        assert capsys.readouterr().err.startswith(f"{prefix}: {path}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [
@@ -289,6 +302,17 @@ class TestRunning:
         ablation = run_scenario(parse_scenario(SCENARIO_DIR / "bb84_ablation.scn"))
         assert attack.payload["induced_qber"] == 0.0
         assert abs(ablation.payload["induced_qber"] - 0.25) < 0.05
+
+    @pytest.mark.parametrize("stem", ["signaling_kent", "prep_problem"])
+    def test_alice_event_defaults(self, tmp_path, stem):
+        # Alice's event is optional; every bundled scenario names the default.
+        doc = json.loads((SCENARIO_DIR / f"{stem}.scn").read_text())
+        assert doc["protocol"].pop("alice_event") == [0.0, 10.0]
+        config = parse_scenario(write_scenario(tmp_path, doc))
+        alice_event = PROTOCOLS[config.protocol].parse(config.params)["alice_event"]
+        assert alice_event == DEFAULT_ALICE_EVENT == SpacetimeEvent(0.0, 10.0)
+        bundled = run_scenario(parse_scenario(SCENARIO_DIR / f"{stem}.scn"))
+        assert run_scenario(config).payload == bundled.payload
 
     def test_seed_override(self):
         config = parse_scenario(SCENARIO_DIR / "bb84_attack.scn")
