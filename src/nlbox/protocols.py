@@ -5,7 +5,7 @@ attack, each probing the box through the same four states (`_domain_states`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -49,12 +49,20 @@ def check_eve_strategy(strategy) -> str:
     return strategy
 
 
-# The most bits one BB84 attack may ask for: about 1.4 s, 13.5 ns per bit on a 2-vCPU Xeon VM.
+# The most bits one BB84 attack may ask for. The attack's cost does not grow
+# with n_bits (one multinomial draw), so the cap only bounds the input.
 MAX_BB84_BITS = 10 ** 8
 
-# Bits the BB84 attack samples per batch. About 35 bytes of temporaries per
-# bit, so memory stays near 2 MiB whatever n_bits a scenario asks for.
-_BB84_BATCH = 1 << 16
+# Column k of _COUNTERS is cell k = (a_basis, a_bit, b_basis, e, b_bit) of the
+# attack's joint table in C order: the sender's basis and bit, the receiver's
+# basis, the eavesdropper's outcome (2 * basis + bit) and the receiver's bit.
+# Its rows mark the cells each count of the report sums: the eavesdropper's
+# bit hits, her basis hits, the sifted bits and their errors.
+_COUNTERS = np.array([[(e & 1) == a_bit, (e >> 1) == a_basis, b_basis == a_basis,
+                       b_basis == a_basis and b_bit != a_bit]
+                      for a_basis, a_bit, b_basis, e, b_bit
+                      in product(range(2), range(2), range(2), range(4), range(2))],
+                     dtype=np.int64).T
 
 
 # The sender's and receiver's shared singlet, built and validated once, and
@@ -237,24 +245,25 @@ def _require_bb84_bases(box: NonlinearBox):
     return states
 
 
-def _inverse_cdf(dist: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcome of each draw from row `rows[i]` of the distribution table
-    `dist`, given one uniform `u[i]` in [0, 1).
+def _cell_counts(eve: np.ndarray, bob: np.ndarray, n_bits: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """How many of n_bits i.i.d. rounds land in each of the 64 cells of the
+    attack's joint table, from one multinomial draw.
 
-    The outcome is the number of cumulative probabilities at or below u.
-    Each row's cumulative sums are divided by their last entry, so a row
-    summing to slightly less than 1 still ends at exactly 1 and a
-    zero-probability outcome, whose cumulative value equals its
-    predecessor's, is never returned. Each threshold column is gathered
-    with `take`: numpy's fancy indexing by the int8 `rows` the attack
-    passes costs about 2.5 times as much.
+    Cell (a_basis, a_bit, b_basis, e, b_bit) has probability
+    eve[2 * a_basis + a_bit, e] * bob[2 * e + b_basis, b_bit] / 8. Each row
+    of both tables is first divided by its sum, so a row summing to slightly
+    less than 1 still sums to exactly 1. Only cells of positive probability
+    take part in the draw: numpy gives the leftover count to the last
+    category, and a zero-probability cell never receives one.
     """
-    cdf = np.cumsum(dist, axis=1, dtype=float)
-    cdf /= cdf[:, -1:]
-    out = np.zeros(u.shape, dtype=np.int8)
-    for column in cdf[:, :-1].T:
-        out += column.take(rows) <= u
-    return out
+    eve = eve / eve.sum(axis=1, keepdims=True)
+    bob = bob / bob.sum(axis=1, keepdims=True)
+    p = (eve.reshape(2, 2, 1, 4, 1) * bob.reshape(4, 2, 2).transpose(1, 0, 2) / 8).ravel()
+    live = p > 0
+    counts = np.zeros(p.size, dtype=np.int64)
+    counts[live] = rng.multinomial(n_bits, p[live])
+    return counts
 
 
 def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
@@ -268,14 +277,11 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     psi probe basis regardless of what she identified.
 
     The receiver's table holds |<b|r>|^2 for each resent ket r and
-    receiver basis ket b, from one product of the kets.
-    Bits are sampled as arrays from the seeded generator, in batches of
-    up to `_BB84_BATCH` bits: per batch, the sender's bases, the sender's
-    bits and the receiver's bases as one `integers(2, size=(3, n))` draw,
-    then one uniform per bit for the eavesdropper's outcome and one for
-    the receiver's, each mapped to an outcome by inverting the cumulative
-    distribution that the bit's (basis, bit) or (resent state, receiver
-    basis) selects. Raises ConfigurationError for a negative, boolean or non-integer
+    receiver basis ket b, from one product of the kets. The rounds are
+    i.i.d. and the report keeps four sums over them, so it is read from
+    one multinomial draw of all n_bits rounds over the 64 cells of the
+    joint table (`_cell_counts`), at a cost that does not grow with n_bits.
+    Raises ConfigurationError for a negative, boolean or non-integer
     `n_bits` or `seed` or probe states other than PROBE_STATES, ShapeError for an
     output other than two qubits (at 0 bits too), CapacityError above MAX_BB84_BITS.
     """
@@ -289,7 +295,6 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
     eve_dist = _domain_table(box, [f"alice_{k >> 1}{k & 1}" for k in range(4)])
     if n_bits == 0:
         return AttackReport(0, 0.0, 0.0, 0.0, 0.0, eve_strategy, seed)
-    rng = np.random.default_rng(seed)
 
     # Row 2*(resent state index) + receiver basis, column receiver bit: |<b|r>|^2.
     resent = states if eve_strategy == "identify" else states[:2] * 2
@@ -299,18 +304,8 @@ def run_bb84_attack(box: NonlinearBox, n_bits: int, seed: int,
         raise ValidationError("Born probabilities do not sum to 1")
 
     # Python ints, so the report holds plain floats (the CSV form is repr).
-    eve_bit_hits = eve_basis_hits = sifted = errors = 0
-    for start in range(0, n_bits, _BB84_BATCH):
-        n = min(_BB84_BATCH, n_bits - start)
-        a_basis, a_bit, b_basis = rng.integers(2, size=(3, n), dtype=np.int8)
-        u_eve, u_bob = rng.random((2, n))
-        eve_idx = _inverse_cdf(eve_dist, 2 * a_basis + a_bit, u_eve)
-        b_bit = _inverse_cdf(bob_dist, 2 * eve_idx + b_basis, u_bob)
-        sifted_mask = b_basis == a_basis
-        eve_basis_hits += int(np.count_nonzero((eve_idx >> 1) == a_basis))
-        eve_bit_hits += int(np.count_nonzero((eve_idx & 1) == a_bit))
-        sifted += int(np.count_nonzero(sifted_mask))
-        errors += int(np.count_nonzero(sifted_mask & (b_bit != a_bit)))
+    counts = _cell_counts(eve_dist, bob_dist, n_bits, np.random.default_rng(seed))
+    eve_bit_hits, eve_basis_hits, sifted, errors = (_COUNTERS @ counts).tolist()
     return AttackReport(
         n_bits=n_bits,
         eve_bit_accuracy=eve_bit_hits / n_bits,

@@ -28,7 +28,7 @@ from nlbox.preparations import (
 from nlbox.protocols import (
     MAX_BB84_BITS,
     AttackReport,
-    _inverse_cdf,
+    _cell_counts,
     run_bb84_attack,
     run_preparation_problem_demo,
     run_signaling_test,
@@ -569,28 +569,44 @@ class TestAttack:
         else:
             assert report.induced_qber == 0.0
 
-    @pytest.mark.parametrize("strategy", ["identify", "fixed_basis"])
-    def test_batches_cover_every_bit(self, brun_config, monkeypatch, strategy):
+    @pytest.mark.parametrize("strategy", protocols.EVE_STRATEGIES)
+    @pytest.mark.parametrize("n_bits", [1, 2, 7, 65_537, 140_001])
+    def test_counts_cover_every_bit(self, brun_config, n_bits, strategy):
         # The box identifies every bit, so the accuracies are exactly 1 only
-        # if the batches sample n_bits bits in total, the short last one too.
-        monkeypatch.setattr(protocols, "_BB84_BATCH", 64)
-        report = run_bb84_attack(make_box(brun_config), 1000, seed=4,
-                                 eve_strategy=strategy)
+        # if the counts cover n_bits bits, no more and no fewer.
+        box = make_box(brun_config)
+        report = run_bb84_attack(box, n_bits, seed=4, eve_strategy=strategy)
         assert report.eve_bit_accuracy == 1.0
         assert report.eve_basis_accuracy == 1.0
-        assert abs(report.sifted_key_fraction - 0.5) <= 5 * np.sqrt(0.25 / 1000)
+        assert abs(report.sifted_key_fraction - 0.5) <= 5 * np.sqrt(0.25 / n_bits)
+        eve, bob = reference_tables(box, strategy)
+        assert _cell_counts(eve, bob, n_bits, np.random.default_rng(4)).sum() == n_bits
+
+    @pytest.mark.parametrize("strategy", protocols.EVE_STRATEGIES)
+    def test_runs_at_the_cap(self, brun_config, strategy):
+        n = MAX_BB84_BITS
+        report = run_bb84_attack(make_box(brun_config), n, seed=6, eve_strategy=strategy)
+        assert (report.n_bits, report.eve_bit_accuracy, report.eve_basis_accuracy) == (n, 1.0, 1.0)
+        assert abs(report.sifted_key_fraction - 0.5) <= 5 * np.sqrt(0.25 / n)
+        if strategy == "identify":
+            assert report.induced_qber == 0.0
+        else:
+            sifted = report.sifted_key_fraction * n
+            assert abs(report.induced_qber - 0.25) <= 5 * np.sqrt(0.1875 / sifted)
 
     # Counts at 150 000 bits, seed 42: eavesdropper bit and basis hits, sifted
     # bits, errors. The list policy excludes alice_01 and alice_10, so the
     # eavesdropper's table has a row of two halves, not only 0/1 rows.
-    @pytest.mark.parametrize("strategy,errors", [("identify", 14066), ("fixed_basis", 37474)])
-    def test_pins_a_report_over_three_batches(self, monkeypatch, brun_config, strategy, errors):
+    @pytest.mark.parametrize("strategy,counts", [
+        ("identify", (112145, 93358, 74835, 14128)),
+        ("fixed_basis", (112183, 93489, 74929, 37838)),
+    ])
+    def test_pins_a_report(self, monkeypatch, brun_config, strategy, counts):
         box = make_box(brun_config, policy=ATTACK_POLICIES["explicit_list"])
-        draws = spy(monkeypatch, protocols, "_inverse_cdf")
+        draws = spy(monkeypatch, protocols, "_cell_counts")
         n = 150_000
-        assert run_bb84_attack(box, n, 42, strategy) == AttackReport(
-            n, 112478 / n, 93897 / n, errors / 74923, 74923 / n, strategy, 42)
-        assert [args[1].size for args in draws[::2]] == [65536, 65536, 18928]
+        assert run_bb84_attack(box, n, 42, strategy) == counts_report(counts, n, 42, strategy)
+        assert len(draws) == 1
 
 
 ATTACK_POLICIES = {
@@ -641,22 +657,70 @@ def per_row_draws(dist, rows, u):
     return out
 
 
-def reference_attack(eve, bob, n_bits, seed, strategy):
-    """run_bb84_attack's report for at most one batch of bits, sampled from
-    the given tables without the production sampler."""
+def per_bit_attack(eve, bob, n_bits, seed, batch=1 << 16):
+    """The eavesdropper's bit and basis hits, the sifted bits and their
+    errors, sampled a bit at a time: per batch of up to `batch` bits, the
+    sender's bases and bits and the receiver's bases, then one uniform per
+    bit for the eavesdropper's outcome and one for the receiver's bit."""
     rng = np.random.default_rng(seed)
-    a_basis, a_bit, b_basis = rng.integers(2, size=(3, n_bits), dtype=np.int8)
-    u_eve, u_bob = rng.random((2, n_bits))
-    eve_idx = per_row_draws(eve, 2 * a_basis + a_bit, u_eve)
-    b_bit = per_row_draws(bob, 2 * eve_idx + b_basis, u_bob)
+    counts = np.zeros(4, dtype=np.int64)
+    for start in range(0, n_bits, batch):
+        n = min(batch, n_bits - start)
+        a_basis, a_bit, b_basis = rng.integers(2, size=(3, n), dtype=np.int8)
+        u_eve, u_bob = rng.random((2, n))
+        eve_idx = per_row_draws(eve, 2 * a_basis + a_bit, u_eve)
+        b_bit = per_row_draws(bob, 2 * eve_idx + b_basis, u_bob)
+        sifted = b_basis == a_basis
+        counts += [np.count_nonzero((eve_idx & 1) == a_bit),
+                   np.count_nonzero((eve_idx >> 1) == a_basis),
+                   np.count_nonzero(sifted), np.count_nonzero(sifted & (b_bit != a_bit))]
+    return counts
+
+
+def reference_cells(eve, bob):
+    """((a_basis, a_bit, b_basis, e, b_bit), probability) for each of the
+    attack's 64 cells in C order, by explicit loops over the row-normalized
+    tables."""
+    eve = [row / row.sum() for row in eve]
+    bob = [row / row.sum() for row in bob]
+    return [((a_basis, a_bit, b_basis, e, b_bit),
+             eve[2 * a_basis + a_bit][e] * bob[2 * e + b_basis][b_bit] / 8)
+            for a_basis in range(2) for a_bit in range(2) for b_basis in range(2)
+            for e in range(4) for b_bit in range(2)]
+
+
+def reference_counters(a_basis, a_bit, b_basis, e, b_bit):
+    """What one round in this cell adds to the eavesdropper's bit hits, her
+    basis hits, the sifted bits and their errors."""
     sifted = b_basis == a_basis
-    n_sifted = int(np.count_nonzero(sifted))
-    errors = int(np.count_nonzero(sifted & (b_bit != a_bit)))
-    return AttackReport(n_bits=n_bits,
-                        eve_bit_accuracy=int(np.count_nonzero((eve_idx & 1) == a_bit)) / n_bits,
-                        eve_basis_accuracy=int(np.count_nonzero((eve_idx >> 1) == a_basis)) / n_bits,
-                        induced_qber=errors / n_sifted if n_sifted else 0.0,
-                        sifted_key_fraction=n_sifted / n_bits, strategy=strategy, seed=seed)
+    return np.array([e % 2 == a_bit, e // 2 == a_basis, sifted, sifted and b_bit != a_bit],
+                    dtype=np.int64)
+
+
+def counts_report(counts, n_bits, seed, strategy):
+    """The report read from the four counts."""
+    bit_hits, basis_hits, sifted, errors = (int(c) for c in counts)
+    return AttackReport(n_bits=n_bits, eve_bit_accuracy=bit_hits / n_bits,
+                        eve_basis_accuracy=basis_hits / n_bits,
+                        induced_qber=errors / sifted if sifted else 0.0,
+                        sifted_key_fraction=sifted / n_bits, strategy=strategy, seed=seed)
+
+
+def report_counts(report):
+    """The four counts a report was read from."""
+    n = report.n_bits
+    sifted = round(report.sifted_key_fraction * n)
+    return np.array([round(report.eve_bit_accuracy * n), round(report.eve_basis_accuracy * n),
+                     sifted, round(report.induced_qber * sifted)])
+
+
+def reference_attack(eve, bob, n_bits, seed, strategy):
+    """run_bb84_attack's report, drawn from the given tables without the
+    production sampler: one multinomial over the cells of positive probability."""
+    live = [(cell, p) for cell, p in reference_cells(eve, bob) if p > 0]
+    draws = np.random.default_rng(seed).multinomial(n_bits, [p for _, p in live])
+    counts = sum(k * reference_counters(*cell) for k, (cell, _) in zip(draws, live))
+    return counts_report(counts, n_bits, seed, strategy)
 
 
 def spy(monkeypatch, owner, name):
@@ -672,8 +736,9 @@ def spy(monkeypatch, owner, name):
 
 
 class TestAttackTables:
-    """The receiver's table is one overlap product, |<b|r>|^2, and the
-    reports equal those of the per-row Born-rule construction."""
+    """The receiver's table is one overlap product, |<b|r>|^2, both tables
+    equal the per-row Born-rule construction, and the reports equal a draw
+    from them over cells built by explicit loops."""
 
     @pytest.mark.parametrize("strategy", protocols.EVE_STRATEGIES)
     @pytest.mark.parametrize("semantics", list(Semantics), ids=lambda s: s.value)
@@ -681,19 +746,22 @@ class TestAttackTables:
     @pytest.mark.parametrize("policy", ATTACK_POLICIES.values(), ids=ATTACK_POLICIES.keys())
     def test_reports_equal_the_per_row_reference(self, monkeypatch, rng, policy, kent,
                                                   semantics, strategy):
-        tables = spy(monkeypatch, protocols, "_inverse_cdf")
+        tables = spy(monkeypatch, protocols, "_cell_counts")
         # 3 bases (the module constants and two random-phase copies) x 10 seeds.
         for bases in [(COMPUTATIONAL_BASIS, HADAMARD_BASIS), phased_bases(rng), phased_bases(rng)]:
             box = attack_box(bases, kent, semantics, policy)
             eve, bob = reference_tables(box, strategy)
             for seed in range(10):
                 tables.clear()
-                assert (run_bb84_attack(box, 600, seed, strategy)
-                        == reference_attack(eve, bob, 600, seed, strategy))
+                report = run_bb84_attack(box, 600, seed, strategy)
                 # The eavesdropper's rows are the same arithmetic; the
                 # receiver's are the same sums in another order.
                 assert np.array_equal(tables[0][0], eve)
-                assert np.abs(tables[1][0] - bob).max() <= 4 * np.finfo(float).eps
+                assert np.abs(tables[0][1] - bob).max() <= 4 * np.finfo(float).eps
+                # The draw takes the attack's own receiver table: an overlap of
+                # orthogonal kets may leave 1e-34 where the Born rule gives 0,
+                # and a cell of any positive probability takes part in the draw.
+                assert report == reference_attack(eve, tables[0][1], 600, seed, strategy)
 
     @pytest.mark.parametrize("strategy", protocols.EVE_STRATEGIES)
     @pytest.mark.parametrize("semantics", list(Semantics), ids=lambda s: s.value)
@@ -709,43 +777,83 @@ class TestAttackTables:
         assert (len(eighs), len(povms)) == (0, 0)
 
 
-class TestInverseCdf:
-    # A row that sums to 1 - 1e-12 with zero-probability outcomes last: a
-    # draw above its total must not fall through to the final outcome.
+class TestAttackDistribution:
+    """The one-draw sampler's counts have the per-bit sampler's distribution:
+    over 400 seeds of 200 bits, each count's mean matches the per-bit
+    sampler's and the exact expectation within 5 sigma."""
+    N_BITS, SEEDS = 200, 400
+
+    @pytest.mark.parametrize("strategy", protocols.EVE_STRATEGIES)
+    @pytest.mark.parametrize("policy", ATTACK_POLICIES.values(), ids=ATTACK_POLICIES.keys())
+    def test_counts_match_the_per_bit_sampler(self, brun_config, policy, strategy):
+        n, seeds = self.N_BITS, self.SEEDS
+        box = make_box(brun_config, policy=policy)
+        eve, bob = reference_tables(box, strategy)
+        # Each count is binomial(n, q) in every round's probability q of adding to it.
+        q = np.clip(sum(p * reference_counters(*cell) for cell, p in reference_cells(eve, bob)),
+                    0.0, 1.0)
+        one_draw = np.mean([report_counts(run_bb84_attack(box, n, seed, strategy))
+                            for seed in range(seeds)], axis=0)
+        per_bit = np.mean([per_bit_attack(eve, bob, n, seed)
+                           for seed in range(seeds, 2 * seeds)], axis=0)
+        sigma = np.sqrt(n * q * (1 - q) / seeds)
+        rounding = 1e-9  # of the exact sums, where a count is certain
+        assert np.all(np.abs(one_draw - n * q) <= 5 * sigma + rounding)
+        assert np.all(np.abs(per_bit - n * q) <= 5 * sigma + rounding)
+        assert np.all(np.abs(one_draw - per_bit) <= 5 * np.sqrt(2) * sigma + rounding)
+
+
+class LeftoverToLast:
+    """A generator whose multinomial gives every draw to the last category,
+    as numpy does with the leftover of the others; it records the pvals."""
+
+    def __init__(self):
+        self.pvals = []
+
+    def multinomial(self, n, pvals):
+        self.pvals.append(np.array(pvals))
+        return np.eye(len(pvals), dtype=np.int64)[-1] * n
+
+
+class TestCellCounts:
+    # A row that sums to 1 - 1e-12 with zero-probability outcomes last, so
+    # the joint table's last cell has probability 0: numpy's multinomial
+    # gives its leftover to the last category, and none may land there.
     SHORT_ROW = [0.5, 0.5 - 1e-12, 0.0, 0.0]
-    EDGE_U = np.array([0.0, 1e-300, 0.25, 0.5, 0.5 - 1e-16, 1 - 1e-12,
-                       1 - 1e-13, np.nextafter(1.0, 0.0)])
+    # The receiver's rows: certain outcomes and a short row of their own.
+    BOB = np.array([[1.0, 0.0], [0.5, 0.5 - 1e-12]] * 4)
 
     @pytest.mark.parametrize("row", [[0, 1, 0, 0], [0.5, 0, 0, 0.5],
                                      [0, 0, 0, 1], [1, 0, 0, 0], SHORT_ROW])
-    def test_never_returns_zero_probability_outcome(self, row):
-        dist = np.array([row])
-        u = np.concatenate([self.EDGE_U, np.random.default_rng(0).random(10000)])
-        out = _inverse_cdf(dist, np.zeros(u.size, dtype=np.int8), u)
-        assert np.all(dist[0, out] > 0)
+    def test_never_counts_a_zero_probability_cell(self, row):
+        eve = np.array([row] * 4, dtype=float)
+        p = np.array([p for _, p in reference_cells(eve, self.BOB)])
+        gens = [LeftoverToLast()] + [np.random.default_rng(seed) for seed in range(20)]
+        for gen in gens:
+            for n in (1, 7, MAX_BB84_BITS):
+                counts = _cell_counts(eve, self.BOB, n, gen)
+                assert counts.sum() == n
+                assert not counts[p == 0].any()
 
-    # The attack passes int8 rows.
-    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
-    def test_matches_per_draw_reference(self, dtype):
-        rng = np.random.default_rng(3)
-        dist = rng.random((6, 4)) * (rng.random((6, 4)) < 0.6)
-        dist[:, 0] += 1e-3
-        dist /= dist.sum(axis=1, keepdims=True)
-        rows = rng.integers(6, size=5000).astype(dtype)
-        u = rng.random(5000)
-        out = _inverse_cdf(dist, rows, u)
-        for k, r, x in zip(out, rows, u):
-            cdf = np.cumsum(dist[r])
-            assert k == np.searchsorted(cdf / cdf[-1], x, side="right")
+    def test_draws_the_normalized_cells(self):
+        # The short rows are divided by their sums, so the cells drawn from sum to 1.
+        eve = np.array([self.SHORT_ROW, [0.25] * 4, [0, 0, 0, 1], [0.1, 0.2, 0.3, 0.4]])
+        gen = LeftoverToLast()
+        _cell_counts(eve, self.BOB, 10, gen)
+        expected = [p for _, p in reference_cells(eve, self.BOB) if p > 0]
+        assert np.abs(gen.pvals[0] - expected).max() <= 4 * np.finfo(float).eps
+        assert abs(gen.pvals[0].sum() - 1.0) <= 16 * np.finfo(float).eps
 
     def test_frequencies_within_five_sigma(self):
-        n = 200_000
-        row = np.array([0.1, 0.2, 0.3, 0.4])
-        u = np.random.default_rng(2024).random(n)
-        out = _inverse_cdf(row[None, :], np.zeros(n, dtype=np.int8), u)
-        freq = np.bincount(out, minlength=4) / n
-        sigma = np.sqrt(row * (1 - row) / n)
-        assert np.all(np.abs(freq - row) <= 5 * sigma)
+        rng = np.random.default_rng(3)
+        eve = rng.random((4, 4)) * (rng.random((4, 4)) < 0.6)
+        eve[:, 0] += 1e-3
+        bob = rng.random((8, 2)) * (rng.random((8, 2)) < 0.8)
+        bob[:, 1] += 1e-3
+        p = np.array([p for _, p in reference_cells(eve, bob)])
+        n = 1_000_000
+        counts = _cell_counts(eve, bob, n, np.random.default_rng(2024))
+        assert np.all(np.abs(counts - n * p) <= 5 * np.sqrt(n * p * (1 - p)))
 
 
 class TestValidationCount:

@@ -238,7 +238,10 @@ class TestMalformedCorpus:
 
     def test_n_bits_cap(self, tmp_path):
         at_cap = mutated_scenario(tmp_path, "bb84_attack", ("protocol", "n_bits"), MAX_BB84_BITS)
-        assert parse_scenario(at_cap).params["n_bits"] == MAX_BB84_BITS
+        payload = run_scenario(parse_scenario(at_cap)).payload
+        assert payload["n_bits"] == MAX_BB84_BITS
+        assert payload["eve_bit_accuracy"] == payload["eve_basis_accuracy"] == 1.0
+        assert payload["induced_qber"] == 0.0
         above = mutated_scenario(tmp_path, "bb84_attack", ("protocol", "n_bits"),
                                  MAX_BB84_BITS + 1)
         with pytest.raises(CapacityError, match="n_bits"):
