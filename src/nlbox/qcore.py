@@ -3,8 +3,9 @@
 Everything here is a small complex numpy array wrapped in a frozen dataclass that
 validates its invariants on construction and compares by identity. Operations are pure
 functions. A density or POVM stores the Hermitian part of its input; a ket's projector
-and a density's purity are kept once computed. A projector, tensor product, box channel
-or mix carries a bound on its negative part; any other density computes its eigenvalues.
+and a density's purity are kept once computed. A projector, tensor product, box channel,
+mix or steering herald carries a bound on its negative part, as does a basis, computational
+or HJW POVM on each effect's; any other density or POVM computes its eigenvalues.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ class DensityOperator(_Validated):
     """Trace-one positive-semidefinite Hermitian matrix.
 
     `matrix` is the Hermitian part H = (M + M^dag) / 2 of the M given; `_bound` >= Tr H_-;
-    checked, (d - 1) max(0, -lambda_min). A projector, `tensor`, a box channel or a mix passes
-    as `_neg` a bound from its inputs' and skips eigvalsh if _neg + NEG_ROUND d <= ATOL / 2.
+    checked, (d - 1) max(0, -lambda_min). A projector, `tensor`, a box channel, a mix or a
+    steering herald passes as `_neg` a bound from its inputs' and skips eigvalsh if
+    _neg + NEG_ROUND d <= ATOL / 2.
     """
 
     matrix: np.ndarray
@@ -124,12 +126,16 @@ class Povm(_Validated):
     """A finite measurement: PSD effects summing to the identity.
 
     `effects` is one read-only (k, d, d) array of Hermitian parts; the constructor
-    takes any sequence of k square matrices of one size, or such an array.
+    takes any sequence of k square matrices of one size, or such an array. `_bound` >=
+    Tr E_- for every effect E; checked, d max(0, -lambda_min) over all effects.
+    `basis_povm`, `computational_povm` and `hjw_assemblage` pass as `_neg` a bound
+    from their factors and skip eigvalsh if _neg + NEG_ROUND d <= ATOL / 2.
     """
 
     effects: np.ndarray
+    _neg: InitVar[float] = field(default=float("inf"), kw_only=True)  # not copied by replace()
 
-    def __post_init__(self):
+    def __post_init__(self, _neg):
         e = _freeze(self, "effects", self.effects)
         if e.ndim != 3 or e.size == 0 or e.shape[1] != e.shape[2]:
             raise ShapeError("POVM effects must be one or more square matrices of one size")
@@ -139,11 +145,14 @@ class Povm(_Validated):
         if gap:
             object.__setattr__(self, "effects", e := 0.5 * (e + adj))
             e.setflags(write=False)
-        if not float(np.minimum.reduce(np.linalg.eigvalsh(e)[:, 0])) >= -ATOL:
-            raise ValidationError("POVM effect not positive semidefinite")
+        if not (bound := _neg + NEG_ROUND * e.shape[1]) <= ATOL / 2:
+            if not (min_eig := float(np.minimum.reduce(np.linalg.eigvalsh(e)[:, 0]))) >= -ATOL:
+                raise ValidationError("POVM effect not positive semidefinite")
+            bound = e.shape[1] * max(0.0, -min_eig)
         if not float(np.maximum.reduce(np.abs(np.add.reduce(e) - np.eye(e.shape[1])),
                                        axis=None)) <= ATOL:
             raise ValidationError("POVM effects do not sum to the identity")
+        object.__setattr__(self, "_bound", bound)
 
     @property
     def dim(self) -> int:
@@ -195,12 +204,13 @@ def born_probabilities(rho: DensityOperator, m: Povm) -> np.ndarray:
     if rho.dim != m.dim:
         raise ShapeError(f"state dim {rho.dim} vs POVM dim {m.dim}")
     probs = np.einsum("kij,ji->k", m.effects, rho.matrix).real
-    # The checks read Python floats; a row with a 0, a -0.0 or a negative takes np.maximum's bits.
+    # The checks read Python floats. A row of positives sums them all, the same floats in the
+    # same order as its positive-only sum; a row with a 0, a -0.0 or a negative takes np.maximum's bits.
     values = probs.tolist()
     low = min(values)
     if low < -BORN_CLAMP:
         raise ValidationError(f"Born probability {low} below clamp threshold")
-    if not abs(sum(p for p in values if p > 0.0) - 1.0) <= ATOL:
+    if not abs((sum(values) if low > 0.0 else sum(p for p in values if p > 0.0)) - 1.0) <= ATOL:
         raise ValidationError("Born probabilities do not sum to 1")
     return probs if low > 0.0 else np.maximum(probs, 0.0)
 
@@ -278,7 +288,7 @@ def basis_povm(kets) -> Povm:
     if len({k.dim for k in kets}) != 1:
         raise ShapeError("basis kets must share one dimension")
     v = np.array([k.amplitudes for k in kets])
-    return Povm(v[:, :, None] * v[:, None, :].conj())
+    return Povm(v[:, :, None] * v[:, None, :].conj(), _neg=0.0)  # each effect a ket's projector
 
 
 @cache
@@ -286,4 +296,4 @@ def computational_povm(dim: int) -> Povm:
     """Projective measurement in the computational basis, built once per
     dimension; a Povm's effects are read-only, so callers share it."""
     eye = np.eye(dim)
-    return Povm(eye[:, :, None] * eye[:, None, :])
+    return Povm(eye[:, :, None] * eye[:, None, :], _neg=0.0)

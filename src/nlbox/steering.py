@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DecompositionError, MisuseError, ShapeError, check_instance
 from .preparations import _normalize_ensemble
 from .qcore import DensityOperator, KetVector, Povm, trace_norm
-from .tolerances import DTOL, PHASE_CUT, RANK_CUT, ZERO_PROB
+from .tolerances import ATOL, DTOL, NEG_ROUND, PHASE_CUT, RANK_CUT, ZERO_PROB
 
 # Decompositions beyond this many members are rejected.
 MAX_MEMBERS = 16
@@ -56,6 +56,23 @@ class SteeringAssemblage:
     lists the outcomes that do, in order. The effects of a validated Povm
     sum to the identity, so the heralded set averages to the B marginal by
     construction and is not checked again.
+
+    Each herald carries a bound on its negative part, so that eigvalsh runs only on
+    a herald whose bound passes ATOL / 2 (a rare outcome's, say). Write rho and E
+    for the stored state and an effect, e and f for their `_bound`s, n for the
+    number of outcomes and d for the state's dimension. Outcome k's block is
+    B = Tr_A[(E (x) I) rho]. With rho = rho_+ - rho_- and E = E_+ - E_-, B is
+    at least -Tr_A[(E_+ (x) I) rho_-] - Tr_A[(E_- (x) I) rho_+], so
+        Tr B_- <= ||E_+|| Tr rho_- + Tr E_- ||Tr_B rho_+|| <= N e + f T,
+    where the effects sum to I + D with max |D_xy| <= ATOL, so that
+    E_k <= I + D + sum_{j != k} (E_j)_- and ||E|| <= N = 1 + d_A ATOL + (n - 1) f,
+    and T = 1 + ATOL + 2 e >= Tr|rho| >= Tr rho_+. The einsum sums d_A^2 complex
+    products per entry, with an error of at most (d_A^2 + 2) 1.01 eps times the
+    sum of the terms' moduli; the trace norm of that error is at most the sum of
+    its entries' moduli, so at most (d_A^2 + 2) 1.01 eps N d T <= NEG_ROUND d_A^2 d N T.
+    The herald is the Hermitian part of B / p, which passes (N e + f T +
+    NEG_ROUND d_A^2 d N T) / p as `_neg`; its own NEG_ROUND d_B covers the rounding
+    of the division and the Hermitian part.
     """
 
     state_ab: DensityOperator
@@ -77,8 +94,12 @@ class SteeringAssemblage:
         heralds = probs >= ZERO_PROB
         conds = blocks / np.where(heralds, probs, 1.0)[:, None, None]
         conds = 0.5 * (conds + conds.conj().transpose(0, 2, 1))  # 1/p may scale skew past ATOL
-        outcomes = tuple((float(p), DensityOperator(c)) if h else None
-                         for p, h, c in zip(probs, heralds, conds))
+        e, f = self.state_ab._bound, self.povm_a._bound
+        norm = 1 + dim_a * ATOL + (self.n_outcomes - 1) * f
+        total = 1 + ATOL + 2 * e
+        neg = norm * e + f * total + NEG_ROUND * dim_a ** 2 * self.state_ab.dim * norm * total
+        outcomes = tuple((p, DensityOperator(c, _neg=neg / p)) if h else None
+                         for p, h, c in zip(probs.tolist(), heralds, conds))
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "heralded", tuple(o for o in outcomes if o is not None))
 
@@ -119,6 +140,12 @@ def hjw_assemblage(d: EnsembleDecomposition) -> SteeringAssemblage:
     rounding. Member i's effect is a^T a*, with a = F_i V / sqrt(lambda): a
     Gram matrix, so positive, and of the member's rank. The effects sum to
     the identity because the average is built from the same factors.
+    The product's rounding is the effect's only negative part. a is r_i x r,
+    with r_i the member's rank and r = rank sigma_B, so each entry of a^T a*
+    sums r_i products with an error of at most (r_i + 2) 1.01 eps |a_j| |a_l|
+    (columns a_j), and the error's trace norm is at most the sum of those,
+    (r_i + 2) 1.01 eps (sum_j |a_j|)^2 <= NEG_ROUND r_i r ||a||_F^2: the
+    largest of these over the members is the bound the POVM is given.
     """
     if len(d.members) > MAX_MEMBERS:
         raise DecompositionError(f"decompositions are capped at {MAX_MEMBERS} members")
@@ -128,8 +155,10 @@ def hjw_assemblage(d: EnsembleDecomposition) -> SteeringAssemblage:
         factors.append(np.sqrt(p_i * mus)[:, None] * us.conj().T)
     lams, vecs = _rank_space(sum(f.conj().T @ f for f in factors))
     psi = (np.sqrt(lams)[:, None] * vecs.T).reshape(-1)
-    effects = [a.T @ a.conj() for a in (f @ vecs / np.sqrt(lams) for f in factors)]
-    return assemblage_from(KetVector(psi / np.linalg.norm(psi)).projector(), Povm(effects))
+    roots = [f @ vecs / np.sqrt(lams) for f in factors]
+    neg = NEG_ROUND * max(a.size * float(np.vdot(a, a).real) for a in roots)
+    return assemblage_from(KetVector(psi / np.linalg.norm(psi)).projector(),
+                           Povm([a.T @ a.conj() for a in roots], _neg=neg))
 
 
 def steer(assemblage: SteeringAssemblage, outcome: int):

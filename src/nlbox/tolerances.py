@@ -27,8 +27,9 @@ MAX_LOOP_DIM = 16
 # Eigenvalues below this are treated as zero when computing ranks.
 RANK_CUT = 1e-10
 
-# A derived density skips eigvalsh while its inputs' bound on Tr rho_- plus NEG_ROUND * d (a few
-# eps per summed term, times d) is within ATOL / 2, the rest being eigvalsh's; chains check again.
+# A derived density or POVM skips eigvalsh while its inputs' bound on Tr rho_- (on each effect's
+# Tr E_-) plus NEG_ROUND * d (a few eps per summed term, times d) is within ATOL / 2, the rest
+# being eigvalsh's; chains check again, and so does a herald whose bound 1 / p scales past it.
 NEG_ROUND = 512 * 2.0 ** -52
 
 # Negative Born probabilities above -BORN_CLAMP are clamped to zero.

@@ -31,25 +31,33 @@ from nlbox.qcore import (
     HADAMARD_BASIS,
     DensityOperator,
     KetVector,
+    Povm,
     Unitary,
     tensor,
 )
 from nlbox.rand import random_cptp_kraus, random_density, random_unitary
+from nlbox.steering import (
+    EnsembleDecomposition,
+    SteeringAssemblage,
+    assemblage_from,
+    hjw_assemblage,
+)
 from nlbox.tolerances import ATOL, NEG_ROUND
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "nlbox" / "scenarios"
 EIGVALSH = np.linalg.eigvalsh
-CHECKING = DensityOperator.__post_init__.__code__
+CHECKING = {cls: cls.__post_init__.__code__ for cls in (DensityOperator, Povm)}
 
 
 @contextlib.contextmanager
-def counted_checks():
-    """A list that gets one entry per eigenvalue check a DensityOperator runs
-    inside the block."""
+def counted_checks(*classes):
+    """A list that gets one entry per eigenvalue check that a DensityOperator, or
+    an instance of any of classes if given, runs inside the block."""
     checks = []
+    codes = {CHECKING[cls] for cls in classes or (DensityOperator,)}
 
     def counting(m, *args, **kwargs):
-        if sys._getframe(1).f_code is CHECKING:
+        if sys._getframe(1).f_code in codes:
             checks.append(m)
         return EIGVALSH(m, *args, **kwargs)
 
@@ -231,60 +239,88 @@ class TestChainsCheckAgain:
 
 
 def scenario_census():
-    """[site module, site function, checked, hermitized, count] for every
-    DensityOperator built while each bundled scenario runs once; hermitized:
-    the density stores another array than the frozen copy of its input."""
+    """[type, site module, site function, checked, hermitized, count] for every
+    DensityOperator and Povm built while each bundled scenario runs once; checked:
+    it ran eigvalsh; hermitized: it stores another array than the frozen copy of
+    its input."""
     built = collections.Counter()
-    validate, freeze = DensityOperator.__post_init__, qcore._freeze
+    validate, freeze = {cls: cls.__post_init__ for cls in CHECKING}, qcore._freeze
     frozen = []
 
     def counting(self, *args):
         code = sys._getframe(2).f_code
         before = len(checks)
-        validate(self, *args)
-        built[Path(code.co_filename).stem, code.co_name, len(checks) > before,
-              self.matrix is not frozen[-1]] += 1
+        validate[type(self)](self, *args)
+        stored = self.matrix if type(self) is DensityOperator else self.effects
+        built[type(self).__name__, Path(code.co_filename).stem, code.co_name,
+              len(checks) > before, stored is not frozen[-1]] += 1
 
     def recording(obj, name, arr):
         frozen.append(arr := freeze(obj, name, arr))
         return arr
 
-    DensityOperator.__post_init__, qcore._freeze = counting, recording
+    for cls in CHECKING:
+        cls.__post_init__ = counting
+    qcore._freeze = recording
     try:
-        with counted_checks() as checks:
+        with counted_checks(*CHECKING) as checks:
             for path in sorted(SCENARIO_DIR.glob("*.scn")):
                 scenario.run_scenario(scenario.parse_scenario(path))
     finally:
-        DensityOperator.__post_init__, qcore._freeze = validate, freeze
+        for cls, original in validate.items():
+            cls.__post_init__ = original
+        qcore._freeze = freeze
     return sorted([*key, n] for key, n in built.items())
 
 
-def test_bundled_scenarios_check_only_heralds_and_fixed_points():
-    """63 densities over the 9 bundled scenarios, 36 of them checked: the 24
-    steering heralds (built in the assemblage constructor's generator) and the
-    12 Deutsch fixed points. Tensor, loop-channel and projector outputs are not.
-    Only the 4 loop-channel outputs whose matrix rounding left not exactly
-    Hermitian store a new array, their Hermitian part; every other density
-    keeps its input's. Counted in a new interpreter, where no ket keeps a
-    projector yet."""
+@pytest.fixture(scope="module")
+def census():
+    """scenario_census() run in a new interpreter, where no ket keeps a projector
+    and no computational POVM is cached yet, as a {type: {key: count}} dict."""
     here = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
     done = subprocess.run(
         [sys.executable, "-c", "import json, test_derived_densities as t; "
                                "print(json.dumps(t.scenario_census()))"],
         capture_output=True, text=True, env=env, timeout=120, check=True)
-    census = {tuple(key): n for *key, n in json.loads(done.stdout)}
     assert len(list(SCENARIO_DIR.glob("*.scn"))) == 9
-    assert sum(census.values()) == 63
-    assert sum(n for (_, _, checked, _), n in census.items() if checked) == 36
-    assert sum(n for (*_, hermitized), n in census.items() if hermitized) == 4
-    assert census == {
-        ("steering", "<genexpr>", True, False): 24,
+    by_type = collections.defaultdict(dict)
+    for kind, *key, n in json.loads(done.stdout):
+        by_type[kind][tuple(key)] = n
+    return by_type
+
+
+def test_bundled_scenarios_check_only_fixed_points(census):
+    """63 densities over the 9 bundled scenarios, 12 of them checked: the 12
+    Deutsch fixed points. The 24 steering heralds (built in the assemblage
+    constructor's generator) carry a bound from their state and POVM, and
+    tensor, loop-channel and projector outputs one from their inputs, so none
+    of them is. Only the 4 loop-channel outputs whose matrix rounding left not
+    exactly Hermitian store a new array, their Hermitian part; every other
+    density keeps its input's."""
+    built = census["DensityOperator"]
+    assert sum(built.values()) == 63
+    assert sum(n for (_, _, checked, _), n in built.items() if checked) == 12
+    assert sum(n for (*_, hermitized), n in built.items() if hermitized) == 4
+    assert built == {
+        ("steering", "<genexpr>", False, False): 24,
         ("boxes", "deutsch_fixed_point", True, False): 12,
         ("qcore", "tensor", False, False): 12,
         ("boxes", "loop_channel", False, False): 8,
         ("boxes", "loop_channel", False, True): 4,
         ("qcore", "projector", False, False): 3,
+    }
+
+
+def test_bundled_scenarios_check_no_povm(census):
+    """14 POVMs over the 9 bundled scenarios, none of them checked: the sender's
+    12 basis measurements in the signaling and preparation-problem scenarios
+    (each effect a ket's projector) and the computational POVMs of dims 2 and
+    4, each built once. None stores a new array: every product of two basis
+    amplitudes rounds to an exactly Hermitian matrix."""
+    assert census["Povm"] == {
+        ("qcore", "basis_povm", False, False): 12,
+        ("qcore", "computational_povm", False, False): 2,
     }
 
 
@@ -345,16 +381,54 @@ def concentrating_kraus(rho):
     return [np.outer(np.eye(2)[int(x < 0)], v[:, i].conj()) for i, x in enumerate(lam)]
 
 
+def stored(value):
+    """The array a DensityOperator or a Povm checks: its matrix or its effects."""
+    return value.effects if isinstance(value, Povm) else value.matrix
+
+
+def checked_bound(value):
+    """The bound the eigenvalue check gives a DensityOperator or a Povm."""
+    if isinstance(value, Povm):
+        return value.dim * max(0.0, -float(np.minimum.reduce(EIGVALSH(value.effects)[:, 0])))
+    return (value.dim - 1) * max(0.0, -float(EIGVALSH(value.matrix)[0]))
+
+
 def assert_sound(build):
-    """The derived site raises a ValidationError itself, or its output is exactly
-    Hermitian, passes the public constructor, and its bound covers its negative part."""
+    """The derived site raises a ValidationError itself, or each value it returns
+    (a density, a POVM, or an assemblage's POVM and heralds) is exactly Hermitian,
+    passes the public constructor, has the checked bound unless its bound is
+    within ATOL / 2, and has a bound that covers each of its matrices' negative part."""
     try:
         out = build()
     except ValidationError:
         return
-    DensityOperator(m := out.matrix)
-    assert np.array_equal(m, m.conj().T)
-    assert negative_trace(m) <= out._bound + 1e-14
+    values = ([out.povm_a, *(rho for _, rho in out.heralded)]
+              if isinstance(out, SteeringAssemblage) else [out])
+    for value in values:
+        type(value)(arr := stored(value))
+        assert np.array_equal(arr, np.swapaxes(arr, -1, -2).conj())
+        assert value._bound <= ATOL / 2 or value._bound == checked_bound(value)
+        for m in arr.reshape(-1, *arr.shape[-2:]):
+            assert negative_trace(m) <= value._bound + 1e-14
+
+
+@st.composite
+def edge_povms(draw, dim):
+    """A two-outcome Povm on dim and the eigenvector v of E's first eigenvalue: E
+    and I - E in one random eigenbasis, with E's eigenvalues drawn in [0, 1] and
+    scaled by 1e-12 to 1, so that E fires with a probability down to ZERO_PROB.
+    At the edge, E's first eigenvalue is moved to 0, to -0.1 to -0.999 ATOL, or
+    to 1 plus that, where I - E has it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lam = rng.uniform(size=dim) * 10 ** draw(st.floats(-12.0, 0.0))
+    edge = draw(st.sampled_from(["none", "zero", "low", "high"]))
+    neg = draw(st.floats(0.1, 0.999)) * ATOL
+    lam[0] = {"none": lam[0], "zero": 0.0, "low": -neg, "high": 1 + neg}[edge]
+    v = random_unitary(dim, rng).matrix
+    try:
+        return Povm([(v * x) @ v.conj().T for x in (lam, 1 - lam)]), v[:, 0]
+    except ValidationError:
+        assume(False)
 
 
 class TestDerivedSitesAreSound:
@@ -393,6 +467,43 @@ class TestDerivedSitesAreSound:
         assert_sound(lambda: _mix(list(zip(w, members))))
 
 
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
+           stretches=st.lists(st.floats(-0.999, 0.999), min_size=4, max_size=4))
+    def test_basis_povm(self, seed, dim, stretches):
+        v = random_unitary(dim, np.random.default_rng(seed)).matrix
+        assert_sound(lambda: qcore.basis_povm(
+            KetVector(v[:, k] * np.sqrt(1 + stretches[k] * ATOL)) for k in range(dim)))
+
+    @settings(max_examples=150)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
+           n=st.integers(1, 4))
+    def test_hjw_assemblage(self, data, seed, dim, n):
+        # Members of any rank, full rank being mixed, weighted 1e-6 to 1 before normalizing.
+        rng = np.random.default_rng(seed)
+        w = np.array([10 ** data.draw(st.floats(-6.0, 0.0)) for _ in range(n)])
+        members = tuple((float(wi), random_density(dim, rng, rank=data.draw(st.integers(1, dim))))
+                        for wi in w / w.sum())
+        sigma = DensityOperator(sum(wi * rho.matrix for wi, rho in members))
+        assert_sound(lambda: hjw_assemblage(EnsembleDecomposition(sigma, members)))
+
+    @settings(max_examples=300)
+    @given(data=st.data(), dims=st.sampled_from([(1, 2), (2, 1), (2, 2), (4, 1), (2, 4), (4, 2)]))
+    def test_heralds(self, data, dims):
+        # In half the cases, mixing in weight 1 - w of |v><v| (x) |0><0|, where E reads its
+        # first eigenvalue, leaves E's herald as it was when that eigenvalue is 0, but at a
+        # p of order w, out of a block whose terms stay of order 1: its rounding grows as 1/p.
+        povm, v = data.draw(edge_povms(dims[0]))
+        state = data.draw(densities(st.just(dims[0] * dims[1])))
+        w = 10 ** (data.draw(st.booleans()) * data.draw(st.floats(-12.0, 0.0)))
+        rare = np.kron(np.outer(v, v.conj()), np.diag(np.eye(dims[1])[0]))
+        try:
+            state = DensityOperator(w * state.matrix + (1 - w) * rare)
+        except ValidationError:
+            assume(False)
+        assert_sound(lambda: assemblage_from(state, povm))
+
+
 class TestBoundStaysPrivate:
     def test_unpickling_runs_the_full_check(self):
         derived = tensor(DensityOperator(diag(1 + 0.1 * ATOL, -0.1 * ATOL)), qcore.QUBIT0)
@@ -408,13 +519,48 @@ class TestBoundStaysPrivate:
         with pytest.raises(ValidationError, match="eigenvalue"):
             dataclasses.replace(derived, matrix=diag(1 + 2 * ATOL, -2 * ATOL, 0, 0))
 
-    def test_repr_and_positional_signature(self):
-        rho = DensityOperator(np.eye(2) / 2)
-        assert repr(rho).startswith("DensityOperator(matrix=array(")
-        assert "_neg" not in repr(rho) and "_bound" not in repr(rho)
-        params = list(inspect.signature(DensityOperator).parameters.values())
+    def test_povm_replace_runs_the_full_check(self):
+        with pytest.raises(ValidationError, match="not positive semidefinite"):
+            dataclasses.replace(qcore.computational_povm(2),
+                                effects=[diag(1 + 2 * ATOL, 0), diag(-2 * ATOL, 1)])
+
+    @staticmethod
+    def derived_values():
+        """A basis POVM of complex kets, an HJW POVM and one of its heralds, each
+        built without eigvalsh, so each carries a bound from its inputs."""
+        s = 1 / np.sqrt(2)
+        kets = (qcore.ket(s, 1j * s), qcore.ket(s, -1j * s))
+        sigma = qcore.maximally_mixed(2)
+        with counted_checks(DensityOperator, Povm) as checks:
+            basis = qcore.basis_povm(kets)
+            asm = hjw_assemblage(EnsembleDecomposition(sigma, tuple((0.5, k.projector())
+                                                                    for k in kets)))
+        values = {"basis": basis, "hjw": asm.povm_a, "herald": asm.heralded[0][1]}
+        assert not any(c is stored(v) for c in checks for v in values.values())
+        return values
+
+    @pytest.mark.parametrize("rebuild", ["pickle", "replace"])
+    @pytest.mark.parametrize("name", ["basis", "hjw", "herald"])
+    def test_a_rebuilt_derived_value_runs_the_full_check(self, name, rebuild):
+        value = self.derived_values()[name]
+        assert value._bound != checked_bound(value)
+        data = pickle.dumps(value)
+        with counted_checks(DensityOperator, Povm) as checks:
+            copy = pickle.loads(data) if rebuild == "pickle" else dataclasses.replace(value)
+        assert len(checks) == 1 and checks[0] is stored(copy)
+        assert np.array_equal(stored(copy), stored(value))
+        assert copy._bound == checked_bound(copy)
+
+    @pytest.mark.parametrize("cls,arg", [(DensityOperator, np.eye(2) / 2),
+                                         (Povm, [np.eye(2)])], ids=["density", "povm"])
+    def test_repr_and_positional_signature(self, cls, arg):
+        value = cls(arg)
+        name = "matrix" if cls is DensityOperator else "effects"
+        assert repr(value).startswith(f"{cls.__name__}({name}=array(")
+        assert "_neg" not in repr(value) and "_bound" not in repr(value)
+        params = list(inspect.signature(cls).parameters.values())
         assert [(p.name, p.kind) for p in params] == [
-            ("matrix", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            (name, inspect.Parameter.POSITIONAL_OR_KEYWORD),
             ("_neg", inspect.Parameter.KEYWORD_ONLY)]
         with pytest.raises(TypeError):
-            DensityOperator(np.eye(2) / 2, 0.0)
+            cls(arg, 0.0)

@@ -450,6 +450,8 @@ class TestSteer:
         assert np.abs(blocks[2] - blocks[2].conj().T).max() / 1e-10 > ATOL
         p, rho = assemblage_from(state, povm).outcomes[2]
         assert p == pytest.approx(1e-10, rel=1e-4)
+        # Its bound over p passes ATOL / 2, so the herald ran eigvalsh and holds that bound.
+        assert rho._bound == max(0.0, -float(np.linalg.eigvalsh(rho.matrix)[0]))
         assert np.array_equal(rho.matrix, rho.matrix.conj().T)
         assert np.abs(rho.matrix - sigmas[2]).max() < 1e-4
 
